@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .graphs import SignedGraph
-from .sampler import ExactMoments
+from .graphs import SignedGraph, reduced_support
+from .sampler import ExactMoments, node_moments
 
 EIG_FLOOR = 1e-12
 
@@ -210,13 +210,9 @@ def incoherence_norm(q_full: np.ndarray, r: int, support: list[int] | tuple[int,
     q_full with row/column r removed and S indexes the given support
     vertices among the remaining ones."""
     p = q_full.shape[0]
-    support = sorted(support)
-    if r in support:
-        raise ValueError("support must not contain the regression vertex")
-    q = np.delete(np.delete(q_full, r, axis=0), r, axis=1)
-    reduced = [v - 1 if v > r else v for v in support]
+    q, _ = node_moments(q_full, r)
     mask = np.zeros(p - 1, dtype=bool)
-    mask[reduced] = True
+    mask[reduced_support(support, p, r)] = True
     q_ss = q[np.ix_(mask, mask)]
     q_scs = q[np.ix_(~mask, mask)]
     eig_min = float(np.linalg.eigvalsh(q_ss).min())
@@ -235,11 +231,9 @@ def incoherence_norm(q_full: np.ndarray, r: int, support: list[int] | tuple[int,
 def support_eig_min(q_full: np.ndarray, r: int, support: list[int] | tuple[int, ...]) -> float:
     """Minimum eigenvalue of the support block of q_full with vertex r
     removed."""
-    support = sorted(support)
-    q = np.delete(np.delete(q_full, r, axis=0), r, axis=1)
-    reduced = [v - 1 if v > r else v for v in support]
-    block = q[np.ix_(reduced, reduced)]
-    return float(np.linalg.eigvalsh(block).min())
+    q, _ = node_moments(q_full, r)
+    reduced = reduced_support(support, q_full.shape[0], r)
+    return float(np.linalg.eigvalsh(q[np.ix_(reduced, reduced)]).min())
 
 
 @dataclass(frozen=True)

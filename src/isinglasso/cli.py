@@ -172,14 +172,10 @@ def _cmd_theory(args) -> int:
     g = _load_graph(args.graph)
     params = bethe.rescaled_theta(g)
     cov = bethe.tree_covariance(g)
-    c_min = 1.0
-    worst_incoherence = 0.0
-    for r in range(g.p):
-        nbrs = g.neighbors[r]
-        if not nbrs:
-            continue
-        c_min = min(c_min, bethe.support_eig_min(cov, r, nbrs))
-        worst_incoherence = max(worst_incoherence, bethe.incoherence_norm(cov, r, nbrs))
+    worst_incoherence = max(
+        (bethe.incoherence_norm(cov, r, nbrs) for r, nbrs in enumerate(g.neighbors) if nbrs),
+        default=0.0,
+    )
     report = bethe.theorem_thresholds(g, args.lam)
     _write(
         json.dumps(
@@ -188,7 +184,7 @@ def _cmd_theory(args) -> int:
                     "matrix": params.matrix.tolist(),
                     "min_magnitude": params.min_magnitude,
                 },
-                "c_min": c_min,
+                "c_min": report.c_min,
                 "alpha": 1.0 - worst_incoherence,
                 "lambda_max": float(np.linalg.eigvalsh(cov).max()),
                 "thresholds": {

@@ -194,16 +194,11 @@ def run_trial(config: ExperimentConfig, p: int, beta: float, trial_seed: int) ->
     solver_cfg = SolverConfig(tol=config.solver_tol)
     success: dict[str, bool] = {}
     cause: dict[str, str] = {}
-    data = samples.as_float()
-    gram = (data.T @ data) / samples.n
     mag_warn = bool(
         np.abs(estimate_magnetization(samples)).max() > magnetization_warning_threshold(n)
     )
     for solver in config.solvers:
-        estimate = recover_graph(
-            samples, lam=lam, solver=solver, config=solver_cfg,
-            gram=gram if solver == "lasso" else None,
-        )
+        estimate = recover_graph(samples, lam=lam, solver=solver, config=solver_cfg)
         success[solver] = estimate.matches_graph(graph)
         if estimate.node_errors:
             first = min(estimate.node_errors)

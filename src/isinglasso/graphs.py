@@ -327,6 +327,20 @@ def signed_neighborhood_sets(graph: SignedGraph) -> dict[int, dict[int, int]]:
     return out
 
 
+def reduced_support(support, p: int, r: int) -> np.ndarray:
+    """Sorted positions of the support vertices among node r's p-1
+    predictors (vertex order with r deleted). Rejects r itself and vertices
+    outside 0..p-1 instead of letting negative indices wrap around."""
+    reduced = []
+    for v in support:
+        if v == r:
+            raise ValueError("support must not contain the regression vertex")
+        if not 0 <= v < p:
+            raise ValueError(f"support vertex {v} out of range")
+        reduced.append(v - 1 if v > r else v)
+    return np.asarray(sorted(reduced), dtype=np.int64)
+
+
 def path_length(graph: SignedGraph, r: int, t: int) -> int | None:
     """Shortest-path edge count between r and t; None if unreachable."""
     if r == t:

@@ -51,12 +51,13 @@ class SampleMatrix:
     provenance: str = ""
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.int8)
+        arr = np.asarray(self.data)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError("sample data must be a nonempty 2-D array")
+        # check before the int8 cast, which would turn 257 or 1.7 into +1
         if not np.isin(arr, (-1, 1)).all():
             raise ValueError("sample entries must be -1 or +1")
-        arr = arr.copy()
+        arr = arr.astype(np.int8)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -71,6 +72,18 @@ class SampleMatrix:
     def as_float(self) -> np.ndarray:
         return self.data.astype(np.float64)
 
+    def second_moment(self) -> np.ndarray:
+        """(X^T X)/n, built once and cached read-only. Its entries are
+        integer counts over n, exact in float64, so the diagonal is exactly
+        1 and every node's slice equals that node's own design Gram."""
+        second = self.__dict__.get("_second_moment")
+        if second is None:
+            x = self.as_float()
+            second = (x.T @ x) / self.n
+            second.setflags(write=False)
+            object.__setattr__(self, "_second_moment", second)
+        return second
+
 
 @dataclass(frozen=True)
 class ExactMoments:
@@ -83,6 +96,15 @@ class ExactMoments:
     def second_moment(self) -> np.ndarray:
         """E[x x^T]; unit diagonal for +/-1 spins."""
         return self.covariance + np.outer(self.mean, self.mean)
+
+
+def node_moments(second: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node r's regression data from a full second-moment matrix: the
+    predictor block Q (row and column r deleted) and the cross-moment
+    vector b (column r without entry r)."""
+    q = np.delete(np.delete(second, r, axis=0), r, axis=1)
+    b = np.delete(second[:, r], r)
+    return q, b
 
 
 def _color_classes(graph: SignedGraph) -> list[np.ndarray]:
@@ -140,8 +162,9 @@ def _spin_chunk(start: int, stop: int, p: int) -> np.ndarray:
     return 2.0 * bits.astype(np.float64) - 1.0
 
 
-def exact_enumerate(graph: SignedGraph) -> ExactMoments:
-    """Exact moments by summing over all 2^p configurations.
+def _enumeration(graph: SignedGraph):
+    """log Z and a generator of (spins, weights) chunks covering all 2^p
+    configurations, weights being exact probabilities.
 
     Works in log space so large couplings cannot overflow; capped at
     p <= ENUMERATION_CAP.
@@ -153,54 +176,39 @@ def exact_enumerate(graph: SignedGraph) -> ExactMoments:
     graph._require_couplings()
     p = graph.p
     n_states = 1 << p
-    edges = [(r, t, j) for (r, t), j in graph.couplings.items()]
-
+    bounds = [(a, min(a + _ENUM_CHUNK, n_states)) for a in range(0, n_states, _ENUM_CHUNK)]
     energies = np.empty(n_states)
-    for start in range(0, n_states, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, n_states)
+    for start, stop in bounds:
         s = _spin_chunk(start, stop, p)
         e = np.zeros(stop - start)
-        for r, t, j in edges:
+        for (r, t), j in graph.couplings.items():
             e += j * s[:, r] * s[:, t]
         energies[start:stop] = e
-
     log_z = float(logsumexp(energies))
-    mean = np.zeros(p)
-    second = np.zeros((p, p))
-    for start in range(0, n_states, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, n_states)
-        s = _spin_chunk(start, stop, p)
-        w = np.exp(energies[start:stop] - log_z)
+    chunks = (
+        (_spin_chunk(start, stop, p), np.exp(energies[start:stop] - log_z))
+        for start, stop in bounds
+    )
+    return log_z, chunks
+
+
+def exact_enumerate(graph: SignedGraph) -> ExactMoments:
+    """Exact moments by summing over all 2^p configurations; capped at
+    p <= ENUMERATION_CAP."""
+    log_z, chunks = _enumeration(graph)
+    mean = np.zeros(graph.p)
+    second = np.zeros((graph.p, graph.p))
+    for s, w in chunks:
         mean += w @ s
         second += s.T @ (s * w[:, None])
-
     covariance = second - np.outer(mean, mean)
     return ExactMoments(mean=mean, covariance=covariance, log_partition=log_z)
 
 
-def iter_weighted_states(graph: SignedGraph, chunk: int = _ENUM_CHUNK):
-    """Yield (spins, weights) chunks covering all 2^p configurations,
-    weights being exact probabilities. Same cap as exact_enumerate."""
-    if graph.p > ENUMERATION_CAP:
-        raise ValueError(
-            f"exact enumeration capped at p <= {ENUMERATION_CAP}, got p = {graph.p}"
-        )
-    graph._require_couplings()
-    p = graph.p
-    n_states = 1 << p
-    edges = [(r, t, j) for (r, t), j in graph.couplings.items()]
-    energies = np.empty(n_states)
-    for start in range(0, n_states, chunk):
-        stop = min(start + chunk, n_states)
-        s = _spin_chunk(start, stop, p)
-        e = np.zeros(stop - start)
-        for r, t, j in edges:
-            e += j * s[:, r] * s[:, t]
-        energies[start:stop] = e
-    log_z = float(logsumexp(energies))
-    for start in range(0, n_states, chunk):
-        stop = min(start + chunk, n_states)
-        yield _spin_chunk(start, stop, p), np.exp(energies[start:stop] - log_z)
+def iter_weighted_states(graph: SignedGraph):
+    """(spins, weights) chunks covering all 2^p configurations, weights
+    being exact probabilities. Same cap as exact_enumerate."""
+    return _enumeration(graph)[1]
 
 
 def estimate_magnetization(samples: SampleMatrix) -> np.ndarray:
@@ -224,6 +232,8 @@ def load_samples_text(path: str) -> SampleMatrix:
     with open(path) as fh:
         header = fh.readline().split()
         fields = dict(part.split("=") for part in header)
+        if "p" not in fields or "n" not in fields:
+            raise ValueError(f"sample file header {' '.join(header)!r} lacks p=<p> n=<n>")
         p, n = int(fields["p"]), int(fields["n"])
         data = np.loadtxt(fh, dtype=np.int8, ndmin=2)
     if data.shape != (n, p):
@@ -242,12 +252,21 @@ def save_samples_binary(samples: SampleMatrix, path: str) -> None:
 
 
 def load_samples_binary(path: str) -> SampleMatrix:
+    """Inverse of save_samples_binary; a short header, a truncated body or
+    trailing bytes raise ValueError instead of loading as padded spins."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _BINARY_MAGIC:
-            raise ValueError(f"bad magic bytes {magic!r}, expected {_BINARY_MAGIC!r}")
-        n, p = np.frombuffer(fh.read(8), dtype="<u4")
-        packed = np.frombuffer(fh.read(), dtype=np.uint8)
-    bits = np.unpackbits(packed, count=int(n) * int(p))
-    data = (2 * bits.astype(np.int8) - 1).reshape(int(n), int(p))
+        blob = fh.read()
+    magic = blob[:4]
+    if magic != _BINARY_MAGIC:
+        raise ValueError(f"bad magic bytes {magic!r}, expected {_BINARY_MAGIC!r}")
+    if len(blob) < 12:
+        raise ValueError(f"binary sample file has {len(blob)} bytes, expected a 12-byte header")
+    n, p = (int(v) for v in np.frombuffer(blob, dtype="<u4", count=2, offset=4))
+    body = (n * p + 7) // 8
+    if len(blob) - 12 != body:
+        raise ValueError(
+            f"binary sample body has {len(blob) - 12} bytes, expected {body} for n={n}, p={p}"
+        )
+    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, offset=12), count=n * p)
+    data = (2 * bits.astype(np.int8) - 1).reshape(n, p)
     return SampleMatrix(data=data)

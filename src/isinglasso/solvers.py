@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
-from .graphs import SignedGraph, signed_neighborhood_sets
-from .sampler import SampleMatrix
+from .graphs import SignedGraph, reduced_support, signed_neighborhood_sets
+from .sampler import SampleMatrix, node_moments
 
 ACTIVE_TOL = 1e-8
 _GRAM_REFRESH_CYCLES = 50
@@ -121,29 +120,23 @@ def _kkt_residual(theta: np.ndarray, grad: np.ndarray, lam: float, idx: np.ndarr
     return res
 
 
-def _finalize(gram, linear, lam, theta, iterations, constant, support_idx, history):
-    grad = gram @ theta - linear
-    kkt = _kkt_residual(theta, grad, lam, support_idx)
+def _quadratic_loss(gram, linear, theta, constant) -> float:
+    return 0.5 * float(theta @ (gram @ theta)) - float(linear @ theta) + constant
+
+
+def _finalize(theta, grad, loss, lam, iterations, support_idx, history, nonunique=False):
+    """Solution record from the final iterate and the gradient of its smooth
+    loss, shared by the Lasso and the logistic solver."""
     if lam > 0:
         subgrad = np.where(theta != 0.0, np.sign(theta), -grad / lam)
     else:
         subgrad = np.zeros_like(theta)
-    objective = (
-        0.5 * float(theta @ (gram @ theta))
-        - float(linear @ theta)
-        + constant
-        + lam * float(np.abs(theta).sum())
-    )
-    nonunique = False
-    if lam == 0.0:
-        block = gram[np.ix_(support_idx, support_idx)]
-        nonunique = float(np.linalg.eigvalsh(block).min()) < 1e-10
     return LassoSolution(
         coefficients=theta,
         subgradient=subgrad,
-        kkt_residual=kkt,
+        kkt_residual=_kkt_residual(theta, grad, lam, support_idx),
         iterations=iterations,
-        objective=objective,
+        objective=loss + lam * float(np.abs(theta).sum()),
         lam=lam,
         maybe_nonunique=nonunique,
         objective_history=history,
@@ -206,10 +199,7 @@ def lasso_cd_gram(
         iterations = cycle + 1
         if cfg.track_objective:
             history.append(
-                0.5 * float(theta @ (gram @ theta))
-                - float(linear @ theta)
-                + constant
-                + lam * float(np.abs(theta).sum())
+                _quadratic_loss(gram, linear, theta, constant) + lam * float(np.abs(theta).sum())
             )
         if iterations % _GRAM_REFRESH_CYCLES == 0:
             grad = gram @ theta - linear  # shed accumulated float drift
@@ -232,36 +222,20 @@ def lasso_cd_gram(
                 f"(residual {kkt:.3e})",
                 kkt_residual=kkt,
             )
-    return _finalize(gram, linear, lam, theta, iterations, constant, support_idx, history)
-
-
-def _design(problem: NeighborhoodProblem) -> tuple[np.ndarray, np.ndarray]:
-    data = problem.samples.as_float()
-    y = data[:, problem.response_index]
-    x = np.delete(data, problem.response_index, axis=1)
-    return x, y
-
-
-def _gram_form(problem: NeighborhoodProblem) -> tuple[np.ndarray, np.ndarray]:
-    x, y = _design(problem)
-    n = problem.samples.n
-    return (x.T @ x) / n, (x.T @ y) / n
-
-
-def _support_to_reduced(support_vertices, p: int, r: int) -> np.ndarray:
-    reduced = []
-    for v in support_vertices:
-        if v == r:
-            raise ValueError("support must not contain the response vertex")
-        if not 0 <= v < p:
-            raise ValueError(f"support vertex {v} out of range")
-        reduced.append(v - 1 if v > r else v)
-    return np.asarray(sorted(reduced), dtype=np.int64)
+    grad = gram @ theta - linear
+    nonunique = False
+    if lam == 0.0:
+        block = gram[np.ix_(support_idx, support_idx)]
+        nonunique = float(np.linalg.eigvalsh(block).min()) < 1e-10
+    return _finalize(
+        theta, grad, _quadratic_loss(gram, linear, theta, constant), lam, iterations,
+        support_idx, history, nonunique,
+    )
 
 
 def solve_lasso(problem: NeighborhoodProblem, config: SolverConfig | None = None) -> LassoSolution:
     """Neighborhood Lasso for one node by cyclic coordinate descent."""
-    gram, linear = _gram_form(problem)
+    gram, linear = node_moments(problem.samples.second_moment(), problem.response_index)
     return lasso_cd_gram(gram, linear, problem.lam, config=config)
 
 
@@ -274,8 +248,8 @@ def solve_lasso_restricted(
     pinned at zero. The reported residual covers the free coordinates; the
     subgradient on pinned coordinates still carries -gradient/lambda, which
     is exactly the dual-feasibility value certificate checks need."""
-    gram, linear = _gram_form(problem)
-    reduced = _support_to_reduced(support_vertices, problem.samples.p, problem.response_index)
+    gram, linear = node_moments(problem.samples.second_moment(), problem.response_index)
+    reduced = reduced_support(support_vertices, problem.samples.p, problem.response_index)
     return lasso_cd_gram(gram, linear, problem.lam, support=reduced, config=config)
 
 
@@ -314,10 +288,11 @@ def solve_logistic_l1(
     with lambda = 0 signals separable data.
     """
     cfg = config or SolverConfig()
-    x, y = _design(problem)
+    data = problem.samples.as_float()
+    x = np.delete(data, problem.response_index, axis=1)
     n = problem.samples.n
     lam = problem.lam
-    yx = y[:, None] * x
+    yx = data[:, problem.response_index, None] * x
     m = x.shape[1]
 
     if lam == 0.0 and _is_separable(yx):
@@ -379,19 +354,7 @@ def solve_logistic_l1(
         )
 
     loss_fin, grad = _logistic_loss_grad(theta, yx, n)
-    kkt = _kkt_residual(theta, grad, lam, np.arange(m))
-    if lam > 0:
-        subgrad = np.where(theta != 0.0, np.sign(theta), -grad / lam)
-    else:
-        subgrad = np.zeros_like(theta)
-    return LassoSolution(
-        coefficients=theta,
-        subgradient=subgrad,
-        kkt_residual=kkt,
-        iterations=it,
-        objective=loss_fin + lam * float(np.abs(theta).sum()),
-        lam=lam,
-    )
+    return _finalize(theta, grad, loss_fin, lam, it, np.arange(m), [])
 
 
 def extract_signed_neighborhood(
@@ -432,77 +395,40 @@ class GraphEstimate:
         return all(self.neighborhoods[r].signs == truth[r] for r in range(graph.p))
 
 
-def _solve_node(samples, r, lam, solver, config):
-    problem = NeighborhoodProblem(response_index=r, samples=samples, lam=lam)
-    if solver == "lasso":
-        return solve_lasso(problem, config)
-    if solver == "logistic":
-        return solve_logistic_l1(problem, config)
-    raise ValueError(f"unknown solver {solver!r}")
-
-
-def _solve_node_task(args):
-    samples, r, lam, solver, config = args
-    try:
-        sol = _solve_node(samples, r, lam, solver, config)
-        return r, extract_signed_neighborhood(sol, r), None
-    except ConvergenceError as exc:
-        return r, None, str(exc)
-
-
 def recover_graph(
     samples: SampleMatrix,
     lam: float | None = None,
     kappa: float | None = None,
     solver: str = "lasso",
     config: SolverConfig | None = None,
-    workers: int = 1,
-    gram: np.ndarray | None = None,
 ) -> GraphEstimate:
     """Run the chosen per-node solver for every vertex and assemble the
     estimated signed neighborhoods.
 
     Exactly one of lam / kappa must be given; kappa applies the
     sqrt(log(p)/n) rule. Per-node convergence failures are recorded in
-    node_errors instead of aborting the remaining nodes. `gram` lets
-    callers that already built the full p x p second-moment matrix share
-    it across nodes (lasso path only).
+    node_errors instead of aborting the remaining nodes. Every Lasso node
+    slices the one cached second moment of `samples`.
     """
     if (lam is None) == (kappa is None):
         raise ValueError("give exactly one of lam or kappa")
     if lam is None:
         lam = lambda_from_kappa(kappa, samples.n, samples.p)
-    p = samples.p
+    if solver == "lasso":
+        solve = solve_lasso
+    elif solver == "logistic":
+        solve = solve_logistic_l1
+    else:
+        raise ValueError(f"unknown solver {solver!r}")
 
     neighborhoods: dict[int, SignedNeighborhood] = {}
     node_errors: dict[int, str] = {}
-    if workers > 1:
-        tasks = [(samples, r, lam, solver, config) for r in range(p)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for r, hood, err in pool.map(_solve_node_task, tasks):
-                if err is None:
-                    neighborhoods[r] = hood
-                else:
-                    node_errors[r] = err
-    elif solver == "lasso":
-        if gram is None:
-            data = samples.as_float()
-            gram = (data.T @ data) / samples.n
-        for r in range(p):
-            sub = np.delete(np.delete(gram, r, axis=0), r, axis=1)
-            linear = np.delete(gram[:, r], r)
-            try:
-                sol = lasso_cd_gram(sub, linear, lam, config=config)
-                neighborhoods[r] = extract_signed_neighborhood(sol, r)
-            except ConvergenceError as exc:
-                node_errors[r] = str(exc)
-    else:
-        for r in range(p):
-            r2, hood, err = _solve_node_task((samples, r, lam, solver, config))
-            if err is None:
-                neighborhoods[r2] = hood
-            else:
-                node_errors[r2] = err
+    for r in range(samples.p):
+        try:
+            sol = solve(NeighborhoodProblem(response_index=r, samples=samples, lam=lam), config)
+            neighborhoods[r] = extract_signed_neighborhood(sol, r)
+        except ConvergenceError as exc:
+            node_errors[r] = str(exc)
 
     edges: dict[tuple[int, int], int] = {}
     for r, hood in neighborhoods.items():

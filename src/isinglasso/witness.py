@@ -25,63 +25,25 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .bethe import (
-    EIG_FLOOR,
     RescaledParams,
     SingularMatrixError,
     incoherence_norm,
+    support_eig_min,
     tree_covariance,
 )
-from .graphs import SignedGraph
-from .sampler import ExactMoments, SampleMatrix, SamplerConfig, gibbs_sample, iter_weighted_states
+from .experiment import _wald_stderr
+from .graphs import SignedGraph, reduced_support
+from .sampler import (
+    ExactMoments,
+    SampleMatrix,
+    SamplerConfig,
+    gibbs_sample,
+    iter_weighted_states,
+    node_moments,
+)
 from .solvers import SolverConfig, lasso_cd_gram
-
-
-def _moment_form(data: SampleMatrix | ExactMoments, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Predictor second-moment matrix Q and cross-moment vector b for
-    node r, from samples or exact moments."""
-    if isinstance(data, SampleMatrix):
-        x = data.as_float()
-        y = x[:, r]
-        xs = np.delete(x, r, axis=1)
-        n = data.n
-        return (xs.T @ xs) / n, (xs.T @ y) / n
-    second = data.second_moment()
-    q = np.delete(np.delete(second, r, axis=0), r, axis=1)
-    b = np.delete(second[:, r], r)
-    return q, b
-
-
-def _reduced_support(support_vertices, p: int, r: int) -> np.ndarray:
-    idx = []
-    for v in support_vertices:
-        if v == r:
-            raise ValueError("support must not contain the regression vertex")
-        if not 0 <= v < p:
-            raise ValueError(f"support vertex {v} out of range")
-        idx.append(v - 1 if v > r else v)
-    return np.asarray(sorted(idx), dtype=np.int64)
-
-
-def _incoherence_reduced(q: np.ndarray, s_idx: np.ndarray) -> float:
-    """Max-row-sum norm of Q_{S^c S} (Q_SS)^{-1} in reduced coordinates."""
-    m = q.shape[0]
-    mask = np.zeros(m, dtype=bool)
-    mask[s_idx] = True
-    q_ss = q[np.ix_(mask, mask)]
-    eig_min = float(np.linalg.eigvalsh(q_ss).min())
-    if eig_min <= EIG_FLOOR:
-        raise SingularMatrixError(
-            f"support covariance block is singular (min eigenvalue {eig_min:.3e})",
-            min_eigenvalue=eig_min,
-        )
-    q_scs = q[np.ix_(~mask, mask)]
-    if q_scs.shape[0] == 0:
-        return 0.0
-    a = cho_solve(cho_factor(q_ss), q_scs.T).T
-    return float(np.abs(a).sum(axis=1).max())
 
 
 @dataclass(frozen=True)
@@ -100,14 +62,12 @@ class CovarianceReport:
 def sample_covariance(samples: SampleMatrix, r: int, support) -> CovarianceReport:
     """Second-moment matrix (1/n) sum_i x_without_r x_without_r^T; its
     diagonal is exactly 1 for +/-1 data."""
-    q, _ = _moment_form(samples, r)
-    s_idx = _reduced_support(support, samples.p, r)
-    mask = np.zeros(samples.p - 1, dtype=bool)
-    mask[s_idx] = True
-    eig_min_ss = float(np.linalg.eigvalsh(q[np.ix_(mask, mask)]).min())
+    second = samples.second_moment()
+    q, _ = node_moments(second, r)
+    eig_min_ss = support_eig_min(second, r, support)
     eig_max_full = float(np.linalg.eigvalsh(q).max())
     try:
-        inc = _incoherence_reduced(q, s_idx)
+        inc = incoherence_norm(second, r, support)
     except SingularMatrixError:
         inc = float("inf")
     return CovarianceReport(
@@ -308,18 +268,15 @@ def construct_witness(
         raise ValueError("support must be nonempty")
     cfg = config or SolverConfig()
     p = theta_tilde.matrix.shape[0]
-    q, b = _moment_form(data, r)
-    s_idx = _reduced_support(support, p, r)
+    second = data.second_moment()
+    q, b = node_moments(second, r)
+    s_idx = reduced_support(support, p, r)
     mask = np.zeros(p - 1, dtype=bool)
     mask[s_idx] = True
 
-    eig_min = float(np.linalg.eigvalsh(q[np.ix_(mask, mask)]).min())
-    if eig_min <= EIG_FLOOR:
-        raise SingularMatrixError(
-            f"support covariance block is singular (min eigenvalue {eig_min:.3e})",
-            min_eigenvalue=eig_min,
-        )
-    alpha_measured = 1.0 - _incoherence_reduced(q, s_idx)
+    eig_min = support_eig_min(second, r, support)
+    # raises SingularMatrixError when the support block is singular
+    alpha_measured = 1.0 - incoherence_norm(second, r, support)
 
     tt = theta_tilde.row_excluding(r)
     w = b - q @ tt
@@ -446,7 +403,6 @@ def tail_rate_probe(
         # population incoherence margin at the probe node
         alpha = 1.0 - incoherence_norm(tree_covariance(graph), node, graph.neighbors[node])
     base = sampler or SamplerConfig()
-    tt = theta_tilde.row_excluding(node)
     bound = 2.0 * math.exp(-c * math.log(p))
     precondition_n = (c + 1.0) * d * d * math.log(p)
 
@@ -465,14 +421,11 @@ def tail_rate_probe(
                 thinning_sweeps=base.thinning_sweeps,
                 seed=chain_seed,
             )
-            samples = gibbs_sample(graph, n, cfg)
-            x = samples.as_float()
-            resid = x[:, node] - np.delete(x, node, axis=1) @ tt
-            w = (np.delete(x, node, axis=1) * resid[:, None]).mean(axis=0)
+            w = compute_noise_vector(gibbs_sample(graph, n, cfg), node, theta_tilde).w
             if float(np.abs(w).max()) >= threshold:
                 exceed += 1
         prob = exceed / trials
-        stderr = max(math.sqrt(prob * (1.0 - prob) / trials), 0.5 / trials)
+        stderr = _wald_stderr(exceed, trials)
         rows.append(
             ProbeRow(
                 n=n,

@@ -224,6 +224,13 @@ class TestIncoherenceNorm:
     def test_support_containing_node_rejected(self):
         with pytest.raises(ValueError):
             incoherence_norm(np.eye(4), 1, [1, 2])
+        cov = np.eye(4)
+        with pytest.raises(ValueError, match="regression vertex"):
+            support_eig_min(cov, 2, [2])
+        with pytest.raises(ValueError, match="out of range"):
+            support_eig_min(cov, 2, [-1])
+        with pytest.raises(ValueError, match="out of range"):
+            incoherence_norm(cov, 2, [-1, 0])
 
 
 class TestTheoremThresholds:

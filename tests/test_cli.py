@@ -108,6 +108,17 @@ class TestSampleAndSolve:
         assert code == 1
         assert "exactly one" in json.loads(err)["message"]
 
+    def test_header_without_sizes_json_error(self, tmp_path, capsys):
+        samples = tmp_path / "s.txt"
+        samples.write_text("p=3\n1 -1 1\n-1 1 1\n")
+        code, _, err = run_cli(
+            capsys, "solve", "--samples", str(samples), "--node", "0", "--lambda", "0.1"
+        )
+        assert code == 1
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "p=<p> n=<n>" in payload["message"]
+
 
 class TestTheoryCommand:
     def test_rr_constants(self, capsys):

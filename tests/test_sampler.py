@@ -32,11 +32,27 @@ class TestSampleMatrix:
             SampleMatrix(np.array([[1, 0], [1, -1]]))
         with pytest.raises(ValueError):
             SampleMatrix(np.empty((0, 3), dtype=np.int8))
+        # values an int8 cast would turn into +1
+        with pytest.raises(ValueError):
+            SampleMatrix(np.array([[1, 257], [1, -1]], dtype=np.int64))
+        with pytest.raises(ValueError):
+            SampleMatrix(np.array([[1, 1.7], [1, -1]]))
 
     def test_immutable(self):
         s = SampleMatrix(np.array([[1, -1]], dtype=np.int8))
         with pytest.raises(ValueError):
             s.data[0, 0] = -1
+
+    def test_second_moment_is_exact_counts(self):
+        rng = np.random.default_rng(8)
+        s = SampleMatrix(rng.choice(np.array([-1, 1], dtype=np.int8), size=(1001, 9)))
+        x = s.data.astype(np.int64)
+        second = s.second_moment()
+        assert np.array_equal(second, (x.T @ x) / s.n)
+        assert np.array_equal(np.diag(second), np.ones(9))
+        assert s.second_moment() is second
+        with pytest.raises(ValueError):
+            second[0, 1] = 0.0
 
 
 class TestGibbs:
@@ -157,6 +173,29 @@ class TestSampleIO:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_samples_binary(str(path))
+
+    def test_binary_malformed_sizes(self, tmp_path):
+        rng = np.random.default_rng(35)
+        s = SampleMatrix(rng.choice(np.array([-1, 1], dtype=np.int8), size=(5, 7)))
+        path = tmp_path / "samples.isng"
+        save_samples_binary(s, str(path))
+        blob = path.read_bytes()  # 12-byte header, 35 spins in a 5-byte body
+        cases = (
+            (blob[:-2], "body has 3 bytes, expected 5"),
+            (blob + b"\x00", "body has 6 bytes, expected 5"),
+            (blob[:9], "has 9 bytes, expected a 12-byte header"),
+        )
+        for bad, message in cases:
+            path.write_bytes(bad)
+            with pytest.raises(ValueError, match=message):
+                load_samples_binary(str(path))
+
+    def test_text_header_without_sizes(self, tmp_path):
+        for header in ("p=3", "n=2", ""):
+            path = tmp_path / "samples.txt"
+            path.write_text(header + "\n1 -1 1\n-1 1 1\n")
+            with pytest.raises(ValueError, match="p=<p> n=<n>"):
+                load_samples_text(str(path))
 
 
 class TestMomentsType:

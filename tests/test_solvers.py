@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isinglasso.graphs import CouplingScheme, assign_couplings, generate_bethe_tree
-from isinglasso.sampler import SampleMatrix, SamplerConfig, gibbs_sample
+from isinglasso.sampler import SampleMatrix, SamplerConfig, gibbs_sample, node_moments
 from isinglasso.solvers import (
     ConvergenceError,
     NeighborhoodProblem,
@@ -274,14 +274,30 @@ class TestRecoverGraph:
             assign_couplings(generate_bethe_tree(3, 2), CouplingScheme.uniform(0.4), seed=0)
         )
 
-    def test_workers_match_serial(self):
+    def test_unknown_solver_rejected(self):
+        samples = SampleMatrix(np.array([[1, -1], [-1, 1]], dtype=np.int8))
+        with pytest.raises(ValueError, match="unknown solver"):
+            recover_graph(samples, lam=0.1, solver="ridge")
+
+    def test_lasso_matches_per_node_solves(self):
         g = assign_couplings(generate_bethe_tree(8, 3), CouplingScheme.mixed(0.4), seed=2)
         samples = gibbs_sample(g, 800, SamplerConfig(burn_in_sweeps=200, thinning_sweeps=1, seed=3))
-        serial = recover_graph(samples, lam=0.08, solver="lasso")
-        parallel = recover_graph(samples, lam=0.08, solver="lasso", workers=2)
-        assert {r: h.signs for r, h in serial.neighborhoods.items()} == {
-            r: h.signs for r, h in parallel.neighborhoods.items()
-        }
+        estimate = recover_graph(samples, lam=0.08, solver="lasso")
+        for r in range(g.p):
+            fresh = SampleMatrix(samples.data)  # no cached second moment
+            sol = solve_lasso(NeighborhoodProblem(r, fresh, 0.08))
+            assert estimate.neighborhoods[r] == extract_signed_neighborhood(sol, r)
+
+
+class TestSharedGram:
+    def test_node_slice_equals_design_gram(self):
+        rng = np.random.default_rng(50)
+        samples = SampleMatrix(rng.choice(np.array([-1, 1], dtype=np.int8), size=(97, 7)))
+        for r in range(samples.p):
+            gram, linear = gram_of(NeighborhoodProblem(r, samples, 0.1))
+            q, b = node_moments(samples.second_moment(), r)
+            assert np.array_equal(q, gram)
+            assert np.array_equal(b, linear)
 
 
 class TestSerialization:

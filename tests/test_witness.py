@@ -222,10 +222,13 @@ class TestConditionChecks:
         moments = tree_moments(g)
         interior = [r for r in range(g.p) if g.degrees[r] == 3][0]
         # population report computed from exact second moments
-        q = np.delete(np.delete(moments.second_moment(), interior, 0), interior, 1)
-        from isinglasso.witness import CovarianceReport, _reduced_support, _incoherence_reduced
+        second = moments.second_moment()
+        q = np.delete(np.delete(second, interior, 0), interior, 1)
+        from isinglasso.bethe import incoherence_norm
+        from isinglasso.graphs import reduced_support
+        from isinglasso.witness import CovarianceReport
 
-        s_idx = _reduced_support(g.neighbors[interior], g.p, interior)
+        s_idx = reduced_support(g.neighbors[interior], g.p, interior)
         mask = np.zeros(g.p - 1, dtype=bool)
         mask[s_idx] = True
         report = CovarianceReport(
@@ -234,7 +237,7 @@ class TestConditionChecks:
             q=q,
             eig_min_ss=float(np.linalg.eigvalsh(q[np.ix_(mask, mask)]).min()),
             eig_max_full=float(np.linalg.eigvalsh(q).max()),
-            incoherence=_incoherence_reduced(q, s_idx),
+            incoherence=incoherence_norm(second, interior, g.neighbors[interior]),
         )
         consts = rr_constants(3, 0.4)
         result = check_conditions(report, consts.c_min, consts.alpha)
