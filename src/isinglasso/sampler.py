@@ -52,8 +52,8 @@ class SampleMatrix:
 
     def __post_init__(self):
         arr = np.asarray(self.data)
-        if arr.ndim != 2 or arr.shape[0] < 1:
-            raise ValueError("sample data must be a nonempty 2-D array")
+        if arr.ndim != 2 or min(arr.shape) < 1:
+            raise ValueError(f"sample data must be 2-D with n, p >= 1, got shape {arr.shape}")
         # check before the int8 cast, which would turn 257 or 1.7 into +1
         if not np.isin(arr, (-1, 1)).all():
             raise ValueError("sample entries must be -1 or +1")

@@ -8,7 +8,9 @@ For each vertex r the Lasso solves
 by cyclic coordinate descent on the Gram form of the problem; the logistic
 baseline replaces the square loss with the conditional log-loss
 (1/n) sum_i log(1 + exp(-2 x_r_i <theta, x_i>)) and runs accelerated
-proximal gradient with backtracking. Both report the optimality-system
+proximal gradient (FISTA) with adaptive restart and one fixed step,
+1 / lambda_max of the second moment, on all requested nodes at once as
+columns of one coefficient matrix. Both report the optimality-system
 residual and a reconstructed subgradient, so downstream certificate checks
 can consume either one interchangeably.
 
@@ -108,16 +110,13 @@ def predictor_vertices(p: int, r: int) -> np.ndarray:
     return np.concatenate([np.arange(r), np.arange(r + 1, p)])
 
 
-def _kkt_residual(theta: np.ndarray, grad: np.ndarray, lam: float, idx: np.ndarray) -> float:
+def _kkt_residual(theta: np.ndarray, grad: np.ndarray, lam: float, idx=slice(None)):
+    """LassoSolution's stationarity residual over the rows idx; one value
+    per column for 2-D input."""
     th = theta[idx]
     g = grad[idx]
-    active = th != 0.0
-    res = 0.0
-    if active.any():
-        res = float(np.abs(g[active] + lam * np.sign(th[active])).max())
-    if (~active).any():
-        res = max(res, float(max(0.0, np.abs(g[~active]).max() - lam)))
-    return res
+    res = np.where(th != 0.0, np.abs(g + lam * np.sign(th)), np.abs(g) - lam)
+    return np.maximum(res.max(axis=0, initial=0.0), 0.0)
 
 
 def _quadratic_loss(gram, linear, theta, constant) -> float:
@@ -134,7 +133,7 @@ def _finalize(theta, grad, loss, lam, iterations, support_idx, history, nonuniqu
     return LassoSolution(
         coefficients=theta,
         subgradient=subgrad,
-        kkt_residual=_kkt_residual(theta, grad, lam, support_idx),
+        kkt_residual=float(_kkt_residual(theta, grad, lam, support_idx)),
         iterations=iterations,
         objective=loss + lam * float(np.abs(theta).sum()),
         lam=lam,
@@ -253,108 +252,122 @@ def solve_lasso_restricted(
     return lasso_cd_gram(gram, linear, problem.lam, support=reduced, config=config)
 
 
-def _logistic_loss_grad(theta, yx, n):
-    u = yx @ theta
-    loss = float(np.logaddexp(0.0, -2.0 * u).mean())
-    s = expit(-2.0 * u)
-    grad = -(2.0 / n) * (s @ yx)
-    return loss, grad
+def _logistic_grad(x, y, theta, pinned):
+    """Gradient of the mean log-loss (1/n) sum_i log(1 + exp(-2 y_ik <theta_k, x_i>))
+    at every column k of theta, zeroed at the pinned entries."""
+    s = x @ theta
+    s *= y
+    s *= -2.0
+    expit(s, out=s)
+    s *= y
+    grad = (-2.0 / x.shape[0]) * (x.T @ s)
+    grad[pinned] = 0.0
+    return grad
 
 
 def _is_separable(yx: np.ndarray) -> bool:
     """Strict linear separability check (feasibility of margins >= 1)."""
     from scipy.optimize import linprog
 
-    m = yx.shape[1]
-    res = linprog(
-        c=np.zeros(m),
-        A_ub=-yx,
-        b_ub=-np.ones(yx.shape[0]),
-        bounds=[(None, None)] * m,
-        method="highs",
-    )
+    res = linprog(np.zeros(yx.shape[1]), A_ub=-yx, b_ub=-np.ones(yx.shape[0]),
+                  bounds=(None, None), method="highs")
     return bool(res.success)
+
+
+def solve_logistic_l1_batch(
+    samples: SampleMatrix, nodes, lam: float, config: SolverConfig | None = None
+) -> tuple[dict[int, LassoSolution], dict[int, ConvergenceError]]:
+    """L1-penalized logistic regressions of the listed spins on the rest as
+    one matrix FISTA: column k of the p x K coefficients is node nodes[k]'s,
+    with its own entry pinned at 0. Returns (solutions, errors) by node.
+
+    The factor 2 inside the logit matches the heat-bath conditional of the
+    edge-coupling convention, so the population minimizer is the coupling
+    row itself. Each sample's curvature 4 sigma (1 - sigma) is at most 1,
+    so a node's Hessian is bounded by its predictor Gram, a principal block
+    of the second moment: 1 / lambda_max of that is a valid step for every
+    column. Each column keeps its own momentum and gradient-based restart
+    (O'Donoghue & Candes 2015), KKT test, divergence guard and iteration
+    count, and leaves the batch once converged.
+    """
+    cfg = config or SolverConfig()
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    x = samples.as_float()
+    p = samples.p
+    errors: dict[int, ConvergenceError] = {}
+    if lam == 0.0:
+        for r in nodes:
+            if _is_separable(np.delete(x, r, axis=1) * x[:, r, None]):
+                errors[int(r)] = ConvergenceError(
+                    "data are linearly separable and lambda = 0: the logistic loss "
+                    "has no minimizer (coefficients diverge)", kkt_residual=float("inf"))
+    nodes = np.array([r for r in nodes if r not in errors], dtype=np.int64)
+    step = 1.0 / np.linalg.eigvalsh(samples.second_moment())[-1]
+    y = samples.data[:, nodes]
+    theta, momentum, grad_final = (np.zeros((p, nodes.size)) for _ in range(3))
+    t_acc = np.ones(nodes.size)
+    iterations = np.zeros(nodes.size, dtype=np.int64)
+    kkt = np.full(nodes.size, np.inf)
+    act = np.arange(nodes.size)
+    for it in range(1, cfg.max_iters + 1):
+        if act.size == 0:
+            break
+        pinned = (nodes[act], np.arange(act.size))
+        mom, old = momentum[:, act], theta[:, act]
+        cand = mom - step * _logistic_grad(x, y[:, act], mom, pinned)
+        new = np.sign(cand) * np.maximum(np.abs(cand) - step * lam, 0.0)
+        # restart where the momentum step points against the progress made
+        restart = np.einsum("ij,ij->j", mom - new, new - old) > 0.0
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc[act] ** 2))
+        beta = np.where(restart, 0.0, (t_acc[act] - 1.0) / t_next)
+        momentum[:, act] = new + beta * (new - old)
+        theta[:, act] = new
+        t_acc[act] = np.where(restart, 1.0, t_next)
+        done = np.abs(new).max(axis=0) > cfg.max_coef
+        for j in act[done]:
+            errors[int(nodes[j])] = ConvergenceError(
+                "logistic coefficients diverged (with lambda = 0 this means the "
+                "data are separable and no minimizer exists)", kkt_residual=float("inf"))
+        if it % cfg.kkt_check_every == 0 or it == 1:
+            grad = _logistic_grad(x, y[:, act], new, pinned)
+            kkt[act] = _kkt_residual(new, grad, lam)
+            converged = (kkt[act] <= cfg.tol) & ~done
+            grad_final[:, act[converged]] = grad[:, converged]
+            iterations[act[converged]] = it
+            done |= converged
+        act = act[~done]
+    for j in act:
+        errors[int(nodes[j])] = ConvergenceError(
+            f"proximal gradient did not converge in {cfg.max_iters} iterations "
+            f"(residual {kkt[j]:.3e})", kkt_residual=float(kkt[j]))
+
+    ok = np.flatnonzero(iterations)
+    terms = x @ theta[:, ok]
+    terms *= y[:, ok]
+    terms *= -2.0
+    loss = np.logaddexp(0.0, terms, out=terms).mean(axis=0)
+    solutions = {}
+    for j, loss_j in zip(ok, loss):
+        keep = predictor_vertices(p, nodes[j])
+        solutions[int(nodes[j])] = _finalize(
+            theta[keep, j], grad_final[keep, j], float(loss_j), lam, int(iterations[j]),
+            np.arange(p - 1), [])
+    return solutions, errors
 
 
 def solve_logistic_l1(
     problem: NeighborhoodProblem, config: SolverConfig | None = None
 ) -> LassoSolution:
-    """L1-penalized logistic regression of one spin on the rest, solved by
-    accelerated proximal gradient with backtracking line search.
-
-    The factor 2 inside the logit matches the heat-bath conditional of the
-    edge-coupling convention, so the population minimizer is the coupling
-    row itself. Raises ConvergenceError when coefficients diverge, which
-    with lambda = 0 signals separable data.
+    """L1-penalized logistic regression of one spin on the rest: the
+    one-column call of solve_logistic_l1_batch. Raises ConvergenceError
+    when coefficients diverge, which with lambda = 0 signals separable data.
     """
-    cfg = config or SolverConfig()
-    data = problem.samples.as_float()
-    x = np.delete(data, problem.response_index, axis=1)
-    n = problem.samples.n
-    lam = problem.lam
-    yx = data[:, problem.response_index, None] * x
-    m = x.shape[1]
-
-    if lam == 0.0 and _is_separable(yx):
-        raise ConvergenceError(
-            "data are linearly separable and lambda = 0: the logistic loss "
-            "has no minimizer (coefficients diverge)",
-            kkt_residual=float("inf"),
-        )
-
-    theta = np.zeros(m)
-    momentum = theta.copy()
-    t_acc = 1.0
-    lip = 1.0
-    loss_prev = np.inf
-    kkt = np.inf
-
-    for it in range(1, cfg.max_iters + 1):
-        loss_v, grad_v = _logistic_loss_grad(momentum, yx, n)
-        while True:
-            step = 1.0 / lip
-            cand = momentum - step * grad_v
-            theta_new = np.sign(cand) * np.maximum(np.abs(cand) - step * lam, 0.0)
-            diff = theta_new - momentum
-            quad = loss_v + float(grad_v @ diff) + 0.5 * lip * float(diff @ diff)
-            loss_new, _ = _logistic_loss_grad(theta_new, yx, n)
-            if loss_new <= quad + 1e-15:
-                break
-            lip *= 2.0
-
-        obj_new = loss_new + lam * float(np.abs(theta_new).sum())
-        if obj_new > loss_prev + 1e-15:
-            # objective went up under momentum: restart acceleration
-            t_acc = 1.0
-            momentum = theta.copy()
-            continue
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        momentum = theta_new + ((t_acc - 1.0) / t_next) * (theta_new - theta)
-        theta = theta_new
-        t_acc = t_next
-        loss_prev = obj_new
-        lip = max(lip * 0.9, 1e-6)
-
-        if float(np.abs(theta).max(initial=0.0)) > cfg.max_coef:
-            raise ConvergenceError(
-                "logistic coefficients diverged (with lambda = 0 this means "
-                "the data are linearly separable and no minimizer exists)",
-                kkt_residual=float("inf"),
-            )
-        if it % cfg.kkt_check_every == 0 or it == 1:
-            _, grad = _logistic_loss_grad(theta, yx, n)
-            kkt = _kkt_residual(theta, grad, lam, np.arange(m))
-            if kkt <= cfg.tol:
-                break
-    else:
-        raise ConvergenceError(
-            f"proximal gradient did not converge in {cfg.max_iters} iterations "
-            f"(residual {kkt:.3e})",
-            kkt_residual=kkt,
-        )
-
-    loss_fin, grad = _logistic_loss_grad(theta, yx, n)
-    return _finalize(theta, grad, loss_fin, lam, it, np.arange(m), [])
+    r = problem.response_index
+    solutions, errors = solve_logistic_l1_batch(problem.samples, [r], problem.lam, config)
+    if r in errors:
+        raise errors[r]
+    return solutions[r]
 
 
 def extract_signed_neighborhood(
@@ -408,27 +421,26 @@ def recover_graph(
     Exactly one of lam / kappa must be given; kappa applies the
     sqrt(log(p)/n) rule. Per-node convergence failures are recorded in
     node_errors instead of aborting the remaining nodes. Every Lasso node
-    slices the one cached second moment of `samples`.
+    slices the one cached second moment of `samples`; the logistic solver
+    runs all p nodes as one batch.
     """
     if (lam is None) == (kappa is None):
         raise ValueError("give exactly one of lam or kappa")
     if lam is None:
         lam = lambda_from_kappa(kappa, samples.n, samples.p)
     if solver == "lasso":
-        solve = solve_lasso
+        solutions, errors = {}, {}
+        for r in range(samples.p):
+            try:
+                solutions[r] = solve_lasso(NeighborhoodProblem(r, samples, lam), config)
+            except ConvergenceError as exc:
+                errors[r] = exc
     elif solver == "logistic":
-        solve = solve_logistic_l1
+        solutions, errors = solve_logistic_l1_batch(samples, range(samples.p), lam, config)
     else:
         raise ValueError(f"unknown solver {solver!r}")
-
-    neighborhoods: dict[int, SignedNeighborhood] = {}
-    node_errors: dict[int, str] = {}
-    for r in range(samples.p):
-        try:
-            sol = solve(NeighborhoodProblem(response_index=r, samples=samples, lam=lam), config)
-            neighborhoods[r] = extract_signed_neighborhood(sol, r)
-        except ConvergenceError as exc:
-            node_errors[r] = str(exc)
+    neighborhoods = {r: extract_signed_neighborhood(sol, r) for r, sol in solutions.items()}
+    node_errors = {r: str(errors[r]) for r in sorted(errors)}
 
     edges: dict[tuple[int, int], int] = {}
     for r, hood in neighborhoods.items():

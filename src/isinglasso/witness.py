@@ -96,25 +96,27 @@ class NoiseVector:
 def compute_noise_vector(
     samples: SampleMatrix, r: int, theta_tilde: RescaledParams
 ) -> NoiseVector:
-    """W_s = (1/n) sum_i Z_s_i per predictor coordinate."""
+    """W_s = (1/n) sum_i Z_s_i per predictor coordinate.
+
+    No per-sample Z matrix is formed: W = b - Q theta_tilde from the shared
+    second moment, and since |x_s_i| = 1, |Z_s_i| = |resid_i| for every s,
+    where resid = x_r - <theta_tilde, x>, so E[Z_s^2] = mean(resid^2).
+    """
     if theta_tilde.matrix.shape[0] != samples.p:
         raise ValueError(
             f"theta_tilde is for p = {theta_tilde.matrix.shape[0]} vertices, "
             f"samples have p = {samples.p}"
         )
-    x = samples.as_float()
-    y = x[:, r]
-    xs = np.delete(x, r, axis=1)
     tt = theta_tilde.row_excluding(r)
-    resid = y - xs @ tt
-    z = xs * resid[:, None]
-    w = z.mean(axis=0)
+    q, b = node_moments(samples.second_moment(), r)
+    w = b - q @ tt
+    resid = samples.as_float() @ np.insert(-tt, r, 1.0)
     return NoiseVector(
         node=r,
         w=w,
         inf_norm=float(np.abs(w).max()),
-        max_abs_z=np.abs(z).max(axis=0),
-        z_variance=z.var(axis=0),
+        max_abs_z=np.full(w.size, np.abs(resid).max()),
+        z_variance=float(np.mean(resid * resid)) - w * w,
     )
 
 

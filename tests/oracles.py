@@ -2,6 +2,8 @@
 import itertools
 
 import numpy as np
+from scipy.optimize import minimize
+from scipy.special import expit
 
 
 def lasso_objective(theta, gram, linear, lam, constant=0.5):
@@ -34,3 +36,32 @@ def brute_force_lasso_objective(gram, linear, lam, constant=0.5):
                 theta[idx] = sol
                 best = min(best, lasso_objective(theta, gram, linear, lam, constant))
     return best
+
+
+def logistic_l1_oracle(yx, lam, gtol=1e-8):
+    """Minimum of (1/n) sum_i log(1 + exp(-2 yx_i . theta)) + lam l1(theta)
+    by L-BFGS-B on the smooth split theta = theta_plus - theta_minus with
+    both halves bounded below by 0.
+
+    ftol = 0 turns off the function-decrease stop, so a run counts only when
+    L-BFGS-B stops on its projected gradient: every split coordinate has
+    |min(value, gradient)| <= gtol. A run that ends otherwise (a failed line
+    search near the rounding floor) is restarted from where it stopped.
+    Returns (theta, objective).
+    """
+    n, m = yx.shape
+
+    def fun(v):
+        u = yx @ (v[:m] - v[m:])
+        grad = -(2.0 / n) * (expit(-2.0 * u) @ yx)
+        value = np.logaddexp(0.0, -2.0 * u).mean() + lam * v.sum()
+        return value, np.concatenate([grad + lam, lam - grad])
+
+    v = np.zeros(2 * m)
+    for _ in range(5):
+        res = minimize(fun, v, jac=True, method="L-BFGS-B", bounds=[(0.0, None)] * (2 * m),
+                       options={"gtol": gtol, "ftol": 0.0, "maxiter": 10_000})
+        v = res.x
+        if "PROJECTED GRADIENT" in res.message:
+            return v[:m] - v[m:], float(res.fun)
+    raise RuntimeError(f"L-BFGS-B did not reach gtol = {gtol}: {res.message}")

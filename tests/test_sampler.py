@@ -38,6 +38,10 @@ class TestSampleMatrix:
         with pytest.raises(ValueError):
             SampleMatrix(np.array([[1, 1.7], [1, -1]]))
 
+    def test_zero_columns_rejected(self):
+        with pytest.raises(ValueError, match=r"n, p >= 1, got shape \(3, 0\)"):
+            SampleMatrix(np.empty((3, 0), dtype=np.int8))
+
     def test_immutable(self):
         s = SampleMatrix(np.array([[1, -1]], dtype=np.int8))
         with pytest.raises(ValueError):
@@ -189,6 +193,12 @@ class TestSampleIO:
             path.write_bytes(bad)
             with pytest.raises(ValueError, match=message):
                 load_samples_binary(str(path))
+
+    def test_binary_zero_columns_rejected(self, tmp_path):
+        path = tmp_path / "samples.isng"
+        path.write_bytes(b"ISNG" + np.array([3, 0], dtype="<u4").tobytes())
+        with pytest.raises(ValueError, match=r"got shape \(3, 0\)"):
+            load_samples_binary(str(path))
 
     def test_text_header_without_sizes(self, tmp_path):
         for header in ("p=3", "n=2", ""):

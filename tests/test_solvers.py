@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isinglasso.graphs import CouplingScheme, assign_couplings, generate_bethe_tree
 from isinglasso.sampler import SampleMatrix, SamplerConfig, gibbs_sample, node_moments
@@ -19,8 +21,9 @@ from isinglasso.solvers import (
     solve_lasso,
     solve_lasso_restricted,
     solve_logistic_l1,
+    solve_logistic_l1_batch,
 )
-from oracles import brute_force_lasso_objective
+from oracles import brute_force_lasso_objective, logistic_l1_oracle
 
 
 def random_spin_problem(rng, p, n, lam, r=0):
@@ -206,6 +209,73 @@ class TestLogistic:
             assert abs(abs(sol.coefficients[j]) - 0.4) < 0.15
 
 
+    def test_matches_lbfgsb_oracle(self):
+        # Tolerances, for F = f + lam l1_norm with f the mean log-loss. f's
+        # Hessian (1/n) sum_i x_i x_i^T / cosh^2(u_i) lies between Q / cosh^2(B)
+        # and Q (Q the predictor Gram) wherever every |u_i| <= l1_norm(theta) <= B.
+        # 1. Kernel: KKT residual <= tol gives a subgradient v_k of F at
+        #    theta_k with sup-norm <= tol.
+        # 2. Oracle: with ftol = 0 it stops only on its projected gradient,
+        #    |min(value, gradient)| <= gtol on every split coordinate. Zeroing
+        #    the split halves whose gradient exceeds gtol (their values are
+        #    <= gtol) moves theta_o by <= gtol per entry, to theta_b, and the
+        #    gradient by <= lam_max(Q) sqrt(m) gtol per entry, so theta_b has
+        #    a subgradient v_o with sup-norm <= eps_o = gtol (1 + sqrt(m) lam_max(Q)).
+        # 3. Coefficients: monotonicity of the subdifferential gives
+        #    mu |theta_k - theta_b|^2 <= (v_k - v_o).(theta_k - theta_b), with
+        #    mu = lam_min(Q) / cosh^2(B) and B = max(l1(theta_k), l1(theta_o)) + m gtol
+        #    covering the segment, so
+        #    max|theta_k - theta_o| <= sqrt(m) (tol + eps_o) / mu + gtol.
+        # 4. Objective: F(theta_o) >= F*, and by convexity F(theta_k) - F* <=
+        #    v_k.(theta_k - theta*) <= tol (l1(theta_k) + l1(theta*)), where
+        #    lam l1(theta*) <= F(0) = log 2. The oracle's gtol drops out here.
+        gtol, tol = 1e-8, 1e-10
+        rng = np.random.default_rng(24)
+        for _ in range(12):
+            p = int(rng.integers(3, 7))
+            n = int(rng.integers(30, 100))
+            lam = float(rng.choice([0.02, 0.05, 0.1]))
+            problem = random_spin_problem(rng, p, n, lam, r=int(rng.integers(p)))
+            gram, _ = gram_of(problem)
+            eigs = np.linalg.eigvalsh(gram)
+            assert eigs[0] > 0
+            x = problem.samples.as_float()
+            r = problem.response_index
+            theta_o, obj_o = logistic_l1_oracle(np.delete(x, r, axis=1) * x[:, r, None], lam, gtol)
+            sol = solve_logistic_l1(problem, SolverConfig(tol=tol))
+            theta_k = sol.coefficients
+            m = p - 1
+            l1_k = float(np.abs(theta_k).sum())
+            assert sol.objective <= obj_o + tol * (l1_k + math.log(2.0) / lam)
+            eps_o = gtol * (1.0 + math.sqrt(m) * eigs[-1])
+            bound = max(l1_k, float(np.abs(theta_o).sum())) + m * gtol
+            mu = eigs[0] / math.cosh(bound) ** 2
+            assert np.abs(theta_k - theta_o).max() <= math.sqrt(m) * (tol + eps_o) / mu + gtol
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 6),
+    n=st.integers(4, 40),
+    lam=st.floats(0.02, 0.5),
+)
+def test_logistic_batch_independent_of_company(seed, p, n, lam):
+    """A node's supports and KKT residual do not depend on which other
+    nodes share its batch."""
+    rng = np.random.default_rng(seed)
+    samples = SampleMatrix(rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, p)))
+    cfg = SolverConfig(tol=1e-9)
+    r = int(rng.integers(p))
+    company = [v for v in range(p) if v != r and rng.random() < 0.5]
+    batch = sorted(company + [r])
+    alone, errors_alone = solve_logistic_l1_batch(samples, [r], lam, cfg)
+    shared, errors_shared = solve_logistic_l1_batch(samples, batch, lam, cfg)
+    assert not errors_alone and not errors_shared
+    assert alone[r].kkt_residual <= cfg.tol and shared[r].kkt_residual <= cfg.tol
+    assert extract_signed_neighborhood(alone[r], r) == extract_signed_neighborhood(shared[r], r)
+
+
 class TestNeighborhoodExtraction:
     def _solution(self, coefs, lam=0.1):
         coefs = np.asarray(coefs, dtype=float)
@@ -286,6 +356,17 @@ class TestRecoverGraph:
         for r in range(g.p):
             fresh = SampleMatrix(samples.data)  # no cached second moment
             sol = solve_lasso(NeighborhoodProblem(r, fresh, 0.08))
+            assert estimate.neighborhoods[r] == extract_signed_neighborhood(sol, r)
+
+
+    def test_logistic_matches_per_node_solves(self):
+        g = assign_couplings(generate_bethe_tree(8, 3), CouplingScheme.mixed(0.4), seed=2)
+        samples = gibbs_sample(g, 800, SamplerConfig(burn_in_sweeps=200, thinning_sweeps=1, seed=3))
+        estimate = recover_graph(samples, lam=0.08, solver="logistic")
+        assert not estimate.node_errors
+        for r in range(g.p):
+            fresh = SampleMatrix(samples.data)  # no cached second moment
+            sol = solve_logistic_l1(NeighborhoodProblem(r, fresh, 0.08))
             assert estimate.neighborhoods[r] == extract_signed_neighborhood(sol, r)
 
 

@@ -77,6 +77,19 @@ class TestNoiseVector:
             assert (noise.max_abs_z <= d + 1e-12).all()
             assert (noise.z_variance <= 1.0 + 1e-12).all()
 
+    def test_fields_match_explicit_z(self, tree_fixture):
+        g, params = tree_fixture
+        samples = gibbs_sample(g, 200, SamplerConfig(burn_in_sweeps=100, thinning_sweeps=2, seed=8))
+        x = samples.as_float()
+        for r in range(g.p):
+            xs = np.delete(x, r, axis=1)
+            z = xs * (x[:, r] - xs @ params.row_excluding(r))[:, None]
+            noise = compute_noise_vector(samples, r, params)
+            assert np.abs(noise.w - z.mean(axis=0)).max() < 1e-12
+            assert np.abs(noise.max_abs_z - np.abs(z).max(axis=0)).max() < 1e-12
+            assert np.abs(noise.z_variance - z.var(axis=0)).max() < 1e-12
+            assert noise.inf_norm == float(np.abs(noise.w).max())
+
     def test_noise_shrinks_with_n(self, tree_fixture):
         g, params = tree_fixture
         small = gibbs_sample(g, 100, SamplerConfig(burn_in_sweeps=200, thinning_sweeps=2, seed=5))
