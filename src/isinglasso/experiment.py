@@ -39,13 +39,10 @@ from .solvers import SolverConfig, lambda_from_kappa, recover_graph
 FAMILIES = ("rr", "grid", "star_linear", "star_log", "tree")
 SOLVERS = ("lasso", "logistic")
 
-# Frozen result of calibrate_kappa() on the rr d=3 mixed-sign fixture over
-# the candidate grid {0.5, 1, 2, 4}, evaluated at beta=5 (the observed
-# transition midpoint for exact signed recovery; every candidate scores
-# zero below beta ~ 2.5, so smaller midpoints cannot discriminate).
-# At this kappa exact recovery levels off near 0.7 for beta 5-10, every
-# failure a spurious edge: kappa = 2 sits below the dual-feasibility floor
-# 2 sigma / alpha ~ 2.63 (see docs/decisions.md).
+# Penalty constant of the sweeps; docs/decisions.md records how it was
+# chosen and why it stays. At this kappa exact recovery levels off near 0.7
+# for beta 5-10 on rr d=3, every failure a spurious edge: kappa = 2 sits
+# below the dual-feasibility floor 2 sigma / alpha ~ 2.63.
 KAPPA_DEFAULT = 2.0
 
 _FAMILY_BETA_FACTOR = {"rr": 10, "grid": 15, "star_linear": 10, "star_log": 10, "tree": 10}
@@ -411,33 +408,3 @@ def compare_solvers(curve_a: list[CurvePoint], curve_b: list[CurvePoint]) -> Ali
         crossing_b=cb,
         crossing_difference=cdiff,
     )
-
-
-def calibrate_kappa(
-    candidates=(0.5, 1.0, 2.0, 4.0),
-    p: int = 32,
-    beta: float = 5.0,
-    trials: int = 40,
-    seed: int = 2024,
-) -> float:
-    """Pick the penalty constant maximizing exact-recovery probability on
-    the degree-3 mixed-sign regular-graph fixture at the given beta.
-    Run offline once; the winner is frozen as KAPPA_DEFAULT. The default
-    beta sits at the empirical transition midpoint, where the candidates
-    actually separate."""
-    best_kappa, best_wins = None, -1
-    for kappa in candidates:
-        config = ExperimentConfig(
-            family="rr",
-            p_list=(p,),
-            beta_grid=(beta,),
-            trials=trials,
-            solver="lasso",
-            kappa=kappa,
-            master_seed=seed,
-        )
-        result = run_sweep(config)
-        wins = result.curves[("lasso", p)][0].successes
-        if wins > best_wins:
-            best_kappa, best_wins = kappa, wins
-    return best_kappa

@@ -31,6 +31,8 @@ from .sampler import SampleMatrix, node_moments
 
 ACTIVE_TOL = 1e-8
 _GRAM_REFRESH_CYCLES = 50
+_KKT_CHECK_EVERY = 10  # logistic only; CD checks every cycle
+_MAX_COEF = 1e3  # divergence guard (logistic, lambda = 0)
 
 
 class ConvergenceError(RuntimeError):
@@ -45,8 +47,6 @@ class ConvergenceError(RuntimeError):
 class SolverConfig:
     tol: float = 1e-8
     max_iters: int = 100_000
-    kkt_check_every: int = 10  # logistic only; CD checks every cycle
-    max_coef: float = 1e3      # divergence guard (logistic, lambda = 0)
     track_objective: bool = False
 
 
@@ -324,12 +324,12 @@ def solve_logistic_l1_batch(
         momentum[:, act] = new + beta * (new - old)
         theta[:, act] = new
         t_acc[act] = np.where(restart, 1.0, t_next)
-        done = np.abs(new).max(axis=0) > cfg.max_coef
+        done = np.abs(new).max(axis=0) > _MAX_COEF
         for j in act[done]:
             errors[int(nodes[j])] = ConvergenceError(
                 "logistic coefficients diverged (with lambda = 0 this means the "
                 "data are separable and no minimizer exists)", kkt_residual=float("inf"))
-        if it % cfg.kkt_check_every == 0 or it == 1:
+        if it % _KKT_CHECK_EVERY == 0 or it == 1:
             grad = _logistic_grad(x, y[:, act], new, pinned)
             kkt[act] = _kkt_residual(new, grad, lam)
             converged = (kkt[act] <= cfg.tol) & ~done

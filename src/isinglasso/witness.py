@@ -39,8 +39,8 @@ from .sampler import (
     ExactMoments,
     SampleMatrix,
     SamplerConfig,
+    exact_enumerate,
     gibbs_sample,
-    iter_weighted_states,
     node_moments,
 )
 from .solvers import SolverConfig, lasso_cd_gram
@@ -135,19 +135,20 @@ class ZStatistics:
 def enumerate_z_statistics(
     graph: SignedGraph, r: int, theta_tilde: RescaledParams
 ) -> ZStatistics:
-    """Brute-force the Z statistics over all 2^p states. Because spins are
-    +/-1, E[Z_s^2] and max |Z_s| do not depend on s."""
+    """Z statistics from the exact second moment of the 2^p enumeration.
+    E[Z] = b - Q theta_tilde, and because spins are +/-1,
+    E[Z_s^2] = E[(x_r - <theta_tilde, x>)^2] = 1 - 2 b.theta_tilde
+    + theta_tilde.Q.theta_tilde for every s, as in compute_noise_vector.
+    max |Z_s| = 1 + l1_norm(theta_tilde): every state is enumerated, so the
+    one with x_r = 1 and x_t = -sign(theta_tilde_t) is among them."""
     tt = theta_tilde.row_excluding(r)
-    mean = np.zeros(graph.p - 1)
-    second = 0.0
-    max_abs = 0.0
-    for spins, weights in iter_weighted_states(graph):
-        xs = np.delete(spins, r, axis=1)
-        resid = spins[:, r] - xs @ tt
-        mean += (weights * resid) @ xs
-        second += float(weights @ (resid * resid))
-        max_abs = max(max_abs, float(np.abs(resid).max()))
-    return ZStatistics(node=r, means=mean, second_moment=second, max_abs=max_abs)
+    q, b = node_moments(exact_enumerate(graph).second_moment(), r)
+    return ZStatistics(
+        node=r,
+        means=b - q @ tt,
+        second_moment=float(1.0 - 2.0 * b @ tt + tt @ q @ tt),
+        max_abs=float(1.0 + np.abs(tt).sum()),
+    )
 
 
 @dataclass(frozen=True)

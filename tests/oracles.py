@@ -1,5 +1,6 @@
 """Independent brute-force references used by tests only."""
 import itertools
+import math
 
 import numpy as np
 from scipy.optimize import minimize
@@ -65,3 +66,37 @@ def logistic_l1_oracle(yx, lam, gtol=1e-8):
         if "PROJECTED GRADIENT" in res.message:
             return v[:m] - v[m:], float(res.fun)
     raise RuntimeError(f"L-BFGS-B did not reach gtol = {gtol}: {res.message}")
+
+
+def _state_probabilities(graph):
+    """Every state of {-1,+1}^p with its probability, one state at a time.
+    Energies are shifted by their maximum before exponentiating so large
+    couplings cannot overflow."""
+    states = [np.array(x) for x in itertools.product((-1.0, 1.0), repeat=graph.p)]
+    energies = [
+        math.fsum(j * x[r] * x[t] for (r, t), j in graph.couplings.items()) for x in states
+    ]
+    top = max(energies)
+    weights = [math.exp(e - top) for e in energies]
+    total = math.fsum(weights)
+    return states, [w / total for w in weights], top + math.log(total)
+
+
+def enumeration_oracle(graph):
+    """(mean, covariance, log Z) of the zero-field Ising law, summed state
+    by state."""
+    states, probs, log_z = _state_probabilities(graph)
+    mean = sum(w * x for w, x in zip(probs, states))
+    second = sum(w * np.outer(x, x) for w, x in zip(probs, states))
+    return mean, second - np.outer(mean, mean), log_z
+
+
+def z_statistics_oracle(graph, r, theta_row):
+    """Per-coordinate E[Z_s], E[Z_s^2] and max |Z_s| over all states, where
+    Z_s = x_s (x_r - <theta_row, x_without_r>), summed state by state."""
+    states, probs, _ = _state_probabilities(graph)
+    z = [np.delete(x, r) * (x[r] - np.delete(x, r) @ theta_row) for x in states]
+    means = sum(w * zi for w, zi in zip(probs, z))
+    second = sum(w * zi * zi for w, zi in zip(probs, z))
+    max_abs = np.max(np.abs(z), axis=0)
+    return means, second, max_abs

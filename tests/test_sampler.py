@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from isinglasso.graphs import SignedGraph
+from isinglasso.graphs import (
+    CouplingScheme,
+    SignedGraph,
+    assign_couplings,
+    generate_bethe_tree,
+    generate_random_regular,
+)
 from isinglasso.sampler import (
     ExactMoments,
     SampleMatrix,
@@ -12,13 +18,13 @@ from isinglasso.sampler import (
     estimate_magnetization,
     exact_enumerate,
     gibbs_sample,
-    iter_weighted_states,
     load_samples_binary,
     load_samples_text,
     save_samples_binary,
     save_samples_text,
 )
 from conftest import random_paramagnetic_tree
+from oracles import enumeration_oracle
 
 
 def free_graph(p: int) -> SignedGraph:
@@ -134,14 +140,39 @@ class TestExactEnumerate:
         with pytest.raises(ValueError, match="20"):
             exact_enumerate(free_graph(21))
 
-    def test_weighted_states_normalized(self, path3):
-        total = 0.0
-        mean = np.zeros(3)
-        for spins, w in iter_weighted_states(path3):
-            total += w.sum()
-            mean += w @ spins
-        assert abs(total - 1.0) < 1e-12
-        assert np.abs(mean).max() < 1e-13
+    def test_matches_state_by_state_oracle(self):
+        rng = np.random.default_rng(11)
+        graphs = [random_paramagnetic_tree(rng, p_max=10) for _ in range(3)]
+        # four blocks of 2^14 states, and a loopy graph
+        graphs.append(assign_couplings(generate_bethe_tree(16, 3), CouplingScheme.mixed(0.4), seed=4))
+        graphs.append(assign_couplings(
+            generate_random_regular(10, 3, seed=1), CouplingScheme.mixed(0.4), seed=2))
+        for g in graphs:
+            m = exact_enumerate(g)
+            mean, cov, log_z = enumeration_oracle(g)
+            # the oracle adds 2^p terms one at a time
+            tol = (1 << g.p) * np.finfo(float).eps
+            assert np.abs(m.mean - mean).max() < tol
+            assert np.abs(m.covariance - cov).max() < tol
+            assert abs(m.log_partition - log_z) < tol
+
+    @pytest.mark.parametrize("graph", [
+        # frustrated triangle: no state satisfies all three bonds
+        SignedGraph(p=3, edges=((0, 1), (0, 2), (1, 2)),
+                    couplings={(0, 1): 400.0, (0, 2): -400.0, (1, 2): 400.0}),
+        # the antiferromagnetic last bond puts the peak energy, 6000, where
+        # x14 != x15: past the first block of 2^14 states (x14 = x15 = -1,
+        # peak 5200), so the running maximum must grow by 800
+        SignedGraph(p=16, edges=tuple((v, v + 1) for v in range(15)),
+                    couplings={(v, v + 1): (-400.0 if v == 14 else 400.0) for v in range(15)}),
+    ], ids=["frustrated_triangle", "path16_peak_in_block_1"])
+    def test_large_couplings_do_not_overflow(self, graph):
+        m = exact_enumerate(graph)
+        mean, cov, log_z = enumeration_oracle(graph)
+        assert np.isfinite(m.covariance).all() and math.isfinite(m.log_partition)
+        assert np.abs(m.mean - mean).max() < 1e-13
+        assert np.abs(m.covariance - cov).max() < 1e-13
+        assert abs(m.log_partition - log_z) < 1e-12 * abs(log_z)
 
 
 class TestMagnetization:

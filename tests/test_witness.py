@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from isinglasso.bethe import SingularMatrixError, rescaled_theta, rr_constants, tree_moments
+from isinglasso.bethe import (
+    RescaledParams,
+    SingularMatrixError,
+    rescaled_theta,
+    rr_constants,
+    tree_moments,
+)
 from isinglasso.graphs import CouplingScheme, SignedGraph, assign_couplings, generate_bethe_tree
 from isinglasso.sampler import SampleMatrix, SamplerConfig, gibbs_sample
 from isinglasso.solvers import SolverConfig, solve_lasso, NeighborhoodProblem, extract_signed_neighborhood
@@ -19,6 +25,7 @@ from isinglasso.witness import (
     tail_rate_probe,
 )
 from conftest import random_paramagnetic_tree
+from oracles import z_statistics_oracle
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +125,21 @@ class TestZEnumeration:
                 assert np.abs(stats.means).max() < 1e-12
                 assert stats.second_moment <= 1.0 + 1e-12
                 assert stats.max_abs <= d + 1e-12
+
+    def test_matches_state_by_state_oracle(self):
+        rng = np.random.default_rng(29)
+        cases = [(g, rescaled_theta(g)) for g in
+                 (random_paramagnetic_tree(rng, p_max=9) for _ in range(3))]
+        # an arbitrary regression row, where E[Z] is not zero
+        g = cases[0][0]
+        cases.append((g, RescaledParams(matrix=rng.normal(size=(g.p, g.p)), node_scale=np.ones(g.p))))
+        for g, params in cases:
+            for r in range(g.p):
+                stats = enumerate_z_statistics(g, r, params)
+                means, second, max_abs = z_statistics_oracle(g, r, params.row_excluding(r))
+                assert np.abs(stats.means - means).max() < 1e-13
+                assert np.abs(stats.second_moment - second).max() < 1e-13 * second.max()
+                assert np.abs(stats.max_abs - max_abs).max() < 1e-13 * max_abs.max()
 
 
 class TestWitnessConstruction:
