@@ -8,10 +8,10 @@ from .bethe import (
     SingularMatrixError,
     ThresholdReport,
     bethe_inverse_covariance,
-    incoherence_norm,
     rescaled_theta,
     rescaled_theta_rr,
     rr_constants,
+    support_conditions,
     theorem_thresholds,
     tree_covariance,
     tree_moments,

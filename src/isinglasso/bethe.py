@@ -87,6 +87,13 @@ class RRConstants:
         if self.lambda_max_qss < 1.0:
             raise ValueError("lambda_max_qss must be >= 1")
 
+    @property
+    def kappa_floor(self) -> float:
+        """Dual-feasibility floor kappa* = 2 sigma / alpha of the penalty
+        constant, with sigma^2 = c_min / lambda_max_qss the variance of the
+        population regression residual (docs/decisions.md)."""
+        return 2.0 * math.sqrt(self.c_min / self.lambda_max_qss) / self.alpha
+
 
 def bethe_inverse_covariance(graph: SignedGraph) -> np.ndarray:
     """Inverse covariance of an acyclic model: diagonal
@@ -205,10 +212,15 @@ def rr_neighbor_row(d: int, theta0: float) -> np.ndarray:
     return row
 
 
-def incoherence_norm(q_full: np.ndarray, r: int, support: list[int] | tuple[int, ...]) -> float:
-    """Max-absolute-row-sum norm of Q_{S^c S} (Q_SS)^{-1}, where Q is
-    q_full with row/column r removed and S indexes the given support
-    vertices among the remaining ones."""
+def support_conditions(
+    q_full: np.ndarray, r: int, support: list[int] | tuple[int, ...]
+) -> tuple[float, float]:
+    """Both recovery conditions of node r's support block, from one
+    eigensolve: the smallest eigenvalue of Q_SS and the max-absolute-row-sum
+    norm of Q_{S^c S} (Q_SS)^{-1}, where Q is q_full with row/column r
+    removed and S indexes the given support vertices among the remaining
+    ones. Raises SingularMatrixError (carrying the eigenvalue) when Q_SS is
+    singular, since the norm is then undefined."""
     p = q_full.shape[0]
     q, _ = node_moments(q_full, r)
     mask = np.zeros(p - 1, dtype=bool)
@@ -222,18 +234,9 @@ def incoherence_norm(q_full: np.ndarray, r: int, support: list[int] | tuple[int,
             min_eigenvalue=eig_min,
         )
     if q_scs.shape[0] == 0:
-        return 0.0
-    factor = cho_factor(q_ss)
-    a = cho_solve(factor, q_scs.T).T
-    return float(np.abs(a).sum(axis=1).max())
-
-
-def support_eig_min(q_full: np.ndarray, r: int, support: list[int] | tuple[int, ...]) -> float:
-    """Minimum eigenvalue of the support block of q_full with vertex r
-    removed."""
-    q, _ = node_moments(q_full, r)
-    reduced = reduced_support(support, q_full.shape[0], r)
-    return float(np.linalg.eigvalsh(q[np.ix_(reduced, reduced)]).min())
+        return eig_min, 0.0
+    a = cho_solve(cho_factor(q_ss), q_scs.T).T
+    return eig_min, float(np.abs(a).sum(axis=1).max())
 
 
 @dataclass(frozen=True)
@@ -252,7 +255,8 @@ class ThresholdReport:
 def theorem_thresholds(graph: SignedGraph, lam: float) -> ThresholdReport:
     """Evaluate the minimum-rescaled-magnitude condition on an acyclic
     graph, with c_min taken as the minimum over vertices of the smallest
-    support-block eigenvalue of the population covariance."""
+    support-block eigenvalue of the population covariance. Raises
+    SingularMatrixError when a support block is singular."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     params = rescaled_theta(graph)
@@ -261,7 +265,7 @@ def theorem_thresholds(graph: SignedGraph, lam: float) -> ThresholdReport:
     for r in range(graph.p):
         nbrs = graph.neighbors[r]
         if nbrs:
-            c_min = min(c_min, support_eig_min(cov, r, nbrs))
+            c_min = min(c_min, support_conditions(cov, r, nbrs)[0])
     d = graph.max_degree
     threshold = 6.0 * lam * math.sqrt(d) / c_min
     return ThresholdReport(

@@ -114,18 +114,15 @@ def _cmd_witness(args) -> int:
     params = bethe.rescaled_theta(g)
     support = g.neighbors[args.node]
     if args.population:
+        if args.lam is None or args.kappa is not None:
+            raise ValueError("--population needs --lambda: --kappa scales with a sample size")
         data: sampler.SampleMatrix | sampler.ExactMoments = bethe.tree_moments(g)
-        n, p = None, g.p
+        lam = args.lam
     else:
         if args.samples is None:
             raise ValueError("--samples is required unless --population is set")
         data = _load_samples(args.samples)
-        n, p = data.n, data.p
-    lam = args.lam
-    if lam is None:
-        if args.kappa is None or n is None:
-            raise ValueError("give --lambda, or --kappa with sample data")
-        lam = solvers.lambda_from_kappa(args.kappa, n, p)
+        lam = _resolve_lambda(args, data.n, data.p)
     cert = witness.construct_witness(
         data, args.node, support, params, lam,
         c_min=args.c_min, alpha=args.alpha,
@@ -161,6 +158,7 @@ def _cmd_theory(args) -> int:
                     "c_min": consts.c_min,
                     "alpha": consts.alpha,
                     "lambda_max_qss": consts.lambda_max_qss,
+                    "kappa_floor": consts.kappa_floor,
                     "theta_tilde": consts.theta_tilde_rr,
                 }
             ),
@@ -173,7 +171,7 @@ def _cmd_theory(args) -> int:
     params = bethe.rescaled_theta(g)
     cov = bethe.tree_covariance(g)
     worst_incoherence = max(
-        (bethe.incoherence_norm(cov, r, nbrs) for r, nbrs in enumerate(g.neighbors) if nbrs),
+        (bethe.support_conditions(cov, r, nbrs)[1] for r, nbrs in enumerate(g.neighbors) if nbrs),
         default=0.0,
     )
     report = bethe.theorem_thresholds(g, args.lam)

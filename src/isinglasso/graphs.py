@@ -31,29 +31,26 @@ class CouplingScheme:
     kind:
         "uniform"       -- every edge gets +value
         "mixed"         -- magnitude value, sign drawn i.i.d. (+1 with
-                           probability sign_probability)
+                           probability 1/2)
         "degree_scaled" -- every edge gets value / sqrt(max degree)
     """
 
     kind: str
     value: float
-    sign_probability: float = 0.5
 
     def __post_init__(self):
         if self.kind not in ("uniform", "mixed", "degree_scaled"):
             raise ValueError(f"unknown coupling scheme kind: {self.kind!r}")
         if self.value <= 0:
             raise ValueError("coupling magnitude must be positive")
-        if not 0.0 <= self.sign_probability <= 1.0:
-            raise ValueError("sign_probability must be in [0, 1]")
 
     @classmethod
     def uniform(cls, theta0: float) -> CouplingScheme:
         return cls("uniform", theta0)
 
     @classmethod
-    def mixed(cls, theta0: float, sign_probability: float = 0.5) -> CouplingScheme:
-        return cls("mixed", theta0, sign_probability)
+    def mixed(cls, theta0: float) -> CouplingScheme:
+        return cls("mixed", theta0)
 
     @classmethod
     def degree_scaled(cls, amplitude: float) -> CouplingScheme:
@@ -299,7 +296,7 @@ def assign_couplings(graph: SignedGraph, scheme: CouplingScheme, seed: int = 0) 
         for e in graph.edges:
             couplings[e] = scheme.value
     elif scheme.kind == "mixed":
-        signs = np.where(rng.random(len(graph.edges)) < scheme.sign_probability, 1.0, -1.0)
+        signs = np.where(rng.random(len(graph.edges)) < 0.5, 1.0, -1.0)
         for e, s in zip(graph.edges, signs):
             couplings[e] = s * scheme.value
     else:  # degree_scaled

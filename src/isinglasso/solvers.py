@@ -119,8 +119,8 @@ def _kkt_residual(theta: np.ndarray, grad: np.ndarray, lam: float, idx=slice(Non
     return np.maximum(res.max(axis=0, initial=0.0), 0.0)
 
 
-def _quadratic_loss(gram, linear, theta, constant) -> float:
-    return 0.5 * float(theta @ (gram @ theta)) - float(linear @ theta) + constant
+def _quadratic_loss(gram, linear, theta) -> float:
+    return 0.5 * float(theta @ (gram @ theta)) - float(linear @ theta) + 0.5
 
 
 def _finalize(theta, grad, loss, lam, iterations, support_idx, history, nonunique=False):
@@ -149,10 +149,9 @@ def lasso_cd_gram(
     support: np.ndarray | None = None,
     config: SolverConfig | None = None,
     warm_start: np.ndarray | None = None,
-    constant: float = 0.5,
 ) -> LassoSolution:
     """Cyclic coordinate descent on the Gram form
-    0.5 theta' G theta - b' theta + constant + lambda l1_norm(theta).
+    0.5 theta' G theta - b' theta + 0.5 + lambda l1_norm(theta).
 
     Requires unit diagonal on G (automatic for +/-1 spin data and for
     population second-moment matrices). Coordinates outside `support`
@@ -198,7 +197,7 @@ def lasso_cd_gram(
         iterations = cycle + 1
         if cfg.track_objective:
             history.append(
-                _quadratic_loss(gram, linear, theta, constant) + lam * float(np.abs(theta).sum())
+                _quadratic_loss(gram, linear, theta) + lam * float(np.abs(theta).sum())
             )
         if iterations % _GRAM_REFRESH_CYCLES == 0:
             grad = gram @ theta - linear  # shed accumulated float drift
@@ -227,7 +226,7 @@ def lasso_cd_gram(
         block = gram[np.ix_(support_idx, support_idx)]
         nonunique = float(np.linalg.eigvalsh(block).min()) < 1e-10
     return _finalize(
-        theta, grad, _quadratic_loss(gram, linear, theta, constant), lam, iterations,
+        theta, grad, _quadratic_loss(gram, linear, theta), lam, iterations,
         support_idx, history, nonunique,
     )
 
@@ -370,16 +369,14 @@ def solve_logistic_l1(
     return solutions[r]
 
 
-def extract_signed_neighborhood(
-    solution: LassoSolution, r: int, active_tol: float = ACTIVE_TOL
-) -> SignedNeighborhood:
+def extract_signed_neighborhood(solution: LassoSolution, r: int) -> SignedNeighborhood:
     """Signed neighborhood from the nonzero coefficients, with an absolute
     magnitude threshold tying "nonzero" to solver tolerance."""
     coef = solution.coefficients
     vertices = predictor_vertices(coef.size + 1, r)
     signs = {}
     for v, c in zip(vertices, coef):
-        if abs(c) > active_tol:
+        if abs(c) > ACTIVE_TOL:
             signs[int(v)] = 1 if c > 0 else -1
     return SignedNeighborhood(vertex=r, signs=signs)
 

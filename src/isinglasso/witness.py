@@ -29,8 +29,7 @@ import numpy as np
 from .bethe import (
     RescaledParams,
     SingularMatrixError,
-    incoherence_norm,
-    support_eig_min,
+    support_conditions,
     tree_covariance,
 )
 from .experiment import _wald_stderr
@@ -48,14 +47,14 @@ from .solvers import SolverConfig, lasso_cd_gram
 
 @dataclass(frozen=True)
 class CovarianceReport:
-    """Empirical second-moment matrix for one node with the eigenvalue and
-    incoherence measurements the recovery conditions are stated in."""
+    """Empirical second-moment matrix for one node with the support-block
+    eigenvalue floor and incoherence norm the recovery conditions are
+    stated in (incoherence inf when the support block is singular)."""
 
     node: int
     support: tuple[int, ...]
     q: np.ndarray
     eig_min_ss: float
-    eig_max_full: float
     incoherence: float
 
 
@@ -64,18 +63,15 @@ def sample_covariance(samples: SampleMatrix, r: int, support) -> CovarianceRepor
     diagonal is exactly 1 for +/-1 data."""
     second = samples.second_moment()
     q, _ = node_moments(second, r)
-    eig_min_ss = support_eig_min(second, r, support)
-    eig_max_full = float(np.linalg.eigvalsh(q).max())
     try:
-        inc = incoherence_norm(second, r, support)
-    except SingularMatrixError:
-        inc = float("inf")
+        eig_min_ss, inc = support_conditions(second, r, support)
+    except SingularMatrixError as exc:
+        eig_min_ss, inc = exc.min_eigenvalue, float("inf")
     return CovarianceReport(
         node=r,
         support=tuple(sorted(int(v) for v in support)),
         q=q,
         eig_min_ss=eig_min_ss,
-        eig_max_full=eig_max_full,
         incoherence=inc,
     )
 
@@ -277,9 +273,9 @@ def construct_witness(
     mask = np.zeros(p - 1, dtype=bool)
     mask[s_idx] = True
 
-    eig_min = support_eig_min(second, r, support)
     # raises SingularMatrixError when the support block is singular
-    alpha_measured = 1.0 - incoherence_norm(second, r, support)
+    eig_min, incoherence = support_conditions(second, r, support)
+    alpha_measured = 1.0 - incoherence
 
     tt = theta_tilde.row_excluding(r)
     w = b - q @ tt
@@ -404,7 +400,7 @@ def tail_rate_probe(
         node = int(np.argmax(graph.degrees))
     if alpha is None:
         # population incoherence margin at the probe node
-        alpha = 1.0 - incoherence_norm(tree_covariance(graph), node, graph.neighbors[node])
+        alpha = 1.0 - support_conditions(tree_covariance(graph), node, graph.neighbors[node])[1]
     base = sampler or SamplerConfig()
     bound = 2.0 * math.exp(-c * math.log(p))
     precondition_n = (c + 1.0) * d * d * math.log(p)

@@ -234,7 +234,7 @@ def test_criterion_7_phase_curves_as_stated():
     lies below the transition.
 
     Penalty: lambda = kappa * sqrt(log p / n) with kappa = 2 sigma / alpha,
-    computed from rr_constants(3, 0.4). Here alpha is the incoherence
+    read from rr_constants(3, 0.4).kappa_floor. Here alpha is the incoherence
     margin and sigma^2 = c_min / lambda_max(Q_SS) is the variance of the
     population regression residual. Under the kappa rule the ratio of
     lambda to the sampling noise does not shrink with n, so unless
@@ -249,9 +249,7 @@ def test_criterion_7_phase_curves_as_stated():
     edge. At kappa* both solvers and both p cross 1/2 near beta ~ 4.8 and
     reach 0.96 at beta=10.
     """
-    rr = rr_constants(3, 0.4)
-    sigma = math.sqrt(rr.c_min / rr.lambda_max_qss)
-    kappa = 2.0 * sigma / rr.alpha
+    kappa = rr_constants(3, 0.4).kappa_floor
     config = ExperimentConfig(
         family="rr",
         p_list=(32, 64),

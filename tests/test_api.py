@@ -1,0 +1,81 @@
+"""The exported API of the package, pinned so that it changes only on purpose.
+
+A change to this list is an API change: record it in CHANGES.md.
+History: `incoherence_norm` was replaced by `support_conditions`, which
+returns the support-block eigenvalue floor and the incoherence norm from
+one eigensolve.
+"""
+import types
+
+import isinglasso
+
+EXPORTED = {
+    "ConvergenceError",
+    "CouplingScheme",
+    "CovarianceReport",
+    "ExactMoments",
+    "ExperimentConfig",
+    "GraphEstimate",
+    "LassoSolution",
+    "NeighborhoodProblem",
+    "NoiseVector",
+    "RRConstants",
+    "RescaledParams",
+    "SampleMatrix",
+    "SamplerConfig",
+    "SignedGraph",
+    "SignedNeighborhood",
+    "SingularMatrixError",
+    "SolverConfig",
+    "SweepResult",
+    "ThresholdReport",
+    "WitnessCertificate",
+    "assign_couplings",
+    "bethe_inverse_covariance",
+    "check_conditions",
+    "compare_solvers",
+    "compute_noise_vector",
+    "construct_witness",
+    "crossing_half",
+    "enumerate_z_statistics",
+    "estimate_magnetization",
+    "exact_enumerate",
+    "extract_signed_neighborhood",
+    "generate_bethe_tree",
+    "generate_grid_periodic",
+    "generate_random_regular",
+    "generate_random_tree",
+    "generate_star",
+    "gibbs_sample",
+    "lambda_from_kappa",
+    "path_length",
+    "recover_graph",
+    "rescaled_theta",
+    "rescaled_theta_rr",
+    "rr_constants",
+    "run_sweep",
+    "run_trial",
+    "sample_covariance",
+    "signed_edge_set",
+    "solve_lasso",
+    "solve_lasso_restricted",
+    "solve_logistic_l1",
+    "support_conditions",
+    "sweep_to_csv",
+    "tail_rate_probe",
+    "theorem_thresholds",
+    "tree_covariance",
+    "tree_moments",
+}
+
+
+def test_exported_names_are_pinned():
+    names = {
+        name
+        for name in dir(isinglasso)
+        if not name.startswith("_")
+        and not isinstance(getattr(isinglasso, name), types.ModuleType)
+    }
+    assert names == EXPORTED, (
+        f"added: {sorted(names - EXPORTED)}, removed: {sorted(EXPORTED - names)}"
+    )

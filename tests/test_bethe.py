@@ -7,13 +7,12 @@ from isinglasso.bethe import (
     RRConstants,
     SingularMatrixError,
     bethe_inverse_covariance,
-    incoherence_norm,
     rescaled_theta,
     rescaled_theta_rr,
     rr_constants,
     rr_neighbor_row,
     rr_support_block,
-    support_eig_min,
+    support_conditions,
     theorem_thresholds,
     tree_covariance,
     tree_moments,
@@ -190,6 +189,12 @@ class TestRRConstants:
                 image = np.linalg.solve(rr_support_block(d, theta0), row)
                 assert abs(np.abs(image).sum() - (1.0 - c.alpha)) < 1e-12
 
+    def test_kappa_floor(self):
+        c = rr_constants(3, 0.4)
+        sigma = math.sqrt(c.c_min / c.lambda_max_qss)
+        assert c.kappa_floor == 2.0 * sigma / c.alpha
+        assert abs(c.kappa_floor - 2.6282) < 1e-4
+
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
             RRConstants(d=3, theta0=0.4, c_min=0.0, alpha=0.5, lambda_max_qss=1.1, theta_tilde_rr=0.2)
@@ -200,11 +205,29 @@ class TestRRConstants:
 class TestIncoherenceNorm:
     def test_regular_tree_interior(self, regular_tree):
         cov = tree_covariance(regular_tree)
-        value = incoherence_norm(cov, 0, regular_tree.neighbors[0])
+        eig_min, value = support_conditions(cov, 0, regular_tree.neighbors[0])
         assert abs(value - math.tanh(0.4)) < 1e-12
+        assert abs(eig_min - rr_constants(3, 0.4).c_min) < 1e-12
 
     def test_identity_covariance(self):
-        assert incoherence_norm(np.eye(6), 2, [0, 4]) == 0.0
+        assert support_conditions(np.eye(6), 2, [0, 4]) == (1.0, 0.0)
+
+    def test_matches_explicit_block_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            g = random_paramagnetic_tree(rng)
+            cov = tree_covariance(g)
+            for r in range(g.p):
+                support = g.neighbors[r]
+                if not support:
+                    continue
+                others = [v for v in range(g.p) if v != r and v not in support]
+                q_ss = cov[np.ix_(support, support)]
+                eig_min, value = support_conditions(cov, r, support)
+                assert abs(eig_min - np.linalg.eigvalsh(q_ss).min()) < 1e-12
+                image = np.linalg.solve(q_ss, cov[np.ix_(support, others)]).T
+                expected = np.abs(image).sum(axis=1).max() if others else 0.0
+                assert abs(value - expected) < 1e-12
 
     def test_single_neighbor_bounded(self):
         rng = np.random.default_rng(31)
@@ -213,24 +236,24 @@ class TestIncoherenceNorm:
             cov = tree_covariance(g)
             theta_max = max(abs(j) for j in g.couplings.values())
             r, t = g.edges[0]
-            assert incoherence_norm(cov, r, [t]) <= math.tanh(theta_max) + 1e-12
+            assert support_conditions(cov, r, [t])[1] <= math.tanh(theta_max) + 1e-12
 
     def test_singular_support_block(self):
         q = np.ones((4, 4))  # rank one
         with pytest.raises(SingularMatrixError) as err:
-            incoherence_norm(q, 0, [1, 2])
+            support_conditions(q, 0, [1, 2])
         assert err.value.min_eigenvalue <= 1e-12
 
     def test_support_containing_node_rejected(self):
         with pytest.raises(ValueError):
-            incoherence_norm(np.eye(4), 1, [1, 2])
+            support_conditions(np.eye(4), 1, [1, 2])
         cov = np.eye(4)
         with pytest.raises(ValueError, match="regression vertex"):
-            support_eig_min(cov, 2, [2])
+            support_conditions(cov, 2, [2])
         with pytest.raises(ValueError, match="out of range"):
-            support_eig_min(cov, 2, [-1])
+            support_conditions(cov, 2, [-1])
         with pytest.raises(ValueError, match="out of range"):
-            incoherence_norm(cov, 2, [-1, 0])
+            support_conditions(cov, 2, [-1, 0])
 
 
 class TestTheoremThresholds:
@@ -253,7 +276,7 @@ class TestTheoremThresholds:
         cov = tree_covariance(regular_tree)
         rep = theorem_thresholds(regular_tree, 0.01)
         explicit = min(
-            support_eig_min(cov, r, regular_tree.neighbors[r])
+            support_conditions(cov, r, regular_tree.neighbors[r])[0]
             for r in range(regular_tree.p)
         )
         assert abs(rep.c_min - explicit) < 1e-14

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from isinglasso.bethe import rr_constants
 from isinglasso.cli import main
 from isinglasso.graphs import SignedGraph
 from isinglasso.sampler import load_samples_text
@@ -127,6 +129,7 @@ class TestTheoryCommand:
         obj = json.loads(out)
         assert abs(obj["c_min"] - 0.855639) < 1e-6
         assert abs(obj["alpha"] - 0.620051) < 1e-6
+        assert obj["kappa_floor"] == rr_constants(3, 0.4).kappa_floor
 
     def test_rr_constants_missing_param(self, capsys):
         code, _, err = run_cli(capsys, "theory", "--rr-constants", "d=3")
@@ -167,6 +170,26 @@ class TestWitnessCommand:
         cert = json.loads(out)
         assert all(cert["checks"].values())
         assert cert["strict_feasibility_margin"] > 0.5
+
+    def test_lambda_kappa_exclusive(self, tmp_path, capsys):
+        graph, samples = tmp_path / "g.json", tmp_path / "s.txt"
+        run_cli(capsys, "graph", "--family", "bethe_tree", "-p", "10", "-d", "3",
+                "--coupling", "mixed", "--coupling-value", "0.4", "--coupling-seed", "2",
+                "-o", str(graph))
+        run_cli(capsys, "sample", "--graph", str(graph), "-n", "200",
+                "--burn-in", "50", "--thinning", "1", "--seed", "3", "-o", str(samples))
+        base = ("witness", "--graph", str(graph), "--node", "0")
+        code, _, err = run_cli(capsys, *base, "--samples", str(samples),
+                               "--lambda", "0.1", "--kappa", "2")
+        assert code == 1
+        assert "exactly one" in json.loads(err)["message"]
+        code, out, _ = run_cli(capsys, *base, "--samples", str(samples), "--kappa", "2")
+        assert code == 0
+        assert abs(json.loads(out)["lambda"] - 2 * math.sqrt(math.log(10) / 200)) < 1e-15
+        code, _, err = run_cli(capsys, *base, "--population",
+                               "--lambda", "0.1", "--kappa", "2")
+        assert code == 1
+        assert "--kappa" in json.loads(err)["message"]
 
 
 class TestExperimentCommand:

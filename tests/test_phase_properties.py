@@ -22,31 +22,33 @@ from isinglasso.solvers import SolverConfig, lambda_from_kappa, recover_graph
 
 BETAS = (3.0, 5.0, 8.0)
 TRIALS = 16
+SOLVERS = ("lasso", "logistic")
 
 
-def _trial(args):
-    p, beta, t, solver = args
+def _trial(p, beta, t):
+    """Recovery success of (lasso, logistic) on one shared sample set."""
     n = max(2, round(beta * 10 * 3 * math.log(p)))
     lam = lambda_from_kappa(KAPPA_DEFAULT, n, p)
     ss = np.random.SeedSequence(entropy=(5150, p, int(beta * 10), t))
     gs, cs, hs = (int(s) for s in ss.generate_state(3))
     g = assign_couplings(generate_random_regular(p, 3, gs), CouplingScheme.mixed(0.4), cs)
     samples = gibbs_sample(g, n, SamplerConfig(seed=hs))
-    est = recover_graph(samples, lam=lam, solver=solver, config=SolverConfig(tol=1e-6))
-    return est.matches_graph(g)
+    return tuple(
+        recover_graph(samples, lam=lam, solver=solver, config=SolverConfig(tol=1e-6))
+        .matches_graph(g)
+        for solver in SOLVERS
+    )
 
 
 @pytest.fixture(scope="module")
 def curves():
-    out = {}
+    out = {(solver, p): [] for solver in SOLVERS for p in (32, 64)}
     with ProcessPoolExecutor(max_workers=2) as pool:
-        for solver in ("lasso", "logistic"):
-            for p in (32, 64):
-                probs = []
-                for beta in BETAS:
-                    tasks = [(p, beta, t, solver) for t in range(TRIALS)]
-                    probs.append(sum(pool.map(_trial, tasks)) / TRIALS)
-                out[(solver, p)] = probs
+        for p in (32, 64):
+            for beta in BETAS:
+                outcomes = list(pool.map(_trial, [p] * TRIALS, [beta] * TRIALS, range(TRIALS)))
+                for solver, wins in zip(SOLVERS, zip(*outcomes)):
+                    out[(solver, p)].append(sum(wins) / TRIALS)
     for key, probs in sorted(out.items()):
         print(f"  {key}: {probs}")
     return out

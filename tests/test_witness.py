@@ -259,7 +259,7 @@ class TestConditionChecks:
         # population report computed from exact second moments
         second = moments.second_moment()
         q = np.delete(np.delete(second, interior, 0), interior, 1)
-        from isinglasso.bethe import incoherence_norm
+        from isinglasso.bethe import support_conditions
         from isinglasso.graphs import reduced_support
         from isinglasso.witness import CovarianceReport
 
@@ -271,8 +271,7 @@ class TestConditionChecks:
             support=tuple(g.neighbors[interior]),
             q=q,
             eig_min_ss=float(np.linalg.eigvalsh(q[np.ix_(mask, mask)]).min()),
-            eig_max_full=float(np.linalg.eigvalsh(q).max()),
-            incoherence=incoherence_norm(second, interior, g.neighbors[interior]),
+            incoherence=support_conditions(second, interior, g.neighbors[interior])[1],
         )
         consts = rr_constants(3, 0.4)
         result = check_conditions(report, consts.c_min, consts.alpha)
