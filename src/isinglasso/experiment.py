@@ -89,6 +89,7 @@ class ExperimentConfig:
         object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
+        SolverConfig(tol=self.solver_tol)  # rejects a bad tolerance before any chain runs
 
     @property
     def solvers(self) -> tuple[str, ...]:

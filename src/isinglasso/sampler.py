@@ -243,8 +243,8 @@ def save_samples_binary(samples: SampleMatrix, path: str) -> None:
 
 
 def load_samples_binary(path: str) -> SampleMatrix:
-    """Inverse of save_samples_binary; a short header, a truncated body or
-    trailing bytes raise ValueError instead of loading as padded spins."""
+    """Inverse of save_samples_binary; a short header, a truncated body,
+    trailing bytes or nonzero padding bits raise ValueError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     magic = blob[:4]
@@ -258,6 +258,8 @@ def load_samples_binary(path: str) -> SampleMatrix:
         raise ValueError(
             f"binary sample body has {len(blob) - 12} bytes, expected {body} for n={n}, p={p}"
         )
-    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, offset=12), count=n * p)
-    data = (2 * bits.astype(np.int8) - 1).reshape(n, p)
+    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, offset=12))
+    if bits[n * p:].any():  # save_samples_binary zeroes the bits after the last spin
+        raise ValueError(f"binary sample body has nonzero padding bits after {n * p} spins")
+    data = (2 * bits[:n * p].astype(np.int8) - 1).reshape(n, p)
     return SampleMatrix(data=data)

@@ -5,12 +5,16 @@ For each vertex r the Lasso solves
     min over theta of (1/2n) sum_i (x_r_i - <theta, x_without_r_i>)^2
                       + lambda * l1_norm(theta)
 
-by cyclic coordinate descent on the Gram form of the problem; the logistic
-baseline replaces the square loss with the conditional log-loss
-(1/n) sum_i log(1 + exp(-2 x_r_i <theta, x_i>)) and runs accelerated
-proximal gradient (FISTA) with adaptive restart and one fixed step,
-1 / lambda_max of the second moment, on all requested nodes at once as
-columns of one coefficient matrix. Both report the optimality-system
+by cyclic coordinate descent on the Gram form of the problem, read in place
+from the shared second moment with node r pinned at zero; each cycle visits
+only a working set, which a drift-free full gradient confirms or grows. The
+logistic baseline replaces the square loss with the conditional log-loss
+(1/n) sum_i log(1 + exp(-2 x_r_i <theta, x_i>)), whose gradient for +/-1
+spins is (1/n) X'(tanh(X theta) - x_r): the residual against the heat-bath
+conditional mean, as the Lasso's is (1/n) X'(X theta - x_r). It runs
+accelerated proximal gradient (FISTA) with adaptive restart and one fixed
+step, 1 / lambda_max of the second moment, on all requested nodes at once
+as columns of one coefficient matrix. Both report the optimality-system
 residual and a reconstructed subgradient, so downstream certificate checks
 can consume either one interchangeably.
 
@@ -24,10 +28,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .graphs import SignedGraph, reduced_support, signed_neighborhood_sets
-from .sampler import SampleMatrix, node_moments
+from .sampler import SampleMatrix
 
 ACTIVE_TOL = 1e-8
 _GRAM_REFRESH_CYCLES = 50
@@ -48,6 +51,10 @@ class SolverConfig:
     tol: float = 1e-8
     max_iters: int = 100_000
     track_objective: bool = False
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0) or self.max_iters < 1:
+            raise ValueError(f"need a finite tol > 0 and max_iters >= 1, got {self}")
 
 
 @dataclass(frozen=True)
@@ -95,14 +102,6 @@ class SignedNeighborhood:
     def __post_init__(self):
         if self.vertex in self.signs:
             raise ValueError("neighborhood must not contain the vertex itself")
-
-
-def soft_threshold(z: float, t: float) -> float:
-    if z > t:
-        return z - t
-    if z < -t:
-        return z + t
-    return 0.0
 
 
 def predictor_vertices(p: int, r: int) -> np.ndarray:
@@ -155,8 +154,11 @@ def lasso_cd_gram(
 
     Requires unit diagonal on G (automatic for +/-1 spin data and for
     population second-moment matrices). Coordinates outside `support`
-    (reduced indices) are pinned at zero; the reported residual covers the
-    support coordinates. Raises ConvergenceError past config.max_iters.
+    (indices into G) are pinned at zero; the reported residual covers the
+    support coordinates. Cycles visit a working set: the support coordinates
+    that are nonzero or have |gradient| > lambda, at the start and at each
+    drift-free confirmation, which decides convergence over the whole
+    support. Raises ConvergenceError past config.max_iters cycles.
     """
     cfg = config or SolverConfig()
     if lam < 0:
@@ -178,40 +180,38 @@ def lasso_cd_gram(
     if warm_start is not None:
         theta[support_idx] = np.asarray(warm_start, dtype=np.float64)[support_idx]
     grad = gram @ theta - linear
-    order = [int(j) for j in support_idx]
+    work = support_idx[(theta[support_idx] != 0.0) | (np.abs(grad[support_idx]) > lam)]
     history: list[float] = []
 
-    converged = False
-    iterations = 0
-    for cycle in range(cfg.max_iters):
+    for iterations in range(1, cfg.max_iters + 1):
         max_delta = 0.0
-        for j in order:
+        for j in work.tolist():
             old = theta[j]
-            new = soft_threshold(old - grad[j], lam)
+            z = old - grad[j]
+            new = z - lam if z > lam else (z + lam if z < -lam else 0.0)  # soft-threshold
             delta = new - old
             if delta != 0.0:
                 grad += gram[j] * delta
                 theta[j] = new
                 if abs(delta) > max_delta:
                     max_delta = abs(delta)
-        iterations = cycle + 1
         if cfg.track_objective:
             history.append(
                 _quadratic_loss(gram, linear, theta) + lam * float(np.abs(theta).sum())
             )
         if iterations % _GRAM_REFRESH_CYCLES == 0:
             grad = gram @ theta - linear  # shed accumulated float drift
-        if max_delta == 0.0:
-            # exact fixed point of every coordinate update: optimal
-            converged = True
-            break
-        if _kkt_residual(theta, grad, lam, support_idx) <= cfg.tol:
-            # confirm against a drift-free gradient before stopping
+        if max_delta == 0.0 or _kkt_residual(theta, grad, lam, work) <= cfg.tol:
+            # the working set is solved: confirm over the whole support on a
+            # drift-free gradient, and let violators join the set
             grad = gram @ theta - linear
             if _kkt_residual(theta, grad, lam, support_idx) <= cfg.tol:
-                converged = True
                 break
-    if not converged:
+            grown = np.union1d(work, support_idx[np.abs(grad[support_idx]) > lam])
+            if max_delta == 0.0 and grown.size == work.size:
+                break  # exact fixed point of every coordinate update: optimal
+            work = grown
+    else:
         grad = gram @ theta - linear
         kkt = _kkt_residual(theta, grad, lam, support_idx)
         if kkt > cfg.tol:
@@ -220,7 +220,6 @@ def lasso_cd_gram(
                 f"(residual {kkt:.3e})",
                 kkt_residual=kkt,
             )
-    grad = gram @ theta - linear
     nonunique = False
     if lam == 0.0:
         block = gram[np.ix_(support_idx, support_idx)]
@@ -231,10 +230,20 @@ def lasso_cd_gram(
     )
 
 
+def _node_lasso(problem: NeighborhoodProblem, support_vertices, config) -> LassoSolution:
+    """Node r's Lasso read in place from the cached second moment, with r
+    pinned out by the support and then cut from the result."""
+    second, r = problem.samples.second_moment(), problem.response_index
+    sol = lasso_cd_gram(second, second[:, r], problem.lam, support_vertices, config)
+    sol.coefficients = np.delete(sol.coefficients, r)
+    sol.subgradient = np.delete(sol.subgradient, r)
+    return sol
+
+
 def solve_lasso(problem: NeighborhoodProblem, config: SolverConfig | None = None) -> LassoSolution:
     """Neighborhood Lasso for one node by cyclic coordinate descent."""
-    gram, linear = node_moments(problem.samples.second_moment(), problem.response_index)
-    return lasso_cd_gram(gram, linear, problem.lam, config=config)
+    return _node_lasso(
+        problem, predictor_vertices(problem.samples.p, problem.response_index), config)
 
 
 def solve_lasso_restricted(
@@ -246,20 +255,19 @@ def solve_lasso_restricted(
     pinned at zero. The reported residual covers the free coordinates; the
     subgradient on pinned coordinates still carries -gradient/lambda, which
     is exactly the dual-feasibility value certificate checks need."""
-    gram, linear = node_moments(problem.samples.second_moment(), problem.response_index)
-    reduced = reduced_support(support_vertices, problem.samples.p, problem.response_index)
-    return lasso_cd_gram(gram, linear, problem.lam, support=reduced, config=config)
+    p, r = problem.samples.p, problem.response_index
+    reduced = reduced_support(support_vertices, p, r)  # validates the vertex set
+    return _node_lasso(problem, predictor_vertices(p, r)[reduced], config)
 
 
 def _logistic_grad(x, y, theta, pinned):
     """Gradient of the mean log-loss (1/n) sum_i log(1 + exp(-2 y_ik <theta_k, x_i>))
-    at every column k of theta, zeroed at the pinned entries."""
+    at every column k of theta, zeroed at the pinned entries. For y = +/-1,
+    y sigmoid(-2 y u) = (y - tanh u) / 2, so it is (1/n) X'(tanh(X theta) - y)."""
     s = x @ theta
-    s *= y
-    s *= -2.0
-    expit(s, out=s)
-    s *= y
-    grad = (-2.0 / x.shape[0]) * (x.T @ s)
+    np.tanh(s, out=s)
+    s -= y
+    grad = (x.T @ s) / x.shape[0]
     grad[pinned] = 0.0
     return grad
 
@@ -373,11 +381,9 @@ def extract_signed_neighborhood(solution: LassoSolution, r: int) -> SignedNeighb
     """Signed neighborhood from the nonzero coefficients, with an absolute
     magnitude threshold tying "nonzero" to solver tolerance."""
     coef = solution.coefficients
-    vertices = predictor_vertices(coef.size + 1, r)
-    signs = {}
-    for v, c in zip(vertices, coef):
-        if abs(c) > ACTIVE_TOL:
-            signs[int(v)] = 1 if c > 0 else -1
+    active = np.flatnonzero(np.abs(coef) > ACTIVE_TOL)
+    vertices = active + (active >= r)  # predictor position -> vertex label
+    signs = {int(v): 1 if coef[j] > 0 else -1 for v, j in zip(vertices, active)}
     return SignedNeighborhood(vertex=r, signs=signs)
 
 

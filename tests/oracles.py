@@ -39,6 +39,16 @@ def brute_force_lasso_objective(gram, linear, lam, constant=0.5):
     return best
 
 
+def logistic_grad_oracle(x, y, theta, pinned):
+    """Gradient of the mean log-loss (1/n) sum_i log(1 + exp(-2 y_ik <theta_k, x_i>))
+    at every column k of theta, term by term from d/du log(1 + exp(-2yu)) =
+    -2y expit(-2yu), zeroed at the pinned entries."""
+    u = x @ theta
+    grad = (-2.0 / x.shape[0]) * (x.T @ (y * expit(-2.0 * y * u)))
+    grad[pinned] = 0.0
+    return grad
+
+
 def logistic_l1_oracle(yx, lam, gtol=1e-8):
     """Minimum of (1/n) sum_i log(1 + exp(-2 yx_i . theta)) + lam l1(theta)
     by L-BFGS-B on the smooth split theta = theta_plus - theta_minus with

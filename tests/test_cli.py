@@ -110,6 +110,19 @@ class TestSampleAndSolve:
         assert code == 1
         assert "exactly one" in json.loads(err)["message"]
 
+    def test_bad_tol_json_error(self, tmp_path, capsys, graph_file):
+        samples = tmp_path / "s.txt"
+        run_cli(capsys, "sample", "--graph", str(graph_file), "-n", "50",
+                "--burn-in", "20", "--thinning", "1", "--seed", "3", "-o", str(samples))
+        code, out, err = run_cli(
+            capsys, "solve", "--samples", str(samples), "--node", "0",
+            "--lambda", "0.1", "--tol", "-1",
+        )
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "tol" in payload["message"]
+
     def test_header_without_sizes_json_error(self, tmp_path, capsys):
         samples = tmp_path / "s.txt"
         samples.write_text("p=3\n1 -1 1\n-1 1 1\n")

@@ -56,6 +56,9 @@ class TestConfig:
             tiny_config(beta_grid=(1.0, 0.5))
         with pytest.raises(ValueError, match="positive"):
             tiny_config(beta_grid=(-0.5, 1.0))
+        for tol in (-1.0, 0.0, math.nan):
+            with pytest.raises(ValueError, match="tol"):
+                tiny_config(solver_tol=tol)
 
     def test_sample_size_rule(self):
         cfg = tiny_config()

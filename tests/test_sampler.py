@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from isinglasso.graphs import (
@@ -231,12 +233,117 @@ class TestSampleIO:
         with pytest.raises(ValueError, match=r"got shape \(3, 0\)"):
             load_samples_binary(str(path))
 
+    def test_binary_nonzero_padding_rejected(self, tmp_path):
+        # n = p = 3: nine spins, so the second body byte carries 7 padding
+        # bits, which save_samples_binary always writes as 0
+        path = tmp_path / "samples.isng"
+        header = b"ISNG" + np.array([3, 3], dtype="<u4").tobytes()
+        path.write_bytes(header + b"\xff\x01")
+        with pytest.raises(ValueError, match="padding"):
+            load_samples_binary(str(path))
+        path.write_bytes(header + b"\xff\x80")
+        assert load_samples_binary(str(path)).data.min() == 1
+
     def test_text_header_without_sizes(self, tmp_path):
         for header in ("p=3", "n=2", ""):
             path = tmp_path / "samples.txt"
             path.write_text(header + "\n1 -1 1\n-1 1 1\n")
             with pytest.raises(ValueError, match="p=<p> n=<n>"):
                 load_samples_text(str(path))
+
+
+def _random_samples(seed: int, n: int, p: int) -> SampleMatrix:
+    rng = np.random.default_rng(seed)
+    return SampleMatrix(rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, p)))
+
+
+def _write_binary(path, samples: SampleMatrix) -> bytes:
+    save_samples_binary(samples, str(path))
+    return path.read_bytes()
+
+
+sizes = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), p=st.integers(1, 12))
+
+
+class TestSampleFileFuzz:
+    """Malformed sample files raise ValueError at the loader, never load."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**sizes, cut=st.integers(1, 30))
+    def test_binary_truncated(self, tmp_path_factory, seed, n, p, cut):
+        path = tmp_path_factory.mktemp("fuzz") / "s.isng"
+        blob = _write_binary(path, _random_samples(seed, n, p))
+        path.write_bytes(blob[:max(len(blob) - cut, 0)])
+        with pytest.raises(ValueError):
+            load_samples_binary(str(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**sizes, extra=st.binary(min_size=1, max_size=9))
+    def test_binary_extended(self, tmp_path_factory, seed, n, p, extra):
+        path = tmp_path_factory.mktemp("fuzz") / "s.isng"
+        path.write_bytes(_write_binary(path, _random_samples(seed, n, p)) + extra)
+        with pytest.raises(ValueError):
+            load_samples_binary(str(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**sizes, n2=st.integers(0, 40), p2=st.integers(0, 40))
+    def test_binary_header_body_mismatch(self, tmp_path_factory, seed, n, p, n2, p2):
+        if (n2 * p2 + 7) // 8 == (n * p + 7) // 8:
+            return  # same body size: a different but well-formed file
+        path = tmp_path_factory.mktemp("fuzz") / "s.isng"
+        blob = _write_binary(path, _random_samples(seed, n, p))
+        path.write_bytes(blob[:4] + np.array([n2, p2], dtype="<u4").tobytes() + blob[12:])
+        with pytest.raises(ValueError):
+            load_samples_binary(str(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(**sizes, pad_bits=st.integers(1, 127))
+    def test_binary_padding_bits(self, tmp_path_factory, seed, n, p, pad_bits):
+        pad = -(n * p) % 8
+        if pad == 0:
+            return  # n * p a multiple of 8: no padding to corrupt
+        path = tmp_path_factory.mktemp("fuzz") / "s.isng"
+        blob = bytearray(_write_binary(path, _random_samples(seed, n, p)))
+        blob[-1] |= pad_bits % (1 << pad) or 1
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="padding"):
+            load_samples_binary(str(path))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        **sizes,
+        token=st.one_of(
+            st.integers().filter(lambda v: v not in (-1, 1)).map(str),
+            st.floats(allow_nan=True).filter(lambda v: v not in (-1.0, 1.0)).map(repr),
+            st.sampled_from(["1.0", "-1.0", "x", "1e0", "--1", "1-", "+-1", "0x1"]),
+        ),
+        where=st.integers(0, 10**6),
+    )
+    def test_text_bad_entry(self, tmp_path_factory, seed, n, p, token, where):
+        path = tmp_path_factory.mktemp("fuzz") / "s.txt"
+        save_samples_text(_random_samples(seed, n, p), str(path))
+        lines = path.read_text().splitlines()
+        row = 1 + where % n
+        cells = lines[row].split()
+        cells[where % p] = token
+        lines[row] = " ".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            load_samples_text(str(path))
+
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    @settings(max_examples=60, deadline=None)
+    @given(**sizes, drop=st.integers(1, 12), add=st.integers(0, 3))
+    def test_text_body_mismatch(self, tmp_path_factory, seed, n, p, drop, add):
+        path = tmp_path_factory.mktemp("fuzz") / "s.txt"
+        save_samples_text(_random_samples(seed, n, p), str(path))
+        lines = path.read_text().splitlines()
+        lines = lines[:max(len(lines) - drop, 1)] + lines[1:1 + add]
+        if len(lines) == n + 1:
+            return  # rows dropped and re-added: the body matches again
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            load_samples_text(str(path))
 
 
 class TestMomentsType:

@@ -12,6 +12,7 @@ from isinglasso.solvers import (
     ConvergenceError,
     NeighborhoodProblem,
     SolverConfig,
+    _logistic_grad,
     extract_signed_neighborhood,
     lambda_from_kappa,
     lasso_cd_gram,
@@ -23,7 +24,7 @@ from isinglasso.solvers import (
     solve_logistic_l1,
     solve_logistic_l1_batch,
 )
-from oracles import brute_force_lasso_objective, logistic_l1_oracle
+from oracles import brute_force_lasso_objective, logistic_grad_oracle, logistic_l1_oracle
 
 
 def random_spin_problem(rng, p, n, lam, r=0):
@@ -135,6 +136,85 @@ class TestLassoBasics:
         with pytest.raises(ConvergenceError) as err:
             lasso_cd_gram(gram, linear, 0.01, config=SolverConfig(max_iters=1, tol=1e-14))
         assert err.value.kkt_residual > 0
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            SolverConfig(tol=tol)
+
+    def test_bad_max_iters_rejected(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(max_iters=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 6),
+    n=st.integers(3, 40),
+    lam=st.floats(0.02, 0.3),
+    warm=st.booleans(),
+)
+def test_working_set_cd_matches_brute_force(seed, m, n, lam, warm):
+    """Working-set CD on a random support of a random spin Gram reaches the
+    brute-force minimum of the support block, with pinned coordinates at 0."""
+    rng = np.random.default_rng(seed)
+    x = rng.choice(np.array([-1.0, 1.0]), size=(n, m + 1))
+    gram, linear = (x[:, 1:].T @ x[:, 1:]) / n, (x[:, 1:].T @ x[:, 0]) / n
+    support = np.flatnonzero(rng.random(m) < 0.6)
+    if support.size == 0:
+        support = np.array([int(rng.integers(m))])
+    warm_start = rng.normal(scale=0.5, size=m) if warm else None
+    cfg = SolverConfig(tol=1e-12)
+    sol = lasso_cd_gram(gram, linear, lam, support=support, config=cfg, warm_start=warm_start)
+    oracle = brute_force_lasso_objective(gram[np.ix_(support, support)], linear[support], lam)
+    assert abs(sol.objective - oracle) <= 1e-10
+    assert sol.kkt_residual <= cfg.tol
+    pinned = np.setdiff1d(np.arange(m), support)
+    assert np.all(sol.coefficients[pinned] == 0.0)
+
+
+class TestWorkingSet:
+    def test_coordinate_joins_after_first_pass(self):
+        # |b_2| <= lambda keeps coordinate 2 out of the starting set; after
+        # theta_1 = 0.9 its gradient is -0.81, so the confirm step adds it
+        gram = np.array([[1.0, -0.9], [-0.9, 1.0]])
+        linear = np.array([1.0, 0.0])
+        sol = lasso_cd_gram(gram, linear, 0.1)
+        assert np.all(sol.coefficients > 0)
+        assert sol.kkt_residual <= SolverConfig().tol
+        # stationarity with both signs +: theta = (81/19, 71/19)
+        assert np.abs(sol.coefficients - np.array([81 / 19, 71 / 19])).max() < 1e-6
+        assert abs(sol.objective - brute_force_lasso_objective(gram, linear, 0.1)) < 1e-10
+
+    def test_solve_lasso_equals_reduced_problem(self):
+        rng = np.random.default_rng(15)
+        samples = SampleMatrix(rng.choice(np.array([-1, 1], dtype=np.int8), size=(60, 7)))
+        for lam in (0.02, 0.1, 0.3):
+            for r in range(samples.p):
+                sol = solve_lasso(NeighborhoodProblem(r, samples, lam))
+                ref = lasso_cd_gram(*node_moments(samples.second_moment(), r), lam)
+                assert np.abs(sol.coefficients - ref.coefficients).max() <= 1e-12
+                assert np.array_equal(np.sign(sol.coefficients), np.sign(ref.coefficients))
+                assert np.abs(sol.subgradient - ref.subgradient).max() <= 1e-12
+
+
+def test_logistic_grad_matches_expit_form():
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        n, p = int(rng.integers(5, 60)), int(rng.integers(2, 9))
+        x = rng.choice(np.array([-1.0, 1.0]), size=(n, p))
+        nodes = np.flatnonzero(rng.random(p) < 0.6)
+        if nodes.size == 0:
+            nodes = np.array([0])
+        y = x[:, nodes].astype(np.int8)
+        theta = rng.normal(scale=rng.choice([0.1, 1.0, 5.0]), size=(p, nodes.size))
+        pinned = (nodes, np.arange(nodes.size))
+        theta[pinned] = 0.0
+        grad = _logistic_grad(x, y, theta, pinned)
+        assert np.abs(grad - logistic_grad_oracle(x, y, theta, pinned)).max() <= 1e-14
 
 
 class TestRestricted:
