@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .graphs import SignedGraph, reduced_support
-from .sampler import ExactMoments, node_moments
+from .graphs import SignedGraph, support_vertices
+from .sampler import ExactMoments
 
 EIG_FLOOR = 1e-12
 
@@ -122,15 +122,20 @@ def tree_covariance(graph: SignedGraph) -> np.ndarray:
     graph._require_couplings()
     p = graph.p
     cov = np.eye(p)
+    tanh_edges: list[list[tuple[int, float]]] = [[] for _ in range(p)]
+    for (r, t), j in graph.couplings.items():
+        th = math.tanh(j)
+        tanh_edges[r].append((t, th))
+        tanh_edges[t].append((r, th))
     for root in range(p):
         # DFS outward from root, multiplying tanh factors edge by edge
         stack = [(root, -1, 1.0)]
         while stack:
             v, parent, acc = stack.pop()
-            for u in graph.neighbors[v]:
+            for u, th in tanh_edges[v]:
                 if u == parent:
                     continue
-                val = acc * math.tanh(graph.coupling(v, u))
+                val = acc * th
                 cov[root, u] = val
                 stack.append((u, v, val))
     return cov
@@ -217,16 +222,16 @@ def support_conditions(
 ) -> tuple[float, float]:
     """Both recovery conditions of node r's support block, from one
     eigensolve: the smallest eigenvalue of Q_SS and the max-absolute-row-sum
-    norm of Q_{S^c S} (Q_SS)^{-1}, where Q is q_full with row/column r
-    removed and S indexes the given support vertices among the remaining
-    ones. Raises SingularMatrixError (carrying the eigenvalue) when Q_SS is
-    singular, since the norm is then undefined."""
-    p = q_full.shape[0]
-    q, _ = node_moments(q_full, r)
-    mask = np.zeros(p - 1, dtype=bool)
-    mask[reduced_support(support, p, r)] = True
-    q_ss = q[np.ix_(mask, mask)]
-    q_scs = q[np.ix_(~mask, mask)]
+    norm of Q_{S^c S} (Q_SS)^{-1}. Q is q_full read by vertex label: S is
+    the given support vertices and S^c every other vertex except r. Raises
+    ValueError for r or a support vertex outside 0..p-1, and
+    SingularMatrixError (carrying the eigenvalue) when Q_SS is singular,
+    since the norm is then undefined."""
+    s = support_vertices(support, q_full.shape[0], r)
+    off = np.ones(q_full.shape[0], dtype=bool)
+    off[s] = off[r] = False
+    q_ss = q_full[np.ix_(s, s)]
+    q_scs = q_full[np.ix_(off, s)]
     eig_min = float(np.linalg.eigvalsh(q_ss).min())
     if eig_min <= EIG_FLOOR:
         raise SingularMatrixError(

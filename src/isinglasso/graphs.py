@@ -324,18 +324,19 @@ def signed_neighborhood_sets(graph: SignedGraph) -> dict[int, dict[int, int]]:
     return out
 
 
-def reduced_support(support, p: int, r: int) -> np.ndarray:
-    """Sorted positions of the support vertices among node r's p-1
-    predictors (vertex order with r deleted). Rejects r itself and vertices
-    outside 0..p-1 instead of letting negative indices wrap around."""
-    reduced = []
-    for v in support:
-        if v == r:
-            raise ValueError("support must not contain the regression vertex")
+def support_vertices(support, p: int, r: int) -> np.ndarray:
+    """Sorted vertex labels of node r's support. Rejects r outside 0..p-1,
+    r itself and vertices outside 0..p-1 instead of letting negative
+    indices wrap around."""
+    if not 0 <= r < p:
+        raise ValueError(f"node {r} out of range for p = {p}")
+    labels = sorted(int(v) for v in support)
+    if r in labels:
+        raise ValueError("support must not contain the regression vertex")
+    for v in labels:
         if not 0 <= v < p:
             raise ValueError(f"support vertex {v} out of range")
-        reduced.append(v - 1 if v > r else v)
-    return np.asarray(sorted(reduced), dtype=np.int64)
+    return np.asarray(labels, dtype=np.int64)
 
 
 def path_length(graph: SignedGraph, r: int, t: int) -> int | None:

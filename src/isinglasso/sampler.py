@@ -98,15 +98,6 @@ class ExactMoments:
         return self.covariance + np.outer(self.mean, self.mean)
 
 
-def node_moments(second: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node r's regression data from a full second-moment matrix: the
-    predictor block Q (row and column r deleted) and the cross-moment
-    vector b (column r without entry r)."""
-    q = np.delete(np.delete(second, r, axis=0), r, axis=1)
-    b = np.delete(second[:, r], r)
-    return q, b
-
-
 def _color_classes(graph: SignedGraph) -> list[np.ndarray]:
     """Greedy proper coloring; vertices in one class are pairwise
     non-adjacent, so their heat-bath updates commute within a sweep."""

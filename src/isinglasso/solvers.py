@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import SignedGraph, reduced_support, signed_neighborhood_sets
+from .graphs import SignedGraph, signed_neighborhood_sets, support_vertices as vertex_support
 from .sampler import SampleMatrix
 
 ACTIVE_TOL = 1e-8
@@ -256,8 +256,7 @@ def solve_lasso_restricted(
     subgradient on pinned coordinates still carries -gradient/lambda, which
     is exactly the dual-feasibility value certificate checks need."""
     p, r = problem.samples.p, problem.response_index
-    reduced = reduced_support(support_vertices, p, r)  # validates the vertex set
-    return _node_lasso(problem, predictor_vertices(p, r)[reduced], config)
+    return _node_lasso(problem, vertex_support(support_vertices, p, r), config)
 
 
 def _logistic_grad(x, y, theta, pinned):

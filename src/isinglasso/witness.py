@@ -33,16 +33,19 @@ from .bethe import (
     tree_covariance,
 )
 from .experiment import _wald_stderr
-from .graphs import SignedGraph, reduced_support
-from .sampler import (
-    ExactMoments,
-    SampleMatrix,
-    SamplerConfig,
-    exact_enumerate,
-    gibbs_sample,
-    node_moments,
-)
+from .graphs import SignedGraph, support_vertices
+from .sampler import ExactMoments, SampleMatrix, SamplerConfig, exact_enumerate, gibbs_sample
 from .solvers import SolverConfig, lasso_cd_gram
+
+
+def _regression_row(theta_tilde: RescaledParams, r: int) -> np.ndarray:
+    """theta_tilde for node r's regression by vertex label: row r with entry
+    r, which is no predictor, set to 0."""
+    if not 0 <= r < theta_tilde.matrix.shape[0]:
+        raise ValueError(f"node {r} out of range for p = {theta_tilde.matrix.shape[0]}")
+    row = theta_tilde.matrix[r].copy()
+    row[r] = 0.0
+    return row
 
 
 @dataclass(frozen=True)
@@ -62,15 +65,14 @@ def sample_covariance(samples: SampleMatrix, r: int, support) -> CovarianceRepor
     """Second-moment matrix (1/n) sum_i x_without_r x_without_r^T; its
     diagonal is exactly 1 for +/-1 data."""
     second = samples.second_moment()
-    q, _ = node_moments(second, r)
     try:
-        eig_min_ss, inc = support_conditions(second, r, support)
+        eig_min_ss, inc = support_conditions(second, r, support)  # validates r
     except SingularMatrixError as exc:
         eig_min_ss, inc = exc.min_eigenvalue, float("inf")
     return CovarianceReport(
         node=r,
         support=tuple(sorted(int(v) for v in support)),
-        q=q,
+        q=np.delete(np.delete(second, r, axis=0), r, axis=1),
         eig_min_ss=eig_min_ss,
         incoherence=inc,
     )
@@ -103,10 +105,12 @@ def compute_noise_vector(
             f"theta_tilde is for p = {theta_tilde.matrix.shape[0]} vertices, "
             f"samples have p = {samples.p}"
         )
-    tt = theta_tilde.row_excluding(r)
-    q, b = node_moments(samples.second_moment(), r)
-    w = b - q @ tt
-    resid = samples.as_float() @ np.insert(-tt, r, 1.0)
+    tt = _regression_row(theta_tilde, r)
+    second = samples.second_moment()
+    w = np.delete(second[:, r] - second @ tt, r)
+    coef = -tt
+    coef[r] = 1.0
+    resid = samples.as_float() @ coef
     return NoiseVector(
         node=r,
         w=w,
@@ -137,12 +141,13 @@ def enumerate_z_statistics(
     + theta_tilde.Q.theta_tilde for every s, as in compute_noise_vector.
     max |Z_s| = 1 + l1_norm(theta_tilde): every state is enumerated, so the
     one with x_r = 1 and x_t = -sign(theta_tilde_t) is among them."""
-    tt = theta_tilde.row_excluding(r)
-    q, b = node_moments(exact_enumerate(graph).second_moment(), r)
+    tt = _regression_row(theta_tilde, r)
+    second = exact_enumerate(graph).second_moment()
+    b, qt = second[:, r], second @ tt
     return ZStatistics(
         node=r,
-        means=b - q @ tt,
-        second_moment=float(1.0 - 2.0 * b @ tt + tt @ q @ tt),
+        means=np.delete(b - qt, r),
+        second_moment=float(1.0 - 2.0 * b @ tt + tt @ qt),
         max_abs=float(1.0 + np.abs(tt).sum()),
     )
 
@@ -258,45 +263,42 @@ def construct_witness(
     c_min / alpha default to the quantities measured on the supplied data;
     pass closed-form targets to check against theory instead. Raises
     SingularMatrixError when the support block is singular and ValueError
-    for lambda <= 0 or empty support.
+    for lambda <= 0, an empty support or r outside 0..p-1.
     """
     if lam <= 0:
         raise ValueError("witness construction needs lambda > 0")
-    support = tuple(sorted(int(v) for v in support))
-    if not support:
+    tt = _regression_row(theta_tilde, r)
+    s = support_vertices(support, tt.size, r)
+    if not s.size:
         raise ValueError("support must be nonempty")
     cfg = config or SolverConfig()
-    p = theta_tilde.matrix.shape[0]
     second = data.second_moment()
-    q, b = node_moments(second, r)
-    s_idx = reduced_support(support, p, r)
-    mask = np.zeros(p - 1, dtype=bool)
-    mask[s_idx] = True
+    off = np.ones(tt.size, dtype=bool)
+    off[s] = off[r] = False
 
     # raises SingularMatrixError when the support block is singular
-    eig_min, incoherence = support_conditions(second, r, support)
+    eig_min, incoherence = support_conditions(second, r, s)
     alpha_measured = 1.0 - incoherence
 
-    tt = theta_tilde.row_excluding(r)
-    w = b - q @ tt
+    w = second[:, r] - second @ tt
 
-    sol = lasso_cd_gram(q, b, lam, support=s_idx, config=cfg)
-    theta_hat_s = sol.coefficients[s_idx]
+    sol = lasso_cd_gram(second, second[:, r], lam, support=s, config=cfg)
+    theta_hat_s = sol.coefficients[s]
     z_s = np.sign(theta_hat_s)
-    dev = theta_hat_s - tt[s_idx]
-    z_sc = (w[~mask] - q[np.ix_(~mask, mask)] @ dev) / lam
+    dev = theta_hat_s - tt[s]
+    z_sc = (w[off] - second[np.ix_(off, s)] @ dev) / lam
 
     return WitnessCertificate(
         node=r,
-        support=support,
+        support=tuple(s.tolist()),
         lam=lam,
         theta_hat_s=theta_hat_s,
-        theta_tilde_s=tt[s_idx],
-        true_signs=np.sign(tt[s_idx]),
+        theta_tilde_s=tt[s],
+        true_signs=np.sign(tt[s]),
         z_s=z_s,
         z_sc=z_sc,
-        w_s_inf=float(np.abs(w[mask]).max()),
-        w_sc_inf=float(np.abs(w[~mask]).max()) if (~mask).any() else 0.0,
+        w_s_inf=float(np.abs(w[s]).max()),
+        w_sc_inf=float(np.abs(w[off]).max()) if off.any() else 0.0,
         kkt_residual_s=sol.kkt_residual,
         solver_tol=cfg.tol,
         c_min=c_min if c_min is not None else eig_min,

@@ -3,6 +3,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 from scipy.special import expit
 
@@ -110,3 +111,66 @@ def z_statistics_oracle(graph, r, theta_row):
     second = sum(w * zi * zi for w, zi in zip(probs, z))
     max_abs = np.max(np.abs(z), axis=0)
     return means, second, max_abs
+
+
+def node_moments(second, r):
+    """Node r's regression data in its own p-1 coordinates (vertex order
+    with r deleted): the predictor block Q, row and column r deleted, and
+    the cross-moment vector b, column r without entry r."""
+    q = np.delete(np.delete(second, r, axis=0), r, axis=1)
+    return q, np.delete(second[:, r], r)
+
+
+def reduced_support(support, p, r):
+    """Sorted positions of the support vertices among node r's p-1
+    predictors."""
+    return np.asarray(sorted(v - 1 if v > r else v for v in support), dtype=np.int64)
+
+
+def support_conditions_reference(second, r, support):
+    """(smallest eigenvalue of Q_SS, max row l1 norm of Q_{S^c S} Q_SS^-1)
+    on node r's p-1 coordinates; the norm is inf when Q_SS has an
+    eigenvalue <= 1e-12."""
+    q, _ = node_moments(second, r)
+    mask = np.zeros(q.shape[0], dtype=bool)
+    mask[reduced_support(support, second.shape[0], r)] = True
+    q_ss = q[np.ix_(mask, mask)]
+    eig_min = float(np.linalg.eigvalsh(q_ss).min())
+    if eig_min <= 1e-12:
+        return eig_min, math.inf
+    a = cho_solve(cho_factor(q_ss), q[np.ix_(~mask, mask)].T).T
+    return eig_min, float(np.abs(a).sum(axis=1).max(initial=0.0))
+
+
+def witness_reference(second, r, support, theta_row, lam, config):
+    """Node r's primal-dual witness on its p-1 coordinates, with theta_row
+    the regression targets of the p-1 predictors: the restricted Lasso on
+    (Q, b), W = b - Q theta_row, and z_off from the stationarity system.
+    Returns the certificate's fields by name."""
+    from isinglasso.solvers import lasso_cd_gram
+
+    q, b = node_moments(second, r)
+    s_idx = reduced_support(support, second.shape[0], r)
+    mask = np.zeros(q.shape[0], dtype=bool)
+    mask[s_idx] = True
+    eig_min, incoherence = support_conditions_reference(second, r, support)
+    w = b - q @ theta_row
+    theta_hat_s = lasso_cd_gram(q, b, lam, support=s_idx, config=config).coefficients[s_idx]
+    dev = theta_hat_s - theta_row[mask]
+    return {
+        "theta_hat_s": theta_hat_s,
+        "z_sc": (w[~mask] - q[np.ix_(~mask, mask)] @ dev) / lam,
+        "w_s_inf": float(np.abs(w[mask]).max()),
+        "w_sc_inf": float(np.abs(w[~mask]).max(initial=0.0)),
+        "c_min_measured": eig_min,
+        "alpha_measured": 1.0 - incoherence,
+    }
+
+
+def noise_reference(x, r, theta_row):
+    """(mean, max |.|, variance) per predictor of the per-sample statistics
+    Z_s_i = x_s_i (x_r_i - <theta_row, x_without_r_i>), from the explicit
+    n x (p-1) Z matrix."""
+    xs = np.delete(x, r, axis=1)
+    z = xs * (x[:, r] - xs @ theta_row)[:, None]
+    return z.mean(axis=0), np.abs(z).max(axis=0), z.var(axis=0)

@@ -204,6 +204,20 @@ class TestWitnessCommand:
         assert code == 1
         assert "--kappa" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("node", ["-1", "10"])
+    def test_node_out_of_range_json_error(self, tmp_path, capsys, node):
+        graph = tmp_path / "g.json"
+        run_cli(capsys, "graph", "--family", "bethe_tree", "-p", "10", "-d", "3",
+                "--coupling", "mixed", "--coupling-value", "0.4", "--coupling-seed", "2",
+                "-o", str(graph))
+        code, out, err = run_cli(capsys, "witness", "--graph", str(graph), "--population",
+                                 "--node", node, "--lambda", "0.05")
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "out of range" in payload["message"]
+
 
 class TestExperimentCommand:
     def test_sweep_outputs(self, tmp_path, capsys):

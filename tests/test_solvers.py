@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isinglasso.graphs import CouplingScheme, assign_couplings, generate_bethe_tree
-from isinglasso.sampler import SampleMatrix, SamplerConfig, gibbs_sample, node_moments
+from isinglasso.sampler import SampleMatrix, SamplerConfig, gibbs_sample
 from isinglasso.solvers import (
     ConvergenceError,
     NeighborhoodProblem,
@@ -24,7 +24,12 @@ from isinglasso.solvers import (
     solve_logistic_l1,
     solve_logistic_l1_batch,
 )
-from oracles import brute_force_lasso_objective, logistic_grad_oracle, logistic_l1_oracle
+from oracles import (
+    brute_force_lasso_objective,
+    logistic_grad_oracle,
+    logistic_l1_oracle,
+    node_moments,
+)
 
 
 def random_spin_problem(rng, p, n, lam, r=0):

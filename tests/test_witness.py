@@ -3,15 +3,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isinglasso.bethe import (
+    EIG_FLOOR,
     RescaledParams,
     SingularMatrixError,
     rescaled_theta,
     rr_constants,
+    support_conditions,
     tree_moments,
 )
-from isinglasso.graphs import CouplingScheme, SignedGraph, assign_couplings, generate_bethe_tree
+from isinglasso.graphs import (
+    CouplingScheme,
+    SignedGraph,
+    assign_couplings,
+    generate_bethe_tree,
+    support_vertices,
+)
 from isinglasso.sampler import SampleMatrix, SamplerConfig, gibbs_sample
 from isinglasso.solvers import SolverConfig, solve_lasso, NeighborhoodProblem, extract_signed_neighborhood
 from isinglasso.witness import (
@@ -25,7 +35,12 @@ from isinglasso.witness import (
     tail_rate_probe,
 )
 from conftest import random_paramagnetic_tree
-from oracles import z_statistics_oracle
+from oracles import (
+    noise_reference,
+    support_conditions_reference,
+    witness_reference,
+    z_statistics_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +266,71 @@ class TestWitnessConstruction:
         assert obj["strict_feasibility_margin"] > 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(30, 200),
+    lam=st.floats(0.02, 0.3),
+    diagonal=st.booleans(),
+)
+def test_vertex_labels_match_reduced_coordinates(seed, n, lam, diagonal):
+    """construct_witness, compute_noise_vector and support_conditions read
+    node r from the p x p second moment by vertex label; they agree with
+    the reference that cuts node r's p-1 coordinates out first, on
+    population moments and on random +/-1 samples, also when theta_tilde
+    carries a nonzero diagonal that node r's regression must ignore."""
+    rng = np.random.default_rng(seed)
+    g = random_paramagnetic_tree(rng, p_max=9)
+    r = int(rng.integers(g.p))
+    others = np.delete(np.arange(g.p), r)
+    support = rng.choice(others, size=int(rng.integers(1, g.p)), replace=False).tolist()
+    params = rescaled_theta(g)
+    if diagonal:
+        params = RescaledParams(
+            matrix=params.matrix + np.diag(rng.normal(size=g.p)), node_scale=params.node_scale)
+    row = params.row_excluding(r)
+    samples = SampleMatrix(rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, g.p)))
+    cfg = SolverConfig(tol=1e-12)
+    for data in (tree_moments(g), samples):
+        second = data.second_moment()
+        eig_min, incoherence = support_conditions_reference(second, r, support)
+        if eig_min <= EIG_FLOOR:
+            with pytest.raises(SingularMatrixError):
+                construct_witness(data, r, support, params, lam, config=cfg)
+            continue
+        assert np.abs(np.subtract(support_conditions(second, r, support),
+                                  (eig_min, incoherence))).max() <= 1e-12
+        cert = construct_witness(data, r, support, params, lam, config=cfg)
+        for name, value in witness_reference(second, r, support, row, lam, cfg).items():
+            assert np.abs(np.subtract(getattr(cert, name), value)).max(initial=0.0) <= 1e-12, name
+    noise = compute_noise_vector(samples, r, params)
+    for got, want in zip((noise.w, noise.max_abs_z, noise.z_variance),
+                         noise_reference(samples.as_float(), r, row)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+
+_NODE_CALLS = {
+    "support_vertices": lambda g, params, x, r: support_vertices([1], g.p, r),
+    "support_conditions": lambda g, params, x, r: support_conditions(x.second_moment(), r, [1]),
+    "sample_covariance": lambda g, params, x, r: sample_covariance(x, r, [1]),
+    "construct_witness": lambda g, params, x, r: construct_witness(x, r, [1], params, lam=0.1),
+    "compute_noise_vector": lambda g, params, x, r: compute_noise_vector(x, r, params),
+    "enumerate_z_statistics": lambda g, params, x, r: enumerate_z_statistics(g, r, params),
+}
+
+
+class TestNodeRange:
+    @pytest.mark.parametrize("call", sorted(_NODE_CALLS))
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_out_of_range_node_rejected(self, tree_fixture, tree_samples, call, past_end):
+        """r = -1 and r = p are errors, not the last node or an IndexError."""
+        g, params = tree_fixture
+        r = g.p if past_end else -1
+        with pytest.raises(ValueError, match=f"node {r} out of range"):
+            _NODE_CALLS[call](g, params, tree_samples, r)
+
+
 class TestConditionChecks:
     def test_population_targets_met_exactly(self, tree_fixture):
         g, _ = tree_fixture
@@ -260,8 +340,8 @@ class TestConditionChecks:
         second = moments.second_moment()
         q = np.delete(np.delete(second, interior, 0), interior, 1)
         from isinglasso.bethe import support_conditions
-        from isinglasso.graphs import reduced_support
         from isinglasso.witness import CovarianceReport
+        from oracles import reduced_support
 
         s_idx = reduced_support(g.neighbors[interior], g.p, interior)
         mask = np.zeros(g.p - 1, dtype=bool)
