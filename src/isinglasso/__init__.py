@@ -49,14 +49,12 @@ from .solvers import (
     ConvergenceError,
     GraphEstimate,
     LassoSolution,
-    NeighborhoodProblem,
     SignedNeighborhood,
     SolverConfig,
     extract_signed_neighborhood,
     lambda_from_kappa,
     recover_graph,
     solve_lasso,
-    solve_lasso_restricted,
     solve_logistic_l1,
 )
 from .witness import (

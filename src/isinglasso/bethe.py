@@ -61,11 +61,6 @@ class RescaledParams:
         nz = np.abs(self.matrix[self.matrix != 0.0])
         return float(nz.min()) if nz.size else 0.0
 
-    def row_excluding(self, r: int) -> np.ndarray:
-        """theta_tilde for node r's regression, aligned with the p-1
-        predictors (vertex order with r deleted)."""
-        return np.delete(self.matrix[r], r)
-
 
 @dataclass(frozen=True)
 class RRConstants:
@@ -247,10 +242,13 @@ def support_conditions(
 @dataclass(frozen=True)
 class ThresholdReport:
     """Both sides of the minimum-signal condition for exact signed
-    recovery: theta_tilde_min against 6 * lambda * sqrt(d) / c_min."""
+    recovery: theta_tilde_min against 6 * lambda * sqrt(d) / c_min. c_min
+    and incoherence are the worst support-block eigenvalue floor and
+    incoherence norm over the vertices."""
 
     theta_tilde_min: float
     c_min: float
+    incoherence: float
     max_degree: int
     lam: float
     threshold: float
@@ -260,22 +258,25 @@ class ThresholdReport:
 def theorem_thresholds(graph: SignedGraph, lam: float) -> ThresholdReport:
     """Evaluate the minimum-rescaled-magnitude condition on an acyclic
     graph, with c_min taken as the minimum over vertices of the smallest
-    support-block eigenvalue of the population covariance. Raises
+    support-block eigenvalue of the population covariance, and report the
+    largest incoherence norm from the same eigensolves. Raises
     SingularMatrixError when a support block is singular."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     params = rescaled_theta(graph)
     cov = tree_covariance(graph)
-    c_min = 1.0
+    c_min, incoherence = 1.0, 0.0
     for r in range(graph.p):
         nbrs = graph.neighbors[r]
         if nbrs:
-            c_min = min(c_min, support_conditions(cov, r, nbrs)[0])
+            eig_min, inc = support_conditions(cov, r, nbrs)
+            c_min, incoherence = min(c_min, eig_min), max(incoherence, inc)
     d = graph.max_degree
     threshold = 6.0 * lam * math.sqrt(d) / c_min
     return ThresholdReport(
         theta_tilde_min=params.min_magnitude,
         c_min=c_min,
+        incoherence=incoherence,
         max_degree=d,
         lam=lam,
         threshold=threshold,

@@ -7,6 +7,7 @@ one JSON object on stderr with exit code 1; argparse usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -22,10 +23,6 @@ _EPILOG = """conventions:
   E[x_r x_t] = tanh(J). All logarithms (sample-size rule, lambda rule,
   star-graph degree ceil(log p)) are natural logs.
 """
-
-
-def _default_workers() -> int:
-    return int(os.environ.get("ISINGLASSO_WORKERS", "1"))
 
 
 def _write(text: str, path: str | None) -> None:
@@ -97,14 +94,8 @@ def _resolve_lambda(args, n: int, p: int) -> float:
 def _cmd_solve(args) -> int:
     samples = _load_samples(args.samples)
     lam = _resolve_lambda(args, samples.n, samples.p)
-    cfg = solvers.SolverConfig(tol=args.tol)
-    problem = solvers.NeighborhoodProblem(
-        response_index=args.node, samples=samples, lam=lam
-    )
-    if args.solver == "lasso":
-        sol = solvers.solve_lasso(problem, cfg)
-    else:
-        sol = solvers.solve_logistic_l1(problem, cfg)
+    solve = solvers.solve_lasso if args.solver == "lasso" else solvers.solve_logistic_l1
+    sol = solve(samples, args.node, lam, solvers.SolverConfig(tol=args.tol))
     _write(solvers.solution_to_json(sol, args.node), args.output)
     return 0
 
@@ -172,10 +163,6 @@ def _cmd_theory(args) -> int:
     g = _load_graph(args.graph)
     params = bethe.rescaled_theta(g)
     cov = bethe.tree_covariance(g)
-    worst_incoherence = max(
-        (bethe.support_conditions(cov, r, nbrs)[1] for r, nbrs in enumerate(g.neighbors) if nbrs),
-        default=0.0,
-    )
     report = bethe.theorem_thresholds(g, args.lam)
     _write(
         json.dumps(
@@ -185,7 +172,7 @@ def _cmd_theory(args) -> int:
                     "min_magnitude": params.min_magnitude,
                 },
                 "c_min": report.c_min,
-                "alpha": 1.0 - worst_incoherence,
+                "alpha": 1.0 - report.incoherence,
                 "lambda_max": float(np.linalg.eigvalsh(cov).max()),
                 "thresholds": {
                     "lambda": report.lam,
@@ -203,19 +190,9 @@ def _cmd_theory(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
         config = experiment.ExperimentConfig.from_json(fh.read())
-    overrides = {}
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    elif config.workers == 1 and _default_workers() > 1:
-        overrides["workers"] = _default_workers()
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if overrides:
-        obj = json.loads(config.to_json())
-        obj.update(overrides)
-        config = experiment.ExperimentConfig.from_json(json.dumps(obj))
+    overrides = {"workers": args.workers, "master_seed": args.seed, "trials": args.trials}
+    config = dataclasses.replace(
+        config, **{key: value for key, value in overrides.items() if value is not None})
     result = experiment.run_sweep(config)
     os.makedirs(args.output_dir, exist_ok=True)
     csv_path = os.path.join(args.output_dir, "curves.csv")
@@ -298,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--config", required=True)
     e.add_argument("--output-dir", default=".")
     e.add_argument("--workers", type=int,
-                   help="trial workers (default: $ISINGLASSO_WORKERS or 1)")
+                   help="trial workers (default: the config's workers)")
     e.add_argument("--seed", type=int, help="override master seed")
     e.add_argument("--trials", type=int, help="override trial count")
     e.set_defaults(func=_cmd_experiment)

@@ -324,12 +324,18 @@ def signed_neighborhood_sets(graph: SignedGraph) -> dict[int, dict[int, int]]:
     return out
 
 
+def check_node(r: int, p: int) -> None:
+    """Reject a node label outside 0..p-1 instead of letting a negative
+    index wrap around."""
+    if not 0 <= r < p:
+        raise ValueError(f"node {r} out of range for p = {p}")
+
+
 def support_vertices(support, p: int, r: int) -> np.ndarray:
     """Sorted vertex labels of node r's support. Rejects r outside 0..p-1,
     r itself and vertices outside 0..p-1 instead of letting negative
     indices wrap around."""
-    if not 0 <= r < p:
-        raise ValueError(f"node {r} out of range for p = {p}")
+    check_node(r, p)
     labels = sorted(int(v) for v in support)
     if r in labels:
         raise ValueError("support must not contain the regression vertex")

@@ -87,15 +87,26 @@ class SampleMatrix:
 
 @dataclass(frozen=True)
 class ExactMoments:
-    """Exact mean vector, covariance matrix and log partition function."""
+    """Exact mean vector, covariance matrix and log partition function.
+    Construction rejects moments whose E[x_i^2] fails
+    np.allclose(., 1, atol=1e-9), with numpy's default rtol of 1e-5, so
+    off 1 by more than about 1.0001e-5, or NaN: the unit diagonal the
+    Lasso kernel relies on."""
 
     mean: np.ndarray
     covariance: np.ndarray
     log_partition: float
 
+    def __post_init__(self):
+        second = self.covariance + np.outer(self.mean, self.mean)
+        if not np.allclose(np.diag(second), 1.0, atol=1e-9):
+            raise ValueError("E[x x^T] must have unit diagonal for +/-1 spins")
+        second.setflags(write=False)
+        object.__setattr__(self, "_second_moment", second)
+
     def second_moment(self) -> np.ndarray:
-        """E[x x^T]; unit diagonal for +/-1 spins."""
-        return self.covariance + np.outer(self.mean, self.mean)
+        """E[x x^T], built once at construction and cached read-only."""
+        return self._second_moment
 
 
 def _color_classes(graph: SignedGraph) -> list[np.ndarray]:

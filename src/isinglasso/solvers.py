@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import SignedGraph, signed_neighborhood_sets, support_vertices as vertex_support
+from .graphs import SignedGraph, check_node, signed_neighborhood_sets
 from .sampler import SampleMatrix
 
 ACTIVE_TOL = 1e-8
@@ -50,26 +50,10 @@ class ConvergenceError(RuntimeError):
 class SolverConfig:
     tol: float = 1e-8
     max_iters: int = 100_000
-    track_objective: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0) or self.max_iters < 1:
             raise ValueError(f"need a finite tol > 0 and max_iters >= 1, got {self}")
-
-
-@dataclass(frozen=True)
-class NeighborhoodProblem:
-    """Regression of spin response_index on the remaining p-1 spins."""
-
-    response_index: int
-    samples: SampleMatrix
-    lam: float
-
-    def __post_init__(self):
-        if not 0 <= self.response_index < self.samples.p:
-            raise ValueError("response index out of range")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
 
 
 @dataclass
@@ -89,7 +73,6 @@ class LassoSolution:
     objective: float
     lam: float
     maybe_nonunique: bool = False
-    objective_history: list[float] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -122,7 +105,7 @@ def _quadratic_loss(gram, linear, theta) -> float:
     return 0.5 * float(theta @ (gram @ theta)) - float(linear @ theta) + 0.5
 
 
-def _finalize(theta, grad, loss, lam, iterations, support_idx, history, nonunique=False):
+def _finalize(theta, grad, loss, lam, iterations, support_idx, nonunique=False):
     """Solution record from the final iterate and the gradient of its smooth
     loss, shared by the Lasso and the logistic solver."""
     if lam > 0:
@@ -137,7 +120,6 @@ def _finalize(theta, grad, loss, lam, iterations, support_idx, history, nonuniqu
         objective=loss + lam * float(np.abs(theta).sum()),
         lam=lam,
         maybe_nonunique=nonunique,
-        objective_history=history,
     )
 
 
@@ -147,41 +129,31 @@ def lasso_cd_gram(
     lam: float,
     support: np.ndarray | None = None,
     config: SolverConfig | None = None,
-    warm_start: np.ndarray | None = None,
 ) -> LassoSolution:
     """Cyclic coordinate descent on the Gram form
     0.5 theta' G theta - b' theta + 0.5 + lambda l1_norm(theta).
 
-    Requires unit diagonal on G (automatic for +/-1 spin data and for
-    population second-moment matrices). Coordinates outside `support`
-    (indices into G) are pinned at zero; the reported residual covers the
-    support coordinates. Cycles visit a working set: the support coordinates
-    that are nonzero or have |gradient| > lambda, at the start and at each
-    drift-free confirmation, which decides convergence over the whole
-    support. Raises ConvergenceError past config.max_iters cycles.
+    Requires unit diagonal on G, which this kernel does not re-check: a
+    SampleMatrix second moment has it exactly, and ExactMoments checks it
+    at construction. Coordinates outside `support` (sorted, unique indices
+    into G, as the callers pass them) are pinned at zero; the reported
+    residual covers the support coordinates. Cycles visit a working set:
+    the support coordinates that are nonzero or have |gradient| > lambda,
+    at the start and at each drift-free confirmation, which decides
+    convergence over the whole support. Raises ConvergenceError past
+    config.max_iters cycles.
     """
     cfg = config or SolverConfig()
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     m = gram.shape[0]
-    diag = np.diag(gram)
-    if not np.allclose(diag, 1.0, atol=1e-9):
-        raise ValueError("Gram matrix must have unit diagonal (spin data)")
-    if support is None:
-        support_idx = np.arange(m)
-    else:
-        support_idx = np.unique(np.asarray(support, dtype=np.int64))
-        if support_idx.size < 1:
-            raise ValueError("support must contain at least one coordinate")
-        if support_idx[0] < 0 or support_idx[-1] >= m:
-            raise ValueError("support index out of range")
+    support_idx = np.arange(m) if support is None else np.asarray(support, dtype=np.int64)
+    if support_idx.size < 1:
+        raise ValueError("support must contain at least one coordinate")
 
     theta = np.zeros(m)
-    if warm_start is not None:
-        theta[support_idx] = np.asarray(warm_start, dtype=np.float64)[support_idx]
-    grad = gram @ theta - linear
-    work = support_idx[(theta[support_idx] != 0.0) | (np.abs(grad[support_idx]) > lam)]
-    history: list[float] = []
+    grad = -linear
+    work = support_idx[np.abs(grad[support_idx]) > lam]
 
     for iterations in range(1, cfg.max_iters + 1):
         max_delta = 0.0
@@ -195,10 +167,6 @@ def lasso_cd_gram(
                 theta[j] = new
                 if abs(delta) > max_delta:
                     max_delta = abs(delta)
-        if cfg.track_objective:
-            history.append(
-                _quadratic_loss(gram, linear, theta) + lam * float(np.abs(theta).sum())
-            )
         if iterations % _GRAM_REFRESH_CYCLES == 0:
             grad = gram @ theta - linear  # shed accumulated float drift
         if max_delta == 0.0 or _kkt_residual(theta, grad, lam, work) <= cfg.tol:
@@ -226,37 +194,23 @@ def lasso_cd_gram(
         nonunique = float(np.linalg.eigvalsh(block).min()) < 1e-10
     return _finalize(
         theta, grad, _quadratic_loss(gram, linear, theta), lam, iterations,
-        support_idx, history, nonunique,
+        support_idx, nonunique,
     )
 
 
-def _node_lasso(problem: NeighborhoodProblem, support_vertices, config) -> LassoSolution:
-    """Node r's Lasso read in place from the cached second moment, with r
-    pinned out by the support and then cut from the result."""
-    second, r = problem.samples.second_moment(), problem.response_index
-    sol = lasso_cd_gram(second, second[:, r], problem.lam, support_vertices, config)
+def solve_lasso(
+    samples: SampleMatrix, r: int, lam: float, config: SolverConfig | None = None
+) -> LassoSolution:
+    """Neighborhood Lasso of spin r on the other p-1 spins by cyclic
+    coordinate descent, read in place from the cached second moment with r
+    pinned out by the support and then cut from the result. Raises
+    ValueError for r outside 0..p-1 or lambda < 0."""
+    check_node(r, samples.p)
+    second = samples.second_moment()
+    sol = lasso_cd_gram(second, second[:, r], lam, predictor_vertices(samples.p, r), config)
     sol.coefficients = np.delete(sol.coefficients, r)
     sol.subgradient = np.delete(sol.subgradient, r)
     return sol
-
-
-def solve_lasso(problem: NeighborhoodProblem, config: SolverConfig | None = None) -> LassoSolution:
-    """Neighborhood Lasso for one node by cyclic coordinate descent."""
-    return _node_lasso(
-        problem, predictor_vertices(problem.samples.p, problem.response_index), config)
-
-
-def solve_lasso_restricted(
-    problem: NeighborhoodProblem,
-    support_vertices,
-    config: SolverConfig | None = None,
-) -> LassoSolution:
-    """Neighborhood Lasso with coordinates outside the given vertex set
-    pinned at zero. The reported residual covers the free coordinates; the
-    subgradient on pinned coordinates still carries -gradient/lambda, which
-    is exactly the dual-feasibility value certificate checks need."""
-    p, r = problem.samples.p, problem.response_index
-    return _node_lasso(problem, vertex_support(support_vertices, p, r), config)
 
 
 def _logistic_grad(x, y, theta, pinned):
@@ -358,19 +312,20 @@ def solve_logistic_l1_batch(
         keep = predictor_vertices(p, nodes[j])
         solutions[int(nodes[j])] = _finalize(
             theta[keep, j], grad_final[keep, j], float(loss_j), lam, int(iterations[j]),
-            np.arange(p - 1), [])
+            np.arange(p - 1))
     return solutions, errors
 
 
 def solve_logistic_l1(
-    problem: NeighborhoodProblem, config: SolverConfig | None = None
+    samples: SampleMatrix, r: int, lam: float, config: SolverConfig | None = None
 ) -> LassoSolution:
-    """L1-penalized logistic regression of one spin on the rest: the
-    one-column call of solve_logistic_l1_batch. Raises ConvergenceError
-    when coefficients diverge, which with lambda = 0 signals separable data.
+    """L1-penalized logistic regression of spin r on the rest: the
+    one-column call of solve_logistic_l1_batch. Raises ValueError for r
+    outside 0..p-1 or lambda < 0, and ConvergenceError when coefficients
+    diverge, which with lambda = 0 signals separable data.
     """
-    r = problem.response_index
-    solutions, errors = solve_logistic_l1_batch(problem.samples, [r], problem.lam, config)
+    check_node(r, samples.p)
+    solutions, errors = solve_logistic_l1_batch(samples, [r], lam, config)
     if r in errors:
         raise errors[r]
     return solutions[r]
@@ -434,7 +389,7 @@ def recover_graph(
         solutions, errors = {}, {}
         for r in range(samples.p):
             try:
-                solutions[r] = solve_lasso(NeighborhoodProblem(r, samples, lam), config)
+                solutions[r] = solve_lasso(samples, r, lam, config)
             except ConvergenceError as exc:
                 errors[r] = exc
     elif solver == "logistic":

@@ -33,7 +33,7 @@ from .bethe import (
     tree_covariance,
 )
 from .experiment import _wald_stderr
-from .graphs import SignedGraph, support_vertices
+from .graphs import SignedGraph, check_node, support_vertices
 from .sampler import ExactMoments, SampleMatrix, SamplerConfig, exact_enumerate, gibbs_sample
 from .solvers import SolverConfig, lasso_cd_gram
 
@@ -41,8 +41,7 @@ from .solvers import SolverConfig, lasso_cd_gram
 def _regression_row(theta_tilde: RescaledParams, r: int) -> np.ndarray:
     """theta_tilde for node r's regression by vertex label: row r with entry
     r, which is no predictor, set to 0."""
-    if not 0 <= r < theta_tilde.matrix.shape[0]:
-        raise ValueError(f"node {r} out of range for p = {theta_tilde.matrix.shape[0]}")
+    check_node(r, theta_tilde.matrix.shape[0])
     row = theta_tilde.matrix[r].copy()
     row[r] = 0.0
     return row

@@ -3,7 +3,10 @@
 A change to this list is an API change: record it in CHANGES.md.
 History: `incoherence_norm` was replaced by `support_conditions`, which
 returns the support-block eigenvalue floor and the incoherence norm from
-one eigensolve.
+one eigensolve. `NeighborhoodProblem` and `solve_lasso_restricted` were
+removed: `solve_lasso(samples, r, lam)` and `solve_logistic_l1(samples, r,
+lam)` are the per-node calls, and the witness's `lasso_cd_gram(support=)`
+is the one restricted Lasso.
 """
 import types
 
@@ -17,7 +20,6 @@ EXPORTED = {
     "ExperimentConfig",
     "GraphEstimate",
     "LassoSolution",
-    "NeighborhoodProblem",
     "NoiseVector",
     "RRConstants",
     "RescaledParams",
@@ -58,7 +60,6 @@ EXPORTED = {
     "sample_covariance",
     "signed_edge_set",
     "solve_lasso",
-    "solve_lasso_restricted",
     "solve_logistic_l1",
     "support_conditions",
     "sweep_to_csv",

@@ -101,7 +101,7 @@ class TestPopulationRegressionOracle:
                 q = np.delete(np.delete(second, r, axis=0), r, axis=1)
                 b = np.delete(second[:, r], r)
                 oracle = np.linalg.solve(q, b)
-                assert np.abs(oracle - params.row_excluding(r)).max() < 1e-10
+                assert np.abs(oracle - np.delete(params.matrix[r], r)).max() < 1e-10
 
 
 class TestTreeCovariance:

@@ -91,6 +91,20 @@ class TestSampleAndSolve:
         sol = json.loads(out)
         assert all(c == 0.0 for c in sol["coefficients"])
 
+    @pytest.mark.parametrize("solver", ["lasso", "logistic"])
+    @pytest.mark.parametrize("node", ["-1", "8"])
+    def test_node_out_of_range_json_error(self, tmp_path, capsys, graph_file, solver, node):
+        samples = tmp_path / "s.txt"
+        run_cli(capsys, "sample", "--graph", str(graph_file), "-n", "50",
+                "--burn-in", "10", "--thinning", "1", "--seed", "3", "-o", str(samples))
+        code, out, err = run_cli(capsys, "solve", "--samples", str(samples), "--node", node,
+                                 "--lambda", "0.1", "--solver", solver)
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "out of range" in payload["message"]
+
     def test_binary_format(self, tmp_path, capsys, graph_file):
         samples = tmp_path / "s.isng"
         run_cli(capsys, "sample", "--graph", str(graph_file), "-n", "50",
@@ -157,6 +171,7 @@ class TestTheoryCommand:
         assert code == 0
         obj = json.loads(text)
         assert abs(obj["c_min"] - 0.855639) < 1e-6
+        assert obj["alpha"] == 0.6200510377447751  # 1 - tanh(0.4)
         assert obj["thresholds"]["pass"] is True
         assert abs(obj["theta_tilde"]["min_magnitude"] - 0.294826) < 1e-6
 
@@ -220,14 +235,18 @@ class TestWitnessCommand:
 
 
 class TestExperimentCommand:
-    def test_sweep_outputs(self, tmp_path, capsys):
+    @pytest.fixture
+    def cfg_path(self, tmp_path):
         cfg = {
             "family": "rr", "p_list": [8], "beta_grid": [0.5, 1.0], "trials": 2,
             "solver": "lasso", "kappa": 2.0, "master_seed": 5,
             "burn_in_sweeps": 50, "thinning_sweeps": 1, "solver_tol": 1e-6,
         }
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def test_sweep_outputs(self, tmp_path, capsys, cfg_path):
         out_dir = tmp_path / "out"
         code, out, _ = run_cli(
             capsys, "experiment", "--config", str(cfg_path), "--output-dir", str(out_dir)
@@ -237,6 +256,21 @@ class TestExperimentCommand:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["config"]["family"] == "rr"
         assert str(out_dir / "curves.csv") in out
+
+    def test_flags_override_config(self, tmp_path, capsys, cfg_path, monkeypatch):
+        monkeypatch.setenv("ISINGLASSO_WORKERS", "2")  # not read: the config says 1
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg_path),
+                             "--output-dir", str(out_dir), "--seed", "9", "--trials", "1")
+        assert code == 0
+        config = json.loads((out_dir / "manifest.json").read_text())["config"]
+        assert (config["master_seed"], config["trials"], config["workers"]) == (9, 1, 1)
+
+    def test_bad_override_json_error(self, tmp_path, capsys, cfg_path):
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path),
+                               "--output-dir", str(tmp_path / "out"), "--trials", "0")
+        assert code == 1
+        assert "trials" in json.loads(err)["message"]
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

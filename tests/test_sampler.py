@@ -350,3 +350,21 @@ class TestMomentsType:
     def test_second_moment_identity(self):
         m = ExactMoments(mean=np.array([0.5]), covariance=np.array([[0.75]]), log_partition=0.0)
         assert abs(m.second_moment()[0, 0] - 1.0) < 1e-15
+
+    def test_second_moment_cached_read_only(self):
+        m = ExactMoments(mean=np.array([0.5, 0.0]), covariance=np.array([[0.75, 0.1], [0.1, 1.0]]),
+                         log_partition=0.0)
+        assert m.second_moment() is m.second_moment()
+        assert not m.second_moment().flags.writeable
+
+    @pytest.mark.parametrize("off", [2e-5, -2e-5, np.nan])
+    def test_diagonal_off_one_rejected(self, off):
+        with pytest.raises(ValueError, match="unit diagonal"):
+            ExactMoments(mean=np.array([0.5, 0.0]), covariance=np.diag([0.75, 1.0 + off]),
+                         log_partition=0.0)
+
+    @pytest.mark.parametrize("off", [1e-6, -1e-6])
+    def test_diagonal_within_tolerance_accepted(self, off):
+        m = ExactMoments(mean=np.array([0.5, 0.0]), covariance=np.diag([0.75, 1.0 + off]),
+                         log_partition=0.0)
+        assert m.second_moment()[1, 1] == 1.0 + off

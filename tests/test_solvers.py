@@ -6,24 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isinglasso.bethe import RescaledParams
 from isinglasso.graphs import CouplingScheme, assign_couplings, generate_bethe_tree
 from isinglasso.sampler import SampleMatrix, SamplerConfig, gibbs_sample
 from isinglasso.solvers import (
     ConvergenceError,
-    NeighborhoodProblem,
     SolverConfig,
     _logistic_grad,
     extract_signed_neighborhood,
     lambda_from_kappa,
     lasso_cd_gram,
-    predictor_vertices,
     recover_graph,
     solution_to_json,
     solve_lasso,
-    solve_lasso_restricted,
     solve_logistic_l1,
     solve_logistic_l1_batch,
 )
+from isinglasso.witness import construct_witness
 from oracles import (
     brute_force_lasso_objective,
     logistic_grad_oracle,
@@ -32,33 +31,29 @@ from oracles import (
 )
 
 
-def random_spin_problem(rng, p, n, lam, r=0):
-    data = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, p))
-    samples = SampleMatrix(data)
-    return NeighborhoodProblem(response_index=r, samples=samples, lam=lam)
+def random_samples(rng, p, n):
+    return SampleMatrix(rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, p)))
 
 
-def gram_of(problem):
-    x = problem.samples.as_float()
-    y = x[:, problem.response_index]
-    xs = np.delete(x, problem.response_index, axis=1)
-    n = problem.samples.n
-    return (xs.T @ xs) / n, (xs.T @ y) / n
+def gram_of(samples, r):
+    x = samples.as_float()
+    xs = np.delete(x, r, axis=1)
+    return (xs.T @ xs) / samples.n, (xs.T @ x[:, r]) / samples.n
 
 
 class TestLassoBasics:
     def test_kill_condition(self):
         rng = np.random.default_rng(0)
-        problem = random_spin_problem(rng, 5, 30, lam=0.0)
-        _, linear = gram_of(problem)
+        samples = random_samples(rng, 5, 30)
+        _, linear = gram_of(samples, 0)
         lam = float(np.abs(linear).max())
-        sol = solve_lasso(NeighborhoodProblem(0, problem.samples, lam))
+        sol = solve_lasso(samples, 0, lam)
         assert np.array_equal(sol.coefficients, np.zeros(4))
         assert sol.kkt_residual <= 1e-8
 
     def test_perfectly_correlated_pair(self):
         samples = SampleMatrix(np.array([[1, 1], [-1, -1]], dtype=np.int8))
-        sol = solve_lasso(NeighborhoodProblem(0, samples, 0.1))
+        sol = solve_lasso(samples, 0, 0.1)
         assert abs(sol.coefficients[0] - 0.9) < 1e-12
 
     def test_objective_matches_brute_force(self):
@@ -66,8 +61,7 @@ class TestLassoBasics:
         for _ in range(10):
             p = int(rng.integers(4, 8))
             n = int(rng.integers(10, 51))
-            problem = random_spin_problem(rng, p, n, lam=0.0)
-            gram, linear = gram_of(problem)
+            gram, linear = gram_of(random_samples(rng, p, n), 0)
             for lam in (0.01, 0.1, 0.5):
                 sol = lasso_cd_gram(gram, linear, lam)
                 oracle = brute_force_lasso_objective(gram, linear, lam)
@@ -77,8 +71,7 @@ class TestLassoBasics:
     def test_kkt_completeness(self):
         rng = np.random.default_rng(6)
         for lam in (0.01, 0.1, 0.5):
-            problem = random_spin_problem(rng, 7, 40, lam)
-            gram, linear = gram_of(problem)
+            gram, linear = gram_of(random_samples(rng, 7, 40), 0)
             sol = lasso_cd_gram(gram, linear, lam)
             grad = gram @ sol.coefficients - linear
             for j, theta_j in enumerate(sol.coefficients):
@@ -89,55 +82,29 @@ class TestLassoBasics:
                     assert abs(grad[j]) <= lam + 1e-8
                     assert abs(sol.subgradient[j]) <= 1.0 + 1e-6
 
-    def test_objective_monotone_per_cycle(self):
-        rng = np.random.default_rng(7)
-        problem = random_spin_problem(rng, 8, 30, 0.05)
-        gram, linear = gram_of(problem)
-        sol = lasso_cd_gram(gram, linear, 0.05, config=SolverConfig(track_objective=True))
-        hist = sol.objective_history
-        assert len(hist) == sol.iterations
-        for earlier, later in zip(hist, hist[1:]):
-            assert later <= earlier + 1e-12
-
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(8)
-        problem = random_spin_problem(rng, 7, 35, 0.08)
-        gram, linear = gram_of(problem)
+        gram, linear = gram_of(random_samples(rng, 7, 35), 0)
         cfg = SolverConfig(tol=1e-13)
         sol = lasso_cd_gram(gram, linear, 0.08, config=cfg)
         perm = rng.permutation(6)
         sol_p = lasso_cd_gram(gram[np.ix_(perm, perm)], linear[perm], 0.08, config=cfg)
         assert np.abs(sol_p.coefficients - sol.coefficients[perm]).max() < 1e-10
 
-    def test_warm_start_uniqueness(self):
-        # strict dual feasibility + positive definite active block imply a
-        # unique optimum: warm starts must all land on the same point
-        rng = np.random.default_rng(9)
-        problem = random_spin_problem(rng, 6, 40, 0.15)
-        gram, linear = gram_of(problem)
-        sol = lasso_cd_gram(gram, linear, 0.15)
-        inactive = sol.coefficients == 0.0
-        assert np.abs(sol.subgradient[inactive]).max() < 1 - 1e-6
-        for _ in range(10):
-            warm = rng.normal(scale=0.5, size=5)
-            sol_w = lasso_cd_gram(gram, linear, 0.15, warm_start=warm)
-            assert np.abs(sol_w.coefficients - sol.coefficients).max() < 1e-8
-
     def test_lambda_zero_rank_deficient_flagged(self):
         samples = SampleMatrix(np.array([[1, -1, 1, 1]], dtype=np.int8))
-        sol = solve_lasso(NeighborhoodProblem(0, samples, 0.0))
+        sol = solve_lasso(samples, 0, 0.0)
         assert sol.maybe_nonunique
         assert sol.kkt_residual <= 1e-8
 
     def test_negative_lambda_rejected(self):
         samples = SampleMatrix(np.array([[1, -1], [1, 1]], dtype=np.int8))
-        with pytest.raises(ValueError):
-            NeighborhoodProblem(0, samples, -0.1)
+        with pytest.raises(ValueError, match="lambda"):
+            solve_lasso(samples, 0, -0.1)
 
     def test_nonconvergence_carries_residual(self):
         rng = np.random.default_rng(10)
-        problem = random_spin_problem(rng, 7, 40, 0.01)
-        gram, linear = gram_of(problem)
+        gram, linear = gram_of(random_samples(rng, 7, 40), 0)
         with pytest.raises(ConvergenceError) as err:
             lasso_cd_gram(gram, linear, 0.01, config=SolverConfig(max_iters=1, tol=1e-14))
         assert err.value.kkt_residual > 0
@@ -154,15 +121,31 @@ class TestSolverConfig:
             SolverConfig(max_iters=0)
 
 
+@pytest.mark.parametrize("solve", [solve_lasso, solve_logistic_l1])
+class TestNodeCheck:
+    """Both per-node calls check their arguments at entry; r = -1 would
+    otherwise wrap round to the last spin."""
+
+    @pytest.mark.parametrize("r", [-1, 4])
+    def test_node_out_of_range_rejected(self, solve, r):
+        samples = random_samples(np.random.default_rng(16), 4, 20)
+        with pytest.raises(ValueError, match=f"node {r} out of range for p = 4"):
+            solve(samples, r, 0.1)
+
+    def test_negative_lambda_rejected(self, solve):
+        samples = random_samples(np.random.default_rng(17), 4, 20)
+        with pytest.raises(ValueError, match="lambda must be >= 0"):
+            solve(samples, 1, -0.1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(2, 6),
     n=st.integers(3, 40),
     lam=st.floats(0.02, 0.3),
-    warm=st.booleans(),
 )
-def test_working_set_cd_matches_brute_force(seed, m, n, lam, warm):
+def test_working_set_cd_matches_brute_force(seed, m, n, lam):
     """Working-set CD on a random support of a random spin Gram reaches the
     brute-force minimum of the support block, with pinned coordinates at 0."""
     rng = np.random.default_rng(seed)
@@ -171,9 +154,8 @@ def test_working_set_cd_matches_brute_force(seed, m, n, lam, warm):
     support = np.flatnonzero(rng.random(m) < 0.6)
     if support.size == 0:
         support = np.array([int(rng.integers(m))])
-    warm_start = rng.normal(scale=0.5, size=m) if warm else None
     cfg = SolverConfig(tol=1e-12)
-    sol = lasso_cd_gram(gram, linear, lam, support=support, config=cfg, warm_start=warm_start)
+    sol = lasso_cd_gram(gram, linear, lam, support=support, config=cfg)
     oracle = brute_force_lasso_objective(gram[np.ix_(support, support)], linear[support], lam)
     assert abs(sol.objective - oracle) <= 1e-10
     assert sol.kkt_residual <= cfg.tol
@@ -199,7 +181,7 @@ class TestWorkingSet:
         samples = SampleMatrix(rng.choice(np.array([-1, 1], dtype=np.int8), size=(60, 7)))
         for lam in (0.02, 0.1, 0.3):
             for r in range(samples.p):
-                sol = solve_lasso(NeighborhoodProblem(r, samples, lam))
+                sol = solve_lasso(samples, r, lam)
                 ref = lasso_cd_gram(*node_moments(samples.second_moment(), r), lam)
                 assert np.abs(sol.coefficients - ref.coefficients).max() <= 1e-12
                 assert np.array_equal(np.sign(sol.coefficients), np.sign(ref.coefficients))
@@ -223,59 +205,68 @@ def test_logistic_grad_matches_expit_form():
 
 
 class TestRestricted:
+    """The one restricted path is lasso_cd_gram(support=) on the shared
+    second moment, as construct_witness calls it; the witness checks the
+    support through graphs.support_vertices first."""
+
+    @staticmethod
+    def _zero_params(p):
+        return RescaledParams(matrix=np.zeros((p, p)), node_scale=np.ones(p))
+
     def test_full_support_equals_unrestricted(self):
         rng = np.random.default_rng(11)
-        problem = random_spin_problem(rng, 6, 30, 0.05, r=2)
-        full = solve_lasso(problem)
-        restricted = solve_lasso_restricted(problem, [v for v in range(6) if v != 2])
-        assert np.abs(full.coefficients - restricted.coefficients).max() < 1e-9
+        samples = random_samples(rng, 6, 30)
+        full = solve_lasso(samples, 2, 0.05)
+        support = [v for v in range(6) if v != 2]
+        cert = construct_witness(samples, 2, support, self._zero_params(6), 0.05)
+        assert np.abs(full.coefficients - cert.theta_hat_s).max() < 1e-9
 
     def test_empty_support_rejected(self):
         rng = np.random.default_rng(12)
-        problem = random_spin_problem(rng, 5, 20, 0.05)
-        with pytest.raises(ValueError):
-            solve_lasso_restricted(problem, [])
+        samples = random_samples(rng, 5, 20)
+        second = samples.second_moment()
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            lasso_cd_gram(second, second[:, 0], 0.05, support=np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match="nonempty"):
+            construct_witness(samples, 0, [], self._zero_params(5), 0.05)
 
     def test_pinned_coordinates_stay_zero(self):
         rng = np.random.default_rng(13)
-        problem = random_spin_problem(rng, 6, 30, 0.01, r=0)
-        sol = solve_lasso_restricted(problem, [1, 3])
-        verts = predictor_vertices(6, 0).tolist()
-        for v, coef in zip(verts, sol.coefficients):
+        second = random_samples(rng, 6, 30).second_moment()
+        sol = lasso_cd_gram(second, second[:, 0], 0.01, support=np.array([1, 3]))
+        for v, coef in enumerate(sol.coefficients):
             if v not in (1, 3):
                 assert coef == 0.0
 
     def test_support_with_response_rejected(self):
         rng = np.random.default_rng(14)
-        problem = random_spin_problem(rng, 5, 20, 0.05, r=1)
-        with pytest.raises(ValueError):
-            solve_lasso_restricted(problem, [1, 2])
+        samples = random_samples(rng, 5, 20)
+        with pytest.raises(ValueError, match="regression vertex"):
+            construct_witness(samples, 1, [1, 2], self._zero_params(5), 0.05)
 
 
 class TestLogistic:
     def test_kill_condition(self):
         rng = np.random.default_rng(20)
-        problem = random_spin_problem(rng, 5, 30, 0.0)
-        _, linear = gram_of(problem)
+        samples = random_samples(rng, 5, 30)
+        _, linear = gram_of(samples, 0)
         lam = float(np.abs(linear).max()) + 0.01
-        sol = solve_logistic_l1(NeighborhoodProblem(0, problem.samples, lam))
+        sol = solve_logistic_l1(samples, 0, lam)
         assert np.array_equal(sol.coefficients, np.zeros(4))
 
     def test_separable_without_penalty_raises(self):
         samples = SampleMatrix(np.array([[1, 1], [-1, -1]], dtype=np.int8))
         with pytest.raises(ConvergenceError, match="separable"):
-            solve_logistic_l1(NeighborhoodProblem(0, samples, 0.0))
+            solve_logistic_l1(samples, 0, 0.0)
 
     def test_kkt_residual_small(self):
         rng = np.random.default_rng(21)
-        problem = random_spin_problem(rng, 6, 40, 0.1)
-        sol = solve_logistic_l1(problem)
+        sol = solve_logistic_l1(random_samples(rng, 6, 40), 0, 0.1)
         assert sol.kkt_residual < 1e-6
 
     def test_subgradient_contract(self):
         rng = np.random.default_rng(22)
-        problem = random_spin_problem(rng, 6, 40, 0.08)
-        sol = solve_logistic_l1(problem)
+        sol = solve_logistic_l1(random_samples(rng, 6, 40), 0, 0.08)
         active = sol.coefficients != 0.0
         assert np.array_equal(sol.subgradient[active], np.sign(sol.coefficients[active]))
         assert np.abs(sol.subgradient[~active]).max() <= 1 + 1e-6
@@ -285,7 +276,7 @@ class TestLogistic:
         # neighborhood the coefficients approach the true +/-0.4
         g = assign_couplings(generate_bethe_tree(8, 3), CouplingScheme.mixed(0.4), seed=1)
         samples = gibbs_sample(g, 6000, SamplerConfig(burn_in_sweeps=300, thinning_sweeps=2, seed=2))
-        sol = solve_logistic_l1(NeighborhoodProblem(0, samples, 0.06))
+        sol = solve_logistic_l1(samples, 0, 0.06)
         hood = extract_signed_neighborhood(sol, 0)
         truth = {t: (1 if g.coupling(0, t) > 0 else -1) for t in g.neighbors[0]}
         assert hood.signs == truth
@@ -320,14 +311,14 @@ class TestLogistic:
             p = int(rng.integers(3, 7))
             n = int(rng.integers(30, 100))
             lam = float(rng.choice([0.02, 0.05, 0.1]))
-            problem = random_spin_problem(rng, p, n, lam, r=int(rng.integers(p)))
-            gram, _ = gram_of(problem)
+            samples = random_samples(rng, p, n)
+            r = int(rng.integers(p))
+            gram, _ = gram_of(samples, r)
             eigs = np.linalg.eigvalsh(gram)
             assert eigs[0] > 0
-            x = problem.samples.as_float()
-            r = problem.response_index
+            x = samples.as_float()
             theta_o, obj_o = logistic_l1_oracle(np.delete(x, r, axis=1) * x[:, r, None], lam, gtol)
-            sol = solve_logistic_l1(problem, SolverConfig(tol=tol))
+            sol = solve_logistic_l1(samples, r, lam, SolverConfig(tol=tol))
             theta_k = sol.coefficients
             m = p - 1
             l1_k = float(np.abs(theta_k).sum())
@@ -440,7 +431,7 @@ class TestRecoverGraph:
         estimate = recover_graph(samples, lam=0.08, solver="lasso")
         for r in range(g.p):
             fresh = SampleMatrix(samples.data)  # no cached second moment
-            sol = solve_lasso(NeighborhoodProblem(r, fresh, 0.08))
+            sol = solve_lasso(fresh, r, 0.08)
             assert estimate.neighborhoods[r] == extract_signed_neighborhood(sol, r)
 
 
@@ -451,7 +442,7 @@ class TestRecoverGraph:
         assert not estimate.node_errors
         for r in range(g.p):
             fresh = SampleMatrix(samples.data)  # no cached second moment
-            sol = solve_logistic_l1(NeighborhoodProblem(r, fresh, 0.08))
+            sol = solve_logistic_l1(fresh, r, 0.08)
             assert estimate.neighborhoods[r] == extract_signed_neighborhood(sol, r)
 
 
@@ -460,7 +451,7 @@ class TestSharedGram:
         rng = np.random.default_rng(50)
         samples = SampleMatrix(rng.choice(np.array([-1, 1], dtype=np.int8), size=(97, 7)))
         for r in range(samples.p):
-            gram, linear = gram_of(NeighborhoodProblem(r, samples, 0.1))
+            gram, linear = gram_of(samples, r)
             q, b = node_moments(samples.second_moment(), r)
             assert np.array_equal(q, gram)
             assert np.array_equal(b, linear)
@@ -469,8 +460,7 @@ class TestSharedGram:
 class TestSerialization:
     def test_solution_json(self):
         rng = np.random.default_rng(40)
-        problem = random_spin_problem(rng, 5, 25, 0.1, r=3)
-        sol = solve_lasso(problem)
+        sol = solve_lasso(random_samples(rng, 5, 25), 3, 0.1)
         obj = json.loads(solution_to_json(sol, 3))
         assert obj["r"] == 3
         assert obj["lambda"] == 0.1

@@ -23,7 +23,7 @@ from isinglasso.graphs import (
     support_vertices,
 )
 from isinglasso.sampler import SampleMatrix, SamplerConfig, gibbs_sample
-from isinglasso.solvers import SolverConfig, solve_lasso, NeighborhoodProblem, extract_signed_neighborhood
+from isinglasso.solvers import SolverConfig, solve_lasso, extract_signed_neighborhood
 from isinglasso.witness import (
     check_conditions,
     compute_noise_vector,
@@ -105,7 +105,7 @@ class TestNoiseVector:
         x = samples.as_float()
         for r in range(g.p):
             xs = np.delete(x, r, axis=1)
-            z = xs * (x[:, r] - xs @ params.row_excluding(r))[:, None]
+            z = xs * (x[:, r] - xs @ np.delete(params.matrix[r], r))[:, None]
             noise = compute_noise_vector(samples, r, params)
             assert np.abs(noise.w - z.mean(axis=0)).max() < 1e-12
             assert np.abs(noise.max_abs_z - np.abs(z).max(axis=0)).max() < 1e-12
@@ -151,7 +151,7 @@ class TestZEnumeration:
         for g, params in cases:
             for r in range(g.p):
                 stats = enumerate_z_statistics(g, r, params)
-                means, second, max_abs = z_statistics_oracle(g, r, params.row_excluding(r))
+                means, second, max_abs = z_statistics_oracle(g, r, np.delete(params.matrix[r], r))
                 assert np.abs(stats.means - means).max() < 1e-13
                 assert np.abs(stats.second_moment - second).max() < 1e-13 * second.max()
                 assert np.abs(stats.max_abs - max_abs).max() < 1e-13 * max_abs.max()
@@ -187,7 +187,7 @@ class TestWitnessConstruction:
             xs = np.delete(x, r, axis=1)
             q = xs.T @ xs / tree_samples.n
             b = xs.T @ x[:, r] / tree_samples.n
-            tt = params.row_excluding(r)
+            tt = np.delete(params.matrix[r], r)
             w = b - q @ tt
             s_idx = [v - 1 if v > r else v for v in support]
             mask = np.zeros(g.p - 1, dtype=bool)
@@ -231,7 +231,7 @@ class TestWitnessConstruction:
         for r in range(g.p):
             cert = construct_witness(tree_samples, r, g.neighbors[r], params, lam=0.12)
             if cert.checks()["strict_dual_feasibility"] and cert.sign_consistent:
-                sol = solve_lasso(NeighborhoodProblem(r, tree_samples, 0.12))
+                sol = solve_lasso(tree_samples, r, 0.12)
                 hood = extract_signed_neighborhood(sol, r)
                 truth = {t: (1 if g.coupling(r, t) > 0 else -1) for t in g.neighbors[r]}
                 assert hood.signs == truth
@@ -288,7 +288,7 @@ def test_vertex_labels_match_reduced_coordinates(seed, n, lam, diagonal):
     if diagonal:
         params = RescaledParams(
             matrix=params.matrix + np.diag(rng.normal(size=g.p)), node_scale=params.node_scale)
-    row = params.row_excluding(r)
+    row = np.delete(params.matrix[r], r)
     samples = SampleMatrix(rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, g.p)))
     cfg = SolverConfig(tol=1e-12)
     for data in (tree_moments(g), samples):
