@@ -46,14 +46,13 @@ class RescaledParams:
     """Population regression targets theta_tilde per ordered pair.
 
     matrix[r, t] is the coefficient of spin t when regressing spin r on all
-    others; zero exactly on non-edges. node_scale[r] is the per-vertex
-    prefactor sum_{u in N(r)} 1/(1 - tanh^2 J_ru) - d_r + 1 (also the
-    diagonal of the inverse covariance); matrix[r, t] equals
-    tanh(J_rt) / (1 - tanh^2 J_rt) / node_scale[r] on edges.
+    others; zero exactly on non-edges. On edges it equals
+    tanh(J_rt) / (1 - tanh^2 J_rt) / s_r, where the per-vertex prefactor
+    s_r = sum_{u in N(r)} 1/(1 - tanh^2 J_ru) - d_r + 1 is the diagonal of
+    the inverse covariance.
     """
 
     matrix: np.ndarray
-    node_scale: np.ndarray
 
     @cached_property
     def min_magnitude(self) -> float:
@@ -155,10 +154,9 @@ def rescaled_theta(graph: SignedGraph) -> RescaledParams:
     sparse inverse covariance (theta_tilde[r, t] = -inv[r, t] / inv[r, r]).
     """
     inv = bethe_inverse_covariance(graph)
-    scale = np.diag(inv).copy()
-    matrix = -inv / scale[:, None]
+    matrix = -inv / np.diag(inv)[:, None]
     np.fill_diagonal(matrix, 0.0)
-    return RescaledParams(matrix=matrix, node_scale=scale)
+    return RescaledParams(matrix=matrix)
 
 
 def rescaled_theta_rr(d: int, theta0: float, sign: int = 1) -> float:

@@ -116,10 +116,7 @@ def _cmd_witness(args) -> int:
             raise ValueError("--samples is required unless --population is set")
         data = _load_samples(args.samples)
         lam = _resolve_lambda(args, data.n, data.p)
-    cert = witness.construct_witness(
-        data, args.node, support, params, lam,
-        c_min=args.c_min, alpha=args.alpha,
-    )
+    cert = witness.construct_witness(data, args.node, support, params, lam)
     _write(cert.to_json(), args.output)
     return 0
 
@@ -257,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--node", type=int, required=True)
     w.add_argument("--lambda", dest="lam", type=float)
     w.add_argument("--kappa", type=float)
-    w.add_argument("--c-min", type=float, help="inject a closed-form c_min target")
-    w.add_argument("--alpha", type=float, help="inject a closed-form alpha target")
     w.add_argument("-o", "--output")
     w.set_defaults(func=_cmd_witness)
 

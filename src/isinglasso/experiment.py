@@ -15,7 +15,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -63,8 +63,6 @@ class ExperimentConfig:
     trials: int
     solver: str = "both"
     kappa: float = KAPPA_DEFAULT
-    beta_factor: int | None = None
-    coupling: str | None = None
     coupling_value: float | None = None
     d: int = 3
     master_seed: int = 0
@@ -80,6 +78,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not self.p_list:
+            raise ValueError("p_list must not be empty")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
         betas = tuple(float(b) for b in self.beta_grid)
         if not betas or any(b <= 0 for b in betas):
             raise ValueError("beta grid values must be positive")
@@ -89,7 +91,9 @@ class ExperimentConfig:
         object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
-        SolverConfig(tol=self.solver_tol)  # rejects a bad tolerance before any chain runs
+        # reject bad solver and chain settings before any chain runs
+        SolverConfig(tol=self.solver_tol)
+        SamplerConfig(burn_in_sweeps=self.burn_in_sweeps, thinning_sweeps=self.thinning_sweeps)
 
     @property
     def solvers(self) -> tuple[str, ...]:
@@ -97,12 +101,10 @@ class ExperimentConfig:
 
     @property
     def factor(self) -> int:
-        return self.beta_factor if self.beta_factor is not None else _FAMILY_BETA_FACTOR[self.family]
+        return _FAMILY_BETA_FACTOR[self.family]
 
     def scheme(self) -> CouplingScheme:
         kind, value = _FAMILY_COUPLING[self.family]
-        if self.coupling is not None:
-            kind = self.coupling
         if self.coupling_value is not None:
             value = self.coupling_value
         return CouplingScheme(kind=kind, value=value)
@@ -121,16 +123,23 @@ class ExperimentConfig:
         return max(2, round(beta * self.factor * self.degree_for(p) * math.log(p)))
 
     def to_json(self) -> str:
-        obj = asdict(self)
-        obj["p_list"] = list(self.p_list)
-        obj["beta_grid"] = list(self.beta_grid)
-        return json.dumps(obj, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> ExperimentConfig:
+        """A config from a JSON object; unknown or missing keys and a
+        p_list or beta_grid that is not an array raise ValueError."""
         obj = json.loads(text)
-        obj["p_list"] = tuple(obj["p_list"])
-        obj["beta_grid"] = tuple(obj["beta_grid"])
+        if not isinstance(obj, dict):
+            raise ValueError("a sweep config must be a JSON object")
+        known = {f.name: f.default is MISSING for f in fields(cls)}
+        unknown = sorted(set(obj) - set(known))
+        missing = sorted(key for key, needed in known.items() if needed and key not in obj)
+        if unknown or missing:
+            raise ValueError(f"sweep config: unknown keys {unknown}, missing keys {missing}")
+        for key in ("p_list", "beta_grid"):
+            if not isinstance(obj[key], list):
+                raise ValueError(f"{key} must be a JSON array")
         return cls(**obj)
 
     def digest(self) -> str:

@@ -10,7 +10,6 @@ Provides a heat-bath Gibbs sampler for arbitrary graphs and an exact
 """
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -39,16 +38,12 @@ class SamplerConfig:
         if self.thinning_sweeps < 1:
             raise ValueError("thinning_sweeps must be >= 1")
 
-    def digest(self) -> str:
-        return f"gibbs:burn={self.burn_in_sweeps}:thin={self.thinning_sweeps}:seed={self.seed}"
-
 
 @dataclass(frozen=True)
 class SampleMatrix:
     """n x p matrix of spins in {-1,+1}; immutable once returned."""
 
     data: np.ndarray
-    provenance: str = ""
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -154,8 +149,7 @@ def gibbs_sample(graph: SignedGraph, n: int, config: SamplerConfig) -> SampleMat
         for _ in range(config.thinning_sweeps):
             sweep()
         out[i] = x
-    graph_tag = hashlib.sha256(graph.to_json().encode()).hexdigest()[:12]
-    return SampleMatrix(data=out, provenance=f"{config.digest()}:graph={graph_tag}")
+    return SampleMatrix(data=out)
 
 
 def exact_enumerate(graph: SignedGraph) -> ExactMoments:

@@ -248,13 +248,16 @@ def solve_logistic_l1_batch(
     of the second moment: 1 / lambda_max of that is a valid step for every
     column. Each column keeps its own momentum and gradient-based restart
     (O'Donoghue & Candes 2015), KKT test, divergence guard and iteration
-    count, and leaves the batch once converged.
+    count, and leaves the batch once converged. Raises ValueError for a
+    node outside 0..p-1 or lambda < 0.
     """
     cfg = config or SolverConfig()
+    p = samples.p
+    for r in nodes:
+        check_node(r, p)
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     x = samples.as_float()
-    p = samples.p
     errors: dict[int, ConvergenceError] = {}
     if lam == 0.0:
         for r in nodes:
@@ -324,7 +327,6 @@ def solve_logistic_l1(
     outside 0..p-1 or lambda < 0, and ConvergenceError when coefficients
     diverge, which with lambda = 0 signals separable data.
     """
-    check_node(r, samples.p)
     solutions, errors = solve_logistic_l1_batch(samples, [r], lam, config)
     if r in errors:
         raise errors[r]

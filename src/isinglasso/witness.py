@@ -19,7 +19,6 @@ same code path runs in the population limit (where W vanishes).
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -49,29 +48,26 @@ def _regression_row(theta_tilde: RescaledParams, r: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovarianceReport:
-    """Empirical second-moment matrix for one node with the support-block
-    eigenvalue floor and incoherence norm the recovery conditions are
-    stated in (incoherence inf when the support block is singular)."""
+    """The support-block eigenvalue floor and incoherence norm the recovery
+    conditions are stated in, measured on one node's empirical second
+    moment (incoherence inf when the support block is singular)."""
 
     node: int
     support: tuple[int, ...]
-    q: np.ndarray
     eig_min_ss: float
     incoherence: float
 
 
 def sample_covariance(samples: SampleMatrix, r: int, support) -> CovarianceReport:
-    """Second-moment matrix (1/n) sum_i x_without_r x_without_r^T; its
-    diagonal is exactly 1 for +/-1 data."""
-    second = samples.second_moment()
+    """Recovery conditions of node r's support block on the sample second
+    moment (1/n) sum_i x_i x_i^T."""
     try:
-        eig_min_ss, inc = support_conditions(second, r, support)  # validates r
+        eig_min_ss, inc = support_conditions(samples.second_moment(), r, support)  # validates r
     except SingularMatrixError as exc:
         eig_min_ss, inc = exc.min_eigenvalue, float("inf")
     return CovarianceReport(
         node=r,
         support=tuple(sorted(int(v) for v in support)),
-        q=np.delete(np.delete(second, r, axis=0), r, axis=1),
         eig_min_ss=eig_min_ss,
         incoherence=inc,
     )
@@ -97,7 +93,8 @@ def compute_noise_vector(
 
     No per-sample Z matrix is formed: W = b - Q theta_tilde from the shared
     second moment, and since |x_s_i| = 1, |Z_s_i| = |resid_i| for every s,
-    where resid = x_r - <theta_tilde, x>, so E[Z_s^2] = mean(resid^2).
+    where resid = x_r - <theta_tilde, x>, so E[Z_s^2] = mean(resid^2). The
+    residual reads only the columns theta_tilde_r touches, r included.
     """
     if theta_tilde.matrix.shape[0] != samples.p:
         raise ValueError(
@@ -109,7 +106,8 @@ def compute_noise_vector(
     w = np.delete(second[:, r] - second @ tt, r)
     coef = -tt
     coef[r] = 1.0
-    resid = samples.as_float() @ coef
+    cols = np.flatnonzero(coef)
+    resid = samples.data[:, cols] @ coef[cols]
     return NoiseVector(
         node=r,
         w=w,
@@ -167,8 +165,6 @@ class WitnessCertificate:
     w_sc_inf: float
     kkt_residual_s: float
     solver_tol: float
-    c_min: float
-    alpha: float
     c_min_measured: float
     alpha_measured: float
     half_theta_tilde_min: float
@@ -191,7 +187,7 @@ class WitnessCertificate:
 
     @property
     def l2_bound(self) -> float:
-        return 3.0 * self.lam * math.sqrt(len(self.support)) / self.c_min
+        return 3.0 * self.lam * math.sqrt(len(self.support)) / self.c_min_measured
 
     @property
     def linf_error(self) -> float:
@@ -233,8 +229,6 @@ class WitnessCertificate:
                 "w_s_inf": self.w_s_inf,
                 "w_sc_inf": self.w_sc_inf,
                 "kkt_residual_s": self.kkt_residual_s,
-                "c_min": self.c_min,
-                "alpha": self.alpha,
                 "c_min_measured": self.c_min_measured,
                 "alpha_measured": self.alpha_measured,
                 "l2_error": self.l2_error,
@@ -254,15 +248,13 @@ def construct_witness(
     theta_tilde: RescaledParams,
     lam: float,
     config: SolverConfig | None = None,
-    c_min: float | None = None,
-    alpha: float | None = None,
 ) -> WitnessCertificate:
     """Build the primal-dual witness for node r on the given support.
 
-    c_min / alpha default to the quantities measured on the supplied data;
-    pass closed-form targets to check against theory instead. Raises
-    SingularMatrixError when the support block is singular and ValueError
-    for lambda <= 0, an empty support or r outside 0..p-1.
+    c_min and alpha are measured on the supplied data; check_conditions
+    compares them with closed-form targets. Raises SingularMatrixError
+    when the support block is singular and ValueError for lambda <= 0, an
+    empty support or r outside 0..p-1.
     """
     if lam <= 0:
         raise ValueError("witness construction needs lambda > 0")
@@ -300,8 +292,6 @@ def construct_witness(
         w_sc_inf=float(np.abs(w[off]).max()) if off.any() else 0.0,
         kkt_residual_s=sol.kkt_residual,
         solver_tol=cfg.tol,
-        c_min=c_min if c_min is not None else eig_min,
-        alpha=alpha if alpha is not None else alpha_measured,
         c_min_measured=eig_min,
         alpha_measured=alpha_measured,
         half_theta_tilde_min=theta_tilde.min_magnitude / 2.0,
@@ -379,8 +369,6 @@ def tail_rate_probe(
     n_grid,
     trials: int,
     c: float,
-    node: int | None = None,
-    alpha: float | None = None,
     sampler: SamplerConfig | None = None,
     seed: int = 0,
 ) -> list[ProbeRow]:
@@ -388,8 +376,10 @@ def tail_rate_probe(
     scaled noise (2-alpha)/lambda * sup|W| reaches alpha/2, next to its
     theoretical ceiling 2 exp(-c log p).
 
-    lambda is set at the concentration statement's own floor. Rows with
-    n < (c+1) d^2 log p are flagged as outside the statement's premise.
+    The probe node is the first max-degree vertex, and alpha is its
+    population incoherence margin. lambda is set at the concentration
+    statement's own floor. Rows with n < (c+1) d^2 log p are flagged as
+    outside the statement's premise.
     """
     if trials < 0:
         raise ValueError("trials must be >= 0")
@@ -397,11 +387,8 @@ def tail_rate_probe(
         return []
     p = graph.p
     d = graph.max_degree
-    if node is None:
-        node = int(np.argmax(graph.degrees))
-    if alpha is None:
-        # population incoherence margin at the probe node
-        alpha = 1.0 - support_conditions(tree_covariance(graph), node, graph.neighbors[node])[1]
+    node = int(np.argmax(graph.degrees))
+    alpha = 1.0 - support_conditions(tree_covariance(graph), node, graph.neighbors[node])[1]
     base = sampler or SamplerConfig()
     bound = 2.0 * math.exp(-c * math.log(p))
     precondition_n = (c + 1.0) * d * d * math.log(p)
@@ -439,19 +426,3 @@ def tail_rate_probe(
             )
         )
     return rows
-
-
-def probe_rows_to_csv(rows: list[ProbeRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "lambda", "empirical_prob", "bound", "trials"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.n,
-                    format(row.lam, ".17g"),
-                    format(row.empirical_prob, ".17g"),
-                    format(row.bound, ".17g"),
-                    row.trials,
-                ]
-            )

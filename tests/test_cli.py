@@ -234,16 +234,18 @@ class TestWitnessCommand:
         assert "out of range" in payload["message"]
 
 
+_SWEEP_CONFIG = {
+    "family": "rr", "p_list": [8], "beta_grid": [0.5, 1.0], "trials": 2,
+    "solver": "lasso", "kappa": 2.0, "master_seed": 5,
+    "burn_in_sweeps": 50, "thinning_sweeps": 1, "solver_tol": 1e-6,
+}
+
+
 class TestExperimentCommand:
     @pytest.fixture
     def cfg_path(self, tmp_path):
-        cfg = {
-            "family": "rr", "p_list": [8], "beta_grid": [0.5, 1.0], "trials": 2,
-            "solver": "lasso", "kappa": 2.0, "master_seed": 5,
-            "burn_in_sweeps": 50, "thinning_sweeps": 1, "solver_tol": 1e-6,
-        }
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(_SWEEP_CONFIG))
         return path
 
     def test_sweep_outputs(self, tmp_path, capsys, cfg_path):
@@ -279,3 +281,25 @@ class TestExperimentCommand:
         code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
         assert code == 1
         assert "increasing" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({**_SWEEP_CONFIG, "beta_factor": 10}, "unknown keys ['beta_factor']"),
+        ({**_SWEEP_CONFIG, "coupling": "uniform"}, "unknown keys ['coupling']"),
+        ({k: v for k, v in _SWEEP_CONFIG.items() if k != "trials"}, "missing keys ['trials']"),
+        ({**_SWEEP_CONFIG, "p_list": "32"}, "p_list must be a JSON array"),
+        ({**_SWEEP_CONFIG, "beta_grid": 1.0}, "beta_grid must be a JSON array"),
+        ([_SWEEP_CONFIG], "must be a JSON object"),
+    ])
+    def test_bad_config_json_error(self, tmp_path, capsys, cfg, message):
+        """A config the sweep cannot run is one JSON ValueError, not a
+        traceback or a quietly different sweep."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path),
+                                 "--output-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert message in payload["message"]
+        assert not (tmp_path / "out").exists()

@@ -59,6 +59,14 @@ class TestConfig:
         for tol in (-1.0, 0.0, math.nan):
             with pytest.raises(ValueError, match="tol"):
                 tiny_config(solver_tol=tol)
+        with pytest.raises(ValueError, match="thinning_sweeps"):
+            tiny_config(thinning_sweeps=0)
+        with pytest.raises(ValueError, match="burn_in_sweeps"):
+            tiny_config(burn_in_sweeps=-1)
+        with pytest.raises(ValueError, match="p_list"):
+            tiny_config(p_list=())
+        with pytest.raises(ValueError, match="workers"):
+            tiny_config(workers=0)
 
     def test_sample_size_rule(self):
         cfg = tiny_config()

@@ -138,6 +138,15 @@ class TestNodeCheck:
             solve(samples, 1, -0.1)
 
 
+@pytest.mark.parametrize("r", [-1, 5])
+def test_batch_node_out_of_range_rejected(r):
+    """The logistic batch checks every node it is given, not only the one
+    node solve_logistic_l1 passes it."""
+    samples = random_samples(np.random.default_rng(18), 5, 20)
+    with pytest.raises(ValueError, match=f"node {r} out of range for p = 5"):
+        solve_logistic_l1_batch(samples, [0, r], 0.1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -211,7 +220,7 @@ class TestRestricted:
 
     @staticmethod
     def _zero_params(p):
-        return RescaledParams(matrix=np.zeros((p, p)), node_scale=np.ones(p))
+        return RescaledParams(matrix=np.zeros((p, p)))
 
     def test_full_support_equals_unrestricted(self):
         rng = np.random.default_rng(11)

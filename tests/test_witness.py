@@ -29,7 +29,6 @@ from isinglasso.witness import (
     compute_noise_vector,
     construct_witness,
     enumerate_z_statistics,
-    probe_rows_to_csv,
     sample_covariance,
     tail_bound_lambda,
     tail_rate_probe,
@@ -57,24 +56,26 @@ def tree_samples(tree_fixture):
 
 class TestSampleCovariance:
     def test_unit_diagonal(self, tree_samples):
-        report = sample_covariance(tree_samples, 0, [1])
-        assert np.abs(np.diag(report.q) - 1.0).max() == 0.0
+        assert np.abs(np.diag(tree_samples.second_moment()) - 1.0).max() == 0.0
+        # a one-vertex support block is that unit diagonal entry
+        assert sample_covariance(tree_samples, 0, [1]).eig_min_ss == 1.0
 
     def test_single_sample_rank_one(self):
         samples = SampleMatrix(np.array([[1, -1, 1, -1]], dtype=np.int8))
-        report = sample_covariance(samples, 0, [1])
-        eigs = np.linalg.eigvalsh(report.q)
-        assert abs(eigs.max() - 3.0) < 1e-12  # rank one: trace concentrates
+        eigs = np.linalg.eigvalsh(samples.second_moment())
+        assert abs(eigs.max() - 4.0) < 1e-12  # rank one: trace concentrates
         assert abs(eigs[:-1]).max() < 1e-12
+        # so any two-vertex support block is singular
+        report = sample_covariance(samples, 0, [1, 2])
+        assert abs(report.eig_min_ss) < 1e-12 and report.incoherence == math.inf
 
     def test_edge_pair_near_population(self, tree_fixture, tree_samples):
         g, _ = tree_fixture
         r = 0
         t = g.neighbors[r][0]
         report = sample_covariance(tree_samples, r, g.neighbors[r])
-        j = t - 1 if t > r else t
         target = math.copysign(math.tanh(0.4), g.coupling(r, t))
-        assert abs(report.q[j, j] - 1.0) == 0.0
+        assert report.support == tuple(sorted(g.neighbors[r]))
         b = tree_samples.as_float()
         emp = float((b[:, r] * b[:, t]).mean())
         assert abs(emp - target) < 0.05
@@ -147,7 +148,7 @@ class TestZEnumeration:
                  (random_paramagnetic_tree(rng, p_max=9) for _ in range(3))]
         # an arbitrary regression row, where E[Z] is not zero
         g = cases[0][0]
-        cases.append((g, RescaledParams(matrix=rng.normal(size=(g.p, g.p)), node_scale=np.ones(g.p))))
+        cases.append((g, RescaledParams(matrix=rng.normal(size=(g.p, g.p)))))
         for g, params in cases:
             for r in range(g.p):
                 stats = enumerate_z_statistics(g, r, params)
@@ -246,17 +247,6 @@ class TestWitnessConstruction:
         with pytest.raises(SingularMatrixError):
             construct_witness(one, 0, g.neighbors[0], params, lam=0.1)
 
-    def test_injected_targets(self, tree_fixture):
-        g, params = tree_fixture
-        moments = tree_moments(g)
-        consts = rr_constants(3, 0.4)
-        cert = construct_witness(
-            moments, 0, g.neighbors[0], params, lam=0.02,
-            c_min=consts.c_min, alpha=consts.alpha,
-        )
-        assert cert.c_min == consts.c_min
-        assert cert.alpha == consts.alpha
-
     def test_json_payload(self, tree_fixture):
         g, params = tree_fixture
         cert = construct_witness(tree_moments(g), 0, g.neighbors[0], params, lam=0.02)
@@ -286,8 +276,7 @@ def test_vertex_labels_match_reduced_coordinates(seed, n, lam, diagonal):
     support = rng.choice(others, size=int(rng.integers(1, g.p)), replace=False).tolist()
     params = rescaled_theta(g)
     if diagonal:
-        params = RescaledParams(
-            matrix=params.matrix + np.diag(rng.normal(size=g.p)), node_scale=params.node_scale)
+        params = RescaledParams(matrix=params.matrix + np.diag(rng.normal(size=g.p)))
     row = np.delete(params.matrix[r], r)
     samples = SampleMatrix(rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, g.p)))
     cfg = SolverConfig(tol=1e-12)
@@ -338,19 +327,14 @@ class TestConditionChecks:
         interior = [r for r in range(g.p) if g.degrees[r] == 3][0]
         # population report computed from exact second moments
         second = moments.second_moment()
-        q = np.delete(np.delete(second, interior, 0), interior, 1)
         from isinglasso.bethe import support_conditions
         from isinglasso.witness import CovarianceReport
-        from oracles import reduced_support
 
-        s_idx = reduced_support(g.neighbors[interior], g.p, interior)
-        mask = np.zeros(g.p - 1, dtype=bool)
-        mask[s_idx] = True
+        s = sorted(g.neighbors[interior])
         report = CovarianceReport(
             node=interior,
             support=tuple(g.neighbors[interior]),
-            q=q,
-            eig_min_ss=float(np.linalg.eigvalsh(q[np.ix_(mask, mask)]).min()),
+            eig_min_ss=float(np.linalg.eigvalsh(second[np.ix_(s, s)]).min()),
             incoherence=support_conditions(second, interior, g.neighbors[interior])[1],
         )
         consts = rr_constants(3, 0.4)
@@ -398,7 +382,7 @@ class TestTailProbe:
             - 4 * math.sqrt(1.5) * 3.0 * math.sqrt(math.log(32) / 100)
         ) < 1e-12
 
-    def test_probe_rows_and_csv(self, tree_fixture, tmp_path):
+    def test_probe_rows_and_csv(self, tree_fixture):
         g, params = tree_fixture
         cfg = SamplerConfig(burn_in_sweeps=100, thinning_sweeps=1)
         rows = tail_rate_probe(g, params, [20, 200], trials=8, c=0.5, sampler=cfg, seed=5)
@@ -407,7 +391,3 @@ class TestTailProbe:
         assert rows[1].within_precondition
         assert all(0 <= row.empirical_prob <= 1 for row in rows)
         assert all(abs(row.bound - 2 * 12 ** -0.5) < 1e-12 for row in rows)
-        path = tmp_path / "probe.csv"
-        probe_rows_to_csv(rows, str(path))
-        header = path.read_text().splitlines()[0]
-        assert header == "n,lambda,empirical_prob,bound,trials"
