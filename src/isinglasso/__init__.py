@@ -9,7 +9,6 @@ from .bethe import (
     ThresholdReport,
     bethe_inverse_covariance,
     rescaled_theta,
-    rescaled_theta_rr,
     rr_constants,
     support_conditions,
     theorem_thresholds,
@@ -34,8 +33,6 @@ from .graphs import (
     generate_random_regular,
     generate_random_tree,
     generate_star,
-    path_length,
-    signed_edge_set,
 )
 from .sampler import (
     ExactMoments,

@@ -159,17 +159,6 @@ def rescaled_theta(graph: SignedGraph) -> RescaledParams:
     return RescaledParams(matrix=matrix)
 
 
-def rescaled_theta_rr(d: int, theta0: float, sign: int = 1) -> float:
-    """Rescaled coupling magnitude on a degree-d regular graph with uniform
-    |J| = theta0: sign * tanh(theta0) / (1 + (d-1) tanh^2(theta0))."""
-    if d < 3:
-        raise ValueError("degree must be >= 3")
-    if theta0 <= 0:
-        raise ValueError("theta0 must be positive")
-    th = math.tanh(theta0)
-    return sign * th / (1.0 + (d - 1) * th * th)
-
-
 def rr_constants(d: int, theta0: float) -> RRConstants:
     """Closed-form theory constants for degree-d regular graphs.
 
@@ -177,6 +166,8 @@ def rr_constants(d: int, theta0: float) -> RRConstants:
     constant off-diagonal tanh^2(theta0), hence exactly two eigenvalues:
     1 - tanh^2 (multiplicity d-1, the floor c_min) and 1 + (d-1) tanh^2.
     The incoherence norm equals tanh(theta0), giving alpha = 1 - tanh(theta0).
+    A degree-d vertex regressed on the rest has coefficient magnitude
+    theta_tilde_rr = tanh(theta0) / (1 + (d-1) tanh^2) on every neighbor.
     """
     if d < 3:
         raise ValueError("degree must be >= 3")
@@ -189,25 +180,8 @@ def rr_constants(d: int, theta0: float) -> RRConstants:
         c_min=1.0 - th * th,
         alpha=1.0 - th,
         lambda_max_qss=1.0 + (d - 1) * th * th,
-        theta_tilde_rr=rescaled_theta_rr(d, theta0),
+        theta_tilde_rr=th / (1.0 + (d - 1) * th * th),
     )
-
-
-def rr_support_block(d: int, theta0: float) -> np.ndarray:
-    """Explicit d x d support covariance block of a degree-d regular graph:
-    unit diagonal, tanh^2(theta0) off-diagonal."""
-    th2 = math.tanh(theta0) ** 2
-    return np.full((d, d), th2) + (1.0 - th2) * np.eye(d)
-
-
-def rr_neighbor_row(d: int, theta0: float) -> np.ndarray:
-    """Worst-case cross-covariance row for the incoherence norm on a
-    degree-d regular graph: one entry tanh(theta0) (the adjacent support
-    vertex) and d-1 entries tanh^3(theta0) (distance three)."""
-    th = math.tanh(theta0)
-    row = np.full(d, th**3)
-    row[0] = th
-    return row
 
 
 def support_conditions(

@@ -102,8 +102,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_witness(args) -> int:
     g = _load_graph(args.graph)
-    if not 0 <= args.node < g.p:
-        raise ValueError(f"--node {args.node} out of range for p = {g.p}")
+    graphs.check_node(args.node, g.p)
     params = bethe.rescaled_theta(g)
     support = g.neighbors[args.node]
     if args.population:

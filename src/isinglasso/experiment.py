@@ -53,6 +53,12 @@ _FAMILY_COUPLING = {
     "star_log": ("degree_scaled", 1.2),
     "tree": ("mixed", 0.4),
 }
+# the JSON kind each sweep-config key holds (the entries, for the arrays)
+_JSON_KINDS = {
+    "family": str, "solver": str, "p_list": int, "beta_grid": float, "trials": int,
+    "kappa": float, "coupling_value": float, "d": int, "master_seed": int,
+    "burn_in_sweeps": int, "thinning_sweeps": int, "solver_tol": float, "workers": int,
+}
 
 
 @dataclass(frozen=True)
@@ -91,7 +97,8 @@ class ExperimentConfig:
         object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
-        # reject bad solver and chain settings before any chain runs
+        # reject bad coupling, solver and chain settings before any chain runs
+        self.scheme()
         SolverConfig(tol=self.solver_tol)
         SamplerConfig(burn_in_sweeps=self.burn_in_sweeps, thinning_sweeps=self.thinning_sweeps)
 
@@ -127,8 +134,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> ExperimentConfig:
-        """A config from a JSON object; unknown or missing keys and a
-        p_list or beta_grid that is not an array raise ValueError."""
+        """A config from a JSON object; unknown or missing keys, a p_list or
+        beta_grid that is not an array, and a value (or array entry) of the
+        wrong JSON kind raise ValueError. A bool is neither an integer nor a
+        number, and an integer is a number."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("a sweep config must be a JSON object")
@@ -140,6 +149,15 @@ class ExperimentConfig:
         for key in ("p_list", "beta_grid"):
             if not isinstance(obj[key], list):
                 raise ValueError(f"{key} must be a JSON array")
+        for key, value in obj.items():
+            if key == "coupling_value" and value is None:
+                continue  # the family's default
+            kind = _JSON_KINDS[key]
+            allowed = (int, float) if kind is float else kind
+            for v in value if key in ("p_list", "beta_grid") else [value]:
+                if isinstance(v, bool) or not isinstance(v, allowed):
+                    name = {str: "string", int: "integer", float: "number"}[kind]
+                    raise ValueError(f"{key}: expected a JSON {name}, got {v!r}")
         return cls(**obj)
 
     def digest(self) -> str:
@@ -155,10 +173,8 @@ def build_graph(config: ExperimentConfig, p: int, graph_seed: int, coupling_seed
         if side * side != p:
             raise ValueError(f"grid family needs a square p, got {p}")
         g = generate_grid_periodic(side, side)
-    elif config.family == "star_linear":
-        g = generate_star(p, math.ceil(0.1 * p))
-    elif config.family == "star_log":
-        g = generate_star(p, math.ceil(math.log(p)))
+    elif config.family in ("star_linear", "star_log"):
+        g = generate_star(p, config.degree_for(p))
     else:
         g = generate_random_tree(p, config.d, graph_seed)
     return assign_couplings(g, config.scheme(), coupling_seed)

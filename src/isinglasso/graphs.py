@@ -24,6 +24,11 @@ def _canonical_edge(r: int, t: int) -> Edge:
     return (r, t) if r < t else (t, r)
 
 
+def _json_is(value, kind) -> bool:
+    """isinstance for a value read from JSON, where a bool is no number."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CouplingScheme:
     """How coupling values are assigned to edges.
@@ -86,10 +91,6 @@ class SignedGraph:
         # canonical storage order for deterministic serialization
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
 
-    @property
-    def has_couplings(self) -> bool:
-        return bool(self.couplings) or not self.edges
-
     @cached_property
     def degrees(self) -> np.ndarray:
         deg = np.zeros(self.p, dtype=np.int64)
@@ -142,7 +143,7 @@ class SignedGraph:
         return True
 
     def _require_couplings(self):
-        if not self.has_couplings:
+        if self.edges and not self.couplings:
             raise ValueError("graph has no couplings assigned")
 
     def to_json(self) -> str:
@@ -154,15 +155,23 @@ class SignedGraph:
 
     @classmethod
     def from_json(cls, text: str) -> SignedGraph:
+        """A graph from {"p": p, "edges": [[r, t, coupling or null], ...]}
+        with integer p and labels; any other shape raises ValueError."""
         obj = json.loads(text)
-        edges = []
-        couplings = {}
+        if not isinstance(obj, dict) or "p" not in obj or "edges" not in obj:
+            raise ValueError('a graph must be a JSON object with keys "p" and "edges"')
+        if not _json_is(obj["p"], int) or not isinstance(obj["edges"], list):
+            raise ValueError("a graph needs an integer p and an array of edges")
+        edges, couplings = [], {}
         for row in obj["edges"]:
+            if not (isinstance(row, list) and len(row) == 3 and _json_is(row[0], int)
+                    and _json_is(row[1], int) and (row[2] is None or _json_is(row[2], (int, float)))):
+                raise ValueError(f"edge row {row!r} is not [r, t, coupling or null]")
             r, t, j = row
-            edges.append((int(r), int(t)))
+            edges.append((r, t))
             if j is not None:
-                couplings[(int(r), int(t))] = float(j)
-        return cls(p=int(obj["p"]), edges=tuple(edges), couplings=couplings)
+                couplings[(r, t)] = float(j)
+        return cls(p=obj["p"], edges=tuple(edges), couplings=couplings)
 
 
 def generate_random_regular(p: int, d: int, seed: int) -> SignedGraph:
@@ -306,12 +315,6 @@ def assign_couplings(graph: SignedGraph, scheme: CouplingScheme, seed: int = 0) 
     return SignedGraph(p=graph.p, edges=graph.edges, couplings=couplings)
 
 
-def signed_edge_set(graph: SignedGraph) -> dict[Edge, int]:
-    """Map each edge to the sign of its coupling."""
-    graph._require_couplings()
-    return {e: (1 if j > 0 else -1) for e, j in sorted(graph.couplings.items())}
-
-
 def signed_neighborhood_sets(graph: SignedGraph) -> dict[int, dict[int, int]]:
     """Per-vertex signed neighborhoods {r: {t: sign(J_rt)}}; isolated
     vertices map to empty dicts."""
@@ -343,22 +346,3 @@ def support_vertices(support, p: int, r: int) -> np.ndarray:
         if not 0 <= v < p:
             raise ValueError(f"support vertex {v} out of range")
     return np.asarray(labels, dtype=np.int64)
-
-
-def path_length(graph: SignedGraph, r: int, t: int) -> int | None:
-    """Shortest-path edge count between r and t; None if unreachable."""
-    if r == t:
-        raise ValueError("endpoints must differ")
-    if not (0 <= r < graph.p and 0 <= t < graph.p):
-        raise ValueError("vertex index out of range")
-    dist = {r: 0}
-    queue = deque([r])
-    while queue:
-        v = queue.popleft()
-        if v == t:
-            return dist[v]
-        for u in graph.neighbors[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return None

@@ -72,7 +72,6 @@ class LassoSolution:
     iterations: int
     objective: float
     lam: float
-    maybe_nonunique: bool = False
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ def _quadratic_loss(gram, linear, theta) -> float:
     return 0.5 * float(theta @ (gram @ theta)) - float(linear @ theta) + 0.5
 
 
-def _finalize(theta, grad, loss, lam, iterations, support_idx, nonunique=False):
+def _finalize(theta, grad, loss, lam, iterations, support_idx):
     """Solution record from the final iterate and the gradient of its smooth
     loss, shared by the Lasso and the logistic solver."""
     if lam > 0:
@@ -119,7 +118,6 @@ def _finalize(theta, grad, loss, lam, iterations, support_idx, nonunique=False):
         iterations=iterations,
         objective=loss + lam * float(np.abs(theta).sum()),
         lam=lam,
-        maybe_nonunique=nonunique,
     )
 
 
@@ -188,13 +186,8 @@ def lasso_cd_gram(
                 f"(residual {kkt:.3e})",
                 kkt_residual=kkt,
             )
-    nonunique = False
-    if lam == 0.0:
-        block = gram[np.ix_(support_idx, support_idx)]
-        nonunique = float(np.linalg.eigvalsh(block).min()) < 1e-10
     return _finalize(
-        theta, grad, _quadratic_loss(gram, linear, theta), lam, iterations,
-        support_idx, nonunique,
+        theta, grad, _quadratic_loss(gram, linear, theta), lam, iterations, support_idx
     )
 
 

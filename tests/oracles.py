@@ -40,6 +40,23 @@ def brute_force_lasso_objective(gram, linear, lam, constant=0.5):
     return best
 
 
+def rr_support_block(d: int, theta0: float) -> np.ndarray:
+    """Explicit d x d support covariance block of a degree-d regular graph:
+    unit diagonal, tanh^2(theta0) off-diagonal."""
+    th2 = math.tanh(theta0) ** 2
+    return np.full((d, d), th2) + (1.0 - th2) * np.eye(d)
+
+
+def rr_neighbor_row(d: int, theta0: float) -> np.ndarray:
+    """Worst-case cross-covariance row for the incoherence norm on a
+    degree-d regular graph: one entry tanh(theta0) (the adjacent support
+    vertex) and d-1 entries tanh^3(theta0) (distance three)."""
+    th = math.tanh(theta0)
+    row = np.full(d, th**3)
+    row[0] = th
+    return row
+
+
 def logistic_grad_oracle(x, y, theta, pinned):
     """Gradient of the mean log-loss (1/n) sum_i log(1 + exp(-2 y_ik <theta_k, x_i>))
     at every column k of theta, term by term from d/du log(1 + exp(-2yu)) =

@@ -15,8 +15,6 @@ from isinglasso.bethe import (
     SingularMatrixError,
     rescaled_theta,
     rr_constants,
-    rr_neighbor_row,
-    rr_support_block,
     theorem_thresholds,
     tree_moments,
 )
@@ -37,7 +35,7 @@ from isinglasso.sampler import SamplerConfig, exact_enumerate, gibbs_sample
 from isinglasso.solvers import SolverConfig, lasso_cd_gram, extract_signed_neighborhood
 from isinglasso.witness import construct_witness, enumerate_z_statistics, tail_rate_probe
 from conftest import random_paramagnetic_tree
-from oracles import brute_force_lasso_objective
+from oracles import brute_force_lasso_objective, rr_neighbor_row, rr_support_block
 
 
 def report(n: int, ok: bool, detail: str) -> None:

@@ -6,7 +6,10 @@ returns the support-block eigenvalue floor and the incoherence norm from
 one eigensolve. `NeighborhoodProblem` and `solve_lasso_restricted` were
 removed: `solve_lasso(samples, r, lam)` and `solve_logistic_l1(samples, r,
 lam)` are the per-node calls, and the witness's `lasso_cd_gram(support=)`
-is the one restricted Lasso.
+is the one restricted Lasso. `path_length` and `signed_edge_set` were
+removed: no library code, CLI command or benchmark called them.
+`rescaled_theta_rr` was folded into `rr_constants`, whose `theta_tilde_rr`
+field holds the same magnitude.
 """
 import types
 
@@ -50,15 +53,12 @@ EXPORTED = {
     "generate_star",
     "gibbs_sample",
     "lambda_from_kappa",
-    "path_length",
     "recover_graph",
     "rescaled_theta",
-    "rescaled_theta_rr",
     "rr_constants",
     "run_sweep",
     "run_trial",
     "sample_covariance",
-    "signed_edge_set",
     "solve_lasso",
     "solve_logistic_l1",
     "support_conditions",

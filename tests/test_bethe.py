@@ -8,10 +8,7 @@ from isinglasso.bethe import (
     SingularMatrixError,
     bethe_inverse_covariance,
     rescaled_theta,
-    rescaled_theta_rr,
     rr_constants,
-    rr_neighbor_row,
-    rr_support_block,
     support_conditions,
     theorem_thresholds,
     tree_covariance,
@@ -26,26 +23,27 @@ from isinglasso.graphs import (
 )
 from isinglasso.sampler import exact_enumerate
 from conftest import random_paramagnetic_tree
+from oracles import rr_neighbor_row, rr_support_block
 
 
 class TestRescaledClosedForm:
     def test_rr_value(self):
-        assert abs(rescaled_theta_rr(3, 0.4) - 0.294826) < 1e-6
-        assert abs(rescaled_theta_rr(4, 0.2) - 0.176722) < 1e-6
+        assert abs(rr_constants(3, 0.4).theta_tilde_rr - 0.294826) < 1e-6
+        assert abs(rr_constants(4, 0.2).theta_tilde_rr - 0.176722) < 1e-6
 
     def test_sign_passthrough(self):
-        assert rescaled_theta_rr(3, 0.4, sign=-1) < 0
+        assert -1 * rr_constants(3, 0.4).theta_tilde_rr < 0
 
     def test_small_coupling_limit(self):
         theta0 = 1e-4
-        assert abs(rescaled_theta_rr(3, theta0) - theta0) / theta0 < 1e-6
+        assert abs(rr_constants(3, theta0).theta_tilde_rr - theta0) / theta0 < 1e-6
 
     def test_interior_vertex_matches_closed_form(self, regular_tree):
         params = rescaled_theta(regular_tree)
         interior = [r for r in range(regular_tree.p) if regular_tree.degrees[r] == 3]
         r = interior[0]
         t = regular_tree.neighbors[r][0]
-        expected = rescaled_theta_rr(3, 0.4, sign=int(np.sign(regular_tree.coupling(r, t))))
+        expected = np.sign(regular_tree.coupling(r, t)) * rr_constants(3, 0.4).theta_tilde_rr
         assert abs(params.matrix[r, t] - expected) < 1e-12
 
     def test_leaf_vertex_is_tanh(self, regular_tree):

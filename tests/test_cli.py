@@ -175,6 +175,16 @@ class TestTheoryCommand:
         assert obj["thresholds"]["pass"] is True
         assert abs(obj["theta_tilde"]["min_magnitude"] - 0.294826) < 1e-6
 
+    def test_malformed_graph_json_error(self, tmp_path, capsys):
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"p": 3}))
+        code, out, err = run_cli(capsys, "theory", "--graph", str(graph))
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert '"edges"' in payload["message"]
+
     def test_cyclic_graph_rejected(self, tmp_path, capsys):
         out = tmp_path / "grid.json"
         run_cli(capsys, "graph", "--family", "grid", "--rows", "3", "--cols", "3",
@@ -289,6 +299,23 @@ class TestExperimentCommand:
         ({**_SWEEP_CONFIG, "p_list": "32"}, "p_list must be a JSON array"),
         ({**_SWEEP_CONFIG, "beta_grid": 1.0}, "beta_grid must be a JSON array"),
         ([_SWEEP_CONFIG], "must be a JSON object"),
+        ({**_SWEEP_CONFIG, "trials": "2"}, "trials: expected a JSON integer"),
+        ({**_SWEEP_CONFIG, "trials": True}, "trials: expected a JSON integer"),
+        ({**_SWEEP_CONFIG, "workers": 1.5}, "workers: expected a JSON integer"),
+        ({**_SWEEP_CONFIG, "d": 3.0}, "d: expected a JSON integer"),
+        ({**_SWEEP_CONFIG, "master_seed": None}, "master_seed: expected a JSON integer"),
+        ({**_SWEEP_CONFIG, "burn_in_sweeps": "50"}, "burn_in_sweeps: expected a JSON integer"),
+        ({**_SWEEP_CONFIG, "thinning_sweeps": 1.5}, "thinning_sweeps: expected a JSON integer"),
+        ({**_SWEEP_CONFIG, "p_list": [8.7]}, "p_list: expected a JSON integer"),
+        ({**_SWEEP_CONFIG, "p_list": [8, True]}, "p_list: expected a JSON integer"),
+        ({**_SWEEP_CONFIG, "kappa": "2"}, "kappa: expected a JSON number"),
+        ({**_SWEEP_CONFIG, "kappa": False}, "kappa: expected a JSON number"),
+        ({**_SWEEP_CONFIG, "solver_tol": "1e-6"}, "solver_tol: expected a JSON number"),
+        ({**_SWEEP_CONFIG, "coupling_value": "0.4"}, "coupling_value: expected a JSON number"),
+        ({**_SWEEP_CONFIG, "beta_grid": ["1"]}, "beta_grid: expected a JSON number"),
+        ({**_SWEEP_CONFIG, "family": ["rr"]}, "family: expected a JSON string"),
+        ({**_SWEEP_CONFIG, "solver": 1}, "solver: expected a JSON string"),
+        ({**_SWEEP_CONFIG, "coupling_value": -0.4}, "coupling magnitude must be positive"),
     ])
     def test_bad_config_json_error(self, tmp_path, capsys, cfg, message):
         """A config the sweep cannot run is one JSON ValueError, not a

@@ -67,6 +67,13 @@ class TestConfig:
             tiny_config(p_list=())
         with pytest.raises(ValueError, match="workers"):
             tiny_config(workers=0)
+        with pytest.raises(ValueError, match="positive"):
+            tiny_config(coupling_value=-0.4)  # at construction, before any trial
+
+    def test_from_json_takes_integers_as_numbers(self):
+        obj = json.loads(tiny_config().to_json())
+        cfg = ExperimentConfig.from_json(json.dumps({**obj, "kappa": 2, "beta_grid": [1, 2]}))
+        assert cfg.kappa == 2 and cfg.beta_grid == (1.0, 2.0) and cfg.coupling_value is None
 
     def test_sample_size_rule(self):
         cfg = tiny_config()
@@ -92,7 +99,7 @@ class TestBuildGraph:
     def test_families(self):
         cfg = tiny_config()
         g = build_graph(cfg, 8, graph_seed=1, coupling_seed=2)
-        assert g.max_degree == 3 and g.has_couplings
+        assert g.max_degree == 3 and g.couplings
         grid_cfg = tiny_config(family="grid", p_list=(9,))
         g2 = build_graph(grid_cfg, 9, 1, 2)
         assert g2.max_degree == 4
@@ -104,6 +111,11 @@ class TestBuildGraph:
         tree_cfg = tiny_config(family="tree")
         g4 = build_graph(tree_cfg, 8, 1, 2)
         assert g4.is_acyclic()
+
+    @pytest.mark.parametrize("p", [16, 200])
+    def test_star_log_hub_degree(self, p):
+        cfg = tiny_config(family="star_log", p_list=(p,))
+        assert build_graph(cfg, p, 1, 2).degrees[0] == cfg.degree_for(p)
 
     def test_grid_requires_square(self):
         cfg = tiny_config(family="grid", p_list=(12,))

@@ -13,8 +13,6 @@ from isinglasso.graphs import (
     generate_random_regular,
     generate_random_tree,
     generate_star,
-    path_length,
-    signed_edge_set,
     signed_neighborhood_sets,
 )
 
@@ -203,30 +201,10 @@ class TestCouplings:
 
 
 class TestSignedEdgeSet:
-    def test_signs(self):
-        g = SignedGraph(p=3, edges=((0, 1), (1, 2)), couplings={(0, 1): 0.4, (1, 2): -0.4})
-        assert signed_edge_set(g) == {(0, 1): 1, (1, 2): -1}
-
-    def test_empty_graph(self):
-        assert signed_edge_set(SignedGraph(p=4, edges=())) == {}
-
     def test_neighborhood_sets(self):
         g = SignedGraph(p=4, edges=((0, 1), (1, 2)), couplings={(0, 1): 0.4, (1, 2): -0.4})
         hoods = signed_neighborhood_sets(g)
         assert hoods == {0: {1: 1}, 1: {0: 1, 2: -1}, 2: {1: -1}, 3: {}}
-
-
-class TestPathLength:
-    def test_star_distances(self):
-        g = generate_star(8, 3)
-        assert path_length(g, 0, 1) == 1
-        assert path_length(g, 1, 2) == 2
-        assert path_length(g, 1, 7) is None
-
-    def test_same_vertex_rejected(self):
-        g = generate_star(8, 3)
-        with pytest.raises(ValueError):
-            path_length(g, 2, 2)
 
 
 class TestGraphType:
@@ -245,6 +223,25 @@ class TestGraphType:
         again = SignedGraph.from_json(g.to_json())
         assert again.to_json() == g.to_json()
         assert again.couplings == g.couplings
+
+    @pytest.mark.parametrize("obj", [
+        [],
+        {"p": 3},
+        {"edges": []},
+        {"p": 3, "edges": 5},
+        {"p": 2.7, "edges": []},
+        {"p": True, "edges": []},
+        {"p": 3, "edges": [[0, 1]]},
+        {"p": 3, "edges": [[0, 1, 0.4, 1]]},
+        {"p": 3, "edges": [5]},
+        {"p": 3, "edges": [[0, 1.5, 0.4]]},
+        {"p": 3, "edges": [["0", 1, 0.4]]},
+        {"p": 3, "edges": [[0, 1, "0.4"]]},
+        {"p": 3, "edges": [[0, 1, True]]},
+    ])
+    def test_json_malformed_rejected(self, obj):
+        with pytest.raises(ValueError):
+            SignedGraph.from_json(json.dumps(obj))
 
     def test_json_unweighted(self):
         g = generate_star(5, 2)
