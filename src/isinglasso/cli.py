@@ -138,6 +138,8 @@ def _cmd_theory(args) -> int:
             raise ValueError(f"unknown parameters: {sorted(unknown)}")
         if "d" not in kv or "theta0" not in kv:
             raise ValueError("--rr-constants needs d=<degree> theta0=<coupling>")
+        if not kv["d"].is_integer():
+            raise ValueError(f"d must be an integer degree, got {kv['d']!r}")
         consts = bethe.rr_constants(int(kv["d"]), kv["theta0"])
         _write(
             json.dumps(

@@ -30,6 +30,7 @@ from .graphs import (
 )
 from .sampler import (
     SamplerConfig,
+    _require_int,
     estimate_magnetization,
     gibbs_sample,
     magnetization_warning_threshold,
@@ -82,12 +83,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.solver not in SOLVERS + ("both",):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name, low in (("trials", 1), ("workers", 1), ("d", 1), ("master_seed", 0)):
+            _require_int(name, getattr(self, name), low)
         if not self.p_list:
             raise ValueError("p_list must not be empty")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        for p in self.p_list:
+            _require_int("p_list entry", p, 1)
         betas = tuple(float(b) for b in self.beta_grid)
         if not betas or any(b <= 0 for b in betas):
             raise ValueError("beta grid values must be positive")

@@ -96,6 +96,34 @@ def logistic_l1_oracle(yx, lam, gtol=1e-8):
     raise RuntimeError(f"L-BFGS-B did not reach gtol = {gtol}: {res.message}")
 
 
+def gibbs_reference(graph, n, config):
+    """Heat-bath Gibbs samples, one generator call and one logistic per
+    color class per sweep: x_r = +1 iff u < 1/(1 + exp(-2 h_r)). Consumes
+    the stream in the order gibbs_sample lays out its threshold blocks."""
+    from isinglasso.sampler import SampleMatrix, _color_classes
+
+    rng = np.random.default_rng(config.seed)
+    J = graph.coupling_matrix()
+    classes = _color_classes(graph)
+    class_rows = [J[c] for c in classes]
+    x = np.where(rng.random(graph.p) < 0.5, 1.0, -1.0)
+
+    def sweep():
+        for c, rows in zip(classes, class_rows):
+            h = rows @ x
+            prob_up = 1.0 / (1.0 + np.exp(-2.0 * h))
+            x[c] = np.where(rng.random(c.size) < prob_up, 1.0, -1.0)
+
+    for _ in range(config.burn_in_sweeps):
+        sweep()
+    out = np.empty((n, graph.p), dtype=np.int8)
+    for i in range(n):
+        for _ in range(config.thinning_sweeps):
+            sweep()
+        out[i] = x
+    return SampleMatrix(data=out)
+
+
 def _state_probabilities(graph):
     """Every state of {-1,+1}^p with its probability, one state at a time.
     Energies are shifted by their maximum before exponentiating so large

@@ -158,6 +158,13 @@ class TestTheoryCommand:
         assert abs(obj["alpha"] - 0.620051) < 1e-6
         assert obj["kappa_floor"] == rr_constants(3, 0.4).kappa_floor
 
+    def test_rr_constants_non_integer_degree(self, capsys):
+        code, out, err = run_cli(capsys, "theory", "--rr-constants", "d=3.7", "theta0=0.4")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "d must be an integer degree, got 3.7",
+        }
+
     def test_rr_constants_missing_param(self, capsys):
         code, _, err = run_cli(capsys, "theory", "--rr-constants", "d=3")
         assert code == 1

@@ -70,6 +70,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="positive"):
             tiny_config(coupling_value=-0.4)  # at construction, before any trial
 
+    @pytest.mark.parametrize(
+        "override, field",
+        [
+            (dict(p_list=(8.7,)), "p_list"),
+            (dict(p_list=(True,)), "p_list"),
+            (dict(trials=2.5), "trials"),
+            (dict(workers=1.5), "workers"),
+            (dict(d=3.5), "d"),
+            (dict(master_seed=1.5), "master_seed"),
+            (dict(master_seed=-1), "master_seed"),
+            (dict(burn_in_sweeps=10.0), "burn_in_sweeps"),
+            (dict(thinning_sweeps=True), "thinning_sweeps"),
+        ],
+    )
+    def test_bad_integer_settings_rejected(self, override, field):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**override)
+
     def test_from_json_takes_integers_as_numbers(self):
         obj = json.loads(tiny_config().to_json())
         cfg = ExperimentConfig.from_json(json.dumps({**obj, "kappa": 2, "beta_grid": [1, 2]}))

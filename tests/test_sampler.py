@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
@@ -12,8 +12,11 @@ from isinglasso.graphs import (
     assign_couplings,
     generate_bethe_tree,
     generate_random_regular,
+    generate_random_tree,
+    generate_star,
 )
 from isinglasso.sampler import (
+    _BLOCK_UNIFORMS,
     ExactMoments,
     SampleMatrix,
     SamplerConfig,
@@ -26,7 +29,7 @@ from isinglasso.sampler import (
     save_samples_text,
 )
 from conftest import random_paramagnetic_tree
-from oracles import enumeration_oracle
+from oracles import enumeration_oracle, gibbs_reference
 
 
 def free_graph(p: int) -> SignedGraph:
@@ -104,11 +107,92 @@ class TestGibbs:
         with pytest.raises(ValueError, match="couplings"):
             gibbs_sample(bare, 5, SamplerConfig())
 
+    @pytest.mark.parametrize("n", [5.0, 2.5, True, "5"])
+    def test_non_integer_sample_count_rejected(self, path3, n):
+        with pytest.raises(ValueError, match="sample count"):
+            gibbs_sample(path3, n, SamplerConfig())
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(burn_in_sweeps=-1)
         with pytest.raises(ValueError):
             SamplerConfig(thinning_sweeps=0)
+        with pytest.raises(ValueError, match="seed"):
+            SamplerConfig(seed=-1)
+
+    @pytest.mark.parametrize("field", ["burn_in_sweeps", "thinning_sweeps", "seed"])
+    @pytest.mark.parametrize("value", [10.0, 2.5, True, None])
+    def test_non_integer_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SamplerConfig(**{field: value})
+        SamplerConfig(**{field: np.int64(3)})
+
+
+def chain_graph(kind: str, p: int, seed: int) -> SignedGraph:
+    """A graph of the given kind on p vertices with couplings of random
+    sign and magnitude in [0.05, 1); edge-free where the kind needs more
+    vertices than p."""
+    rng = np.random.default_rng(seed)
+    # degrees 3 and 4 below p - 1: the pairing model finds those quickly
+    degrees = [d for d in (3, 4) if d < p - 1 and p * d % 2 == 0]
+    if kind == "rr" and degrees:
+        g = generate_random_regular(p, int(rng.choice(degrees)), seed)
+    elif kind == "tree" and p >= 2:
+        g = generate_random_tree(p, int(rng.integers(2, 5)), seed)
+    elif kind == "star" and p >= 2:
+        g = generate_star(p, int(rng.integers(1, p)))
+    else:
+        return free_graph(p)
+    mags = rng.uniform(0.05, 1.0, len(g.edges))
+    signs = rng.choice([-1.0, 1.0], len(g.edges))
+    return SignedGraph(p=p, edges=g.edges, couplings=dict(zip(g.edges, mags * signs)))
+
+
+class TestGibbsMatchesReference:
+    """The blocked threshold sampler and the per-class logistic loop of
+    tests/oracles.py give bitwise-equal samples from one seed. They could
+    differ only where a uniform lands within rounding of its update
+    probability, about 2^-52 per update."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["rr", "tree", "star", "free"]),
+        p=st.integers(1, 40),
+        graph_seed=st.integers(0, 2**31 - 1),
+        seed=st.integers(0, 2**63 - 1),
+        n=st.integers(1, 300),
+        burn_in=st.integers(0, 600),
+        thinning=st.integers(1, 3),
+    )
+    # sweep totals one below, equal to, one past and twice the block of
+    # _BLOCK_UNIFORMS // p sweeps (256 at p = 32, 204 at p = 40, 910 at p = 9)
+    @example(kind="rr", p=32, graph_seed=1, seed=5, n=1, burn_in=_BLOCK_UNIFORMS // 32 - 2, thinning=1)
+    @example(kind="rr", p=32, graph_seed=1, seed=5, n=1, burn_in=_BLOCK_UNIFORMS // 32 - 1, thinning=1)
+    @example(kind="tree", p=40, graph_seed=2, seed=6, n=2, burn_in=_BLOCK_UNIFORMS // 40 - 1, thinning=1)
+    @example(kind="star", p=9, graph_seed=3, seed=7, n=_BLOCK_UNIFORMS // 9, burn_in=0, thinning=2)
+    @example(kind="free", p=1, graph_seed=0, seed=0, n=1, burn_in=0, thinning=1)
+    def test_bitwise_equal(self, kind, p, graph_seed, seed, n, burn_in, thinning):
+        g = chain_graph(kind, p, graph_seed)
+        cfg = SamplerConfig(burn_in_sweeps=burn_in, thinning_sweeps=thinning, seed=seed)
+        assert np.array_equal(gibbs_sample(g, n, cfg).data, gibbs_reference(g, n, cfg).data)
+
+    @pytest.mark.parametrize("u, kind, spin", [(0.0, "rr", 1), (0.5, "free", -1)])
+    def test_edge_uniforms(self, monkeypatch, u, kind, spin):
+        """u = 0 makes g = -inf, so every update sets +1, with no divide
+        warning; u = 1/2 with no neighbours is the tie h = g = 0, which sets
+        -1. The logistic loop does the same."""
+
+        class ConstantUniforms:
+            def random(self, size=None):
+                return np.full(size, u)
+
+        g = chain_graph(kind, 12, 4)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: ConstantUniforms())
+        cfg = SamplerConfig(burn_in_sweeps=3, thinning_sweeps=1, seed=0)
+        with np.errstate(all="raise"):
+            s = gibbs_sample(g, 4, cfg)
+        assert (s.data == spin).all()
+        assert np.array_equal(s.data, gibbs_reference(g, 4, cfg).data)
 
 
 class TestExactEnumerate:
