@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .graphs import SignedGraph, support_vertices
+from .graphs import SignedGraph, require_int, require_number, support_vertices
 from .sampler import ExactMoments
 
 EIG_FLOOR = 1e-12
@@ -169,9 +169,8 @@ def rr_constants(d: int, theta0: float) -> RRConstants:
     A degree-d vertex regressed on the rest has coefficient magnitude
     theta_tilde_rr = tanh(theta0) / (1 + (d-1) tanh^2) on every neighbor.
     """
-    if d < 3:
-        raise ValueError("degree must be >= 3")
-    if theta0 <= 0:
+    require_int("d", d, 3)
+    if require_number("theta0", theta0) <= 0:
         raise ValueError("theta0 must be positive")
     th = math.tanh(theta0)
     return RRConstants(

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -52,18 +51,7 @@ def _scheme_from_args(args) -> graphs.CouplingScheme:
 
 
 def _cmd_graph(args) -> int:
-    if args.family == "rr":
-        g = graphs.generate_random_regular(args.p, args.d, args.seed)
-    elif args.family == "grid":
-        rows = args.rows or math.isqrt(args.p)
-        cols = args.cols or rows
-        g = graphs.generate_grid_periodic(rows, cols)
-    elif args.family == "star":
-        g = graphs.generate_star(args.p, args.d)
-    elif args.family == "tree":
-        g = graphs.generate_random_tree(args.p, args.d, args.seed)
-    else:  # bethe_tree
-        g = graphs.generate_bethe_tree(args.p, args.d)
+    g = graphs.generate_graph(args.family, args.p, args.d, args.seed)
     if args.coupling is not None:
         g = graphs.assign_couplings(g, _scheme_from_args(args), args.coupling_seed)
     _write(g.to_json(), args.output)
@@ -83,17 +71,9 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _resolve_lambda(args, n: int, p: int) -> float:
-    if (args.lam is None) == (args.kappa is None):
-        raise ValueError("give exactly one of --lambda or --kappa")
-    if args.lam is not None:
-        return args.lam
-    return solvers.lambda_from_kappa(args.kappa, n, p)
-
-
 def _cmd_solve(args) -> int:
     samples = _load_samples(args.samples)
-    lam = _resolve_lambda(args, samples.n, samples.p)
+    lam = solvers.resolve_penalty(args.lam, args.kappa, samples.n, samples.p)
     solve = solvers.solve_lasso if args.solver == "lasso" else solvers.solve_logistic_l1
     sol = solve(samples, args.node, lam, solvers.SolverConfig(tol=args.tol))
     _write(solvers.solution_to_json(sol, args.node), args.output)
@@ -114,19 +94,21 @@ def _cmd_witness(args) -> int:
         if args.samples is None:
             raise ValueError("--samples is required unless --population is set")
         data = _load_samples(args.samples)
-        lam = _resolve_lambda(args, data.n, data.p)
+        lam = solvers.resolve_penalty(args.lam, args.kappa, data.n, data.p)
     cert = witness.construct_witness(data, args.node, support, params, lam)
     _write(cert.to_json(), args.output)
     return 0
 
 
-def _parse_kv(pairs: list[str]) -> dict[str, float]:
+def _parse_kv(pairs: list[str]) -> dict:
+    """key=value pairs; an integer literal is read as an int and any other
+    value as a float, so d=3 is the integer 3 and d=3.0 the number 3.0."""
     out = {}
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"expected key=value, got {pair!r}")
         key, value = pair.split("=", 1)
-        out[key] = float(value)
+        out[key] = int(value) if value.lstrip("+-").isdigit() else float(value)
     return out
 
 
@@ -138,9 +120,7 @@ def _cmd_theory(args) -> int:
             raise ValueError(f"unknown parameters: {sorted(unknown)}")
         if "d" not in kv or "theta0" not in kv:
             raise ValueError("--rr-constants needs d=<degree> theta0=<coupling>")
-        if not kv["d"].is_integer():
-            raise ValueError(f"d must be an integer degree, got {kv['d']!r}")
-        consts = bethe.rr_constants(int(kv["d"]), kv["theta0"])
+        consts = bethe.rr_constants(kv["d"], kv["theta0"])
         _write(
             json.dumps(
                 {
@@ -215,10 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("graph", help="generate a graph and write it as JSON")
     g.add_argument("--family", required=True,
                    choices=["rr", "grid", "star", "tree", "bethe_tree"])
-    g.add_argument("-p", type=int, default=0, help="vertex count")
+    g.add_argument("-p", type=int, default=0, help="vertex count (a square for grid)")
     g.add_argument("-d", type=int, default=3, help="degree parameter")
-    g.add_argument("--rows", type=int, help="grid rows (default sqrt(p))")
-    g.add_argument("--cols", type=int, help="grid cols (default rows)")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--coupling", choices=["uniform", "mixed", "degree_scaled"],
                    help="assign couplings with this scheme")

@@ -23,14 +23,12 @@ from .graphs import (
     CouplingScheme,
     SignedGraph,
     assign_couplings,
-    generate_grid_periodic,
-    generate_random_regular,
-    generate_random_tree,
-    generate_star,
+    generate_graph,
+    require_int,
+    require_number,
 )
 from .sampler import (
     SamplerConfig,
-    _require_int,
     estimate_magnetization,
     gibbs_sample,
     magnetization_warning_threshold,
@@ -54,12 +52,6 @@ _FAMILY_COUPLING = {
     "star_log": ("degree_scaled", 1.2),
     "tree": ("mixed", 0.4),
 }
-# the JSON kind each sweep-config key holds (the entries, for the arrays)
-_JSON_KINDS = {
-    "family": str, "solver": str, "p_list": int, "beta_grid": float, "trials": int,
-    "kappa": float, "coupling_value": float, "d": int, "master_seed": int,
-    "burn_in_sweeps": int, "thinning_sweeps": int, "solver_tol": float, "workers": int,
-}
 
 
 @dataclass(frozen=True)
@@ -79,24 +71,27 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        """Every field is checked here, for a config built in Python and
+        one read by from_json alike."""
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.solver not in SOLVERS + ("both",):
             raise ValueError(f"unknown solver {self.solver!r}")
         for name, low in (("trials", 1), ("workers", 1), ("d", 1), ("master_seed", 0)):
-            _require_int(name, getattr(self, name), low)
-        if not self.p_list:
-            raise ValueError("p_list must not be empty")
-        for p in self.p_list:
-            _require_int("p_list entry", p, 1)
-        betas = tuple(float(b) for b in self.beta_grid)
-        if not betas or any(b <= 0 for b in betas):
+            require_int(name, getattr(self, name), low)
+        for key in ("p_list", "beta_grid"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)) or not value:
+                raise ValueError(f"{key} must be a nonempty array, got {value!r}")
+        p_list = tuple(require_int("p_list entry", p, 1) for p in self.p_list)
+        object.__setattr__(self, "p_list", p_list)
+        betas = tuple(require_number("beta_grid entry", b) for b in self.beta_grid)
+        if any(b <= 0 for b in betas):
             raise ValueError("beta grid values must be positive")
         if any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
             raise ValueError("beta grid must be strictly increasing")
         object.__setattr__(self, "beta_grid", betas)
-        object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
-        if self.kappa <= 0:
+        if require_number("kappa", self.kappa) <= 0:
             raise ValueError("kappa must be positive")
         # reject bad coupling, solver and chain settings before any chain runs
         self.scheme()
@@ -135,10 +130,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> ExperimentConfig:
-        """A config from a JSON object; unknown or missing keys, a p_list or
-        beta_grid that is not an array, and a value (or array entry) of the
-        wrong JSON kind raise ValueError. A bool is neither an integer nor a
-        number, and an integer is a number."""
+        """A config from a JSON object. Only the structure is read here: a
+        non-object or unknown or missing keys raise ValueError, and the
+        constructor checks the values."""
         obj = json.loads(text)
         if not isinstance(obj, dict):
             raise ValueError("a sweep config must be a JSON object")
@@ -147,18 +141,6 @@ class ExperimentConfig:
         missing = sorted(key for key, needed in known.items() if needed and key not in obj)
         if unknown or missing:
             raise ValueError(f"sweep config: unknown keys {unknown}, missing keys {missing}")
-        for key in ("p_list", "beta_grid"):
-            if not isinstance(obj[key], list):
-                raise ValueError(f"{key} must be a JSON array")
-        for key, value in obj.items():
-            if key == "coupling_value" and value is None:
-                continue  # the family's default
-            kind = _JSON_KINDS[key]
-            allowed = (int, float) if kind is float else kind
-            for v in value if key in ("p_list", "beta_grid") else [value]:
-                if isinstance(v, bool) or not isinstance(v, allowed):
-                    name = {str: "string", int: "integer", float: "number"}[kind]
-                    raise ValueError(f"{key}: expected a JSON {name}, got {v!r}")
         return cls(**obj)
 
     def digest(self) -> str:
@@ -166,18 +148,10 @@ class ExperimentConfig:
 
 
 def build_graph(config: ExperimentConfig, p: int, graph_seed: int, coupling_seed: int) -> SignedGraph:
-    """One graph instance from the configured family, couplings assigned."""
-    if config.family == "rr":
-        g = generate_random_regular(p, config.d, graph_seed)
-    elif config.family == "grid":
-        side = math.isqrt(p)
-        if side * side != p:
-            raise ValueError(f"grid family needs a square p, got {p}")
-        g = generate_grid_periodic(side, side)
-    elif config.family in ("star_linear", "star_log"):
-        g = generate_star(p, config.degree_for(p))
-    else:
-        g = generate_random_tree(p, config.d, graph_seed)
+    """One graph instance from the configured family, couplings assigned;
+    both star families are stars of hub degree degree_for(p)."""
+    family = "star" if config.family.startswith("star") else config.family
+    g = generate_graph(family, p, config.degree_for(p), graph_seed)
     return assign_couplings(g, config.scheme(), coupling_seed)
 
 

@@ -11,22 +11,16 @@ Provides a heat-bath Gibbs sampler for arbitrary graphs and an exact
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import SignedGraph
+from .graphs import SignedGraph, require_int
 
 ENUMERATION_CAP = 20
 _ENUM_BLOCK_BITS = 14  # 2^14 states per block
 _BLOCK_UNIFORMS = 8192  # per Gibbs generator call: 64 KB of thresholds at any p
 _BINARY_MAGIC = b"ISNG"
-
-
-def _require_int(name: str, value, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,9 +34,9 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_int("burn_in_sweeps", self.burn_in_sweeps, 0)
-        _require_int("thinning_sweeps", self.thinning_sweeps, 1)
-        _require_int("seed", self.seed, 0)
+        require_int("burn_in_sweeps", self.burn_in_sweeps, 0)
+        require_int("thinning_sweeps", self.thinning_sweeps, 1)
+        require_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -135,7 +129,7 @@ def gibbs_sample(graph: SignedGraph, n: int, config: SamplerConfig) -> SampleMat
     samples depend only on config.seed (with the graph, n and the sweep
     counts), not on the block size, since the generator's stream does not.
     """
-    _require_int("sample count n", n, 1)
+    require_int("sample count n", n, 1)
     graph._require_couplings()
     p = graph.p
     rng = np.random.default_rng(config.seed)

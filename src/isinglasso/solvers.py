@@ -29,13 +29,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import SignedGraph, check_node, signed_neighborhood_sets
+from .graphs import SignedGraph, check_node, require_number, signed_neighborhood_sets
 from .sampler import SampleMatrix
 
 ACTIVE_TOL = 1e-8
 _GRAM_REFRESH_CYCLES = 50
 _KKT_CHECK_EVERY = 10  # logistic only; CD checks every cycle
 _MAX_COEF = 1e3  # divergence guard (logistic, lambda = 0)
+_MAX_ITERS = 100_000  # CD cycles or FISTA iterations before ConvergenceError
 
 
 class ConvergenceError(RuntimeError):
@@ -49,11 +50,10 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-8
-    max_iters: int = 100_000
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0) or self.max_iters < 1:
-            raise ValueError(f"need a finite tol > 0 and max_iters >= 1, got {self}")
+        if require_number("tol", self.tol) <= 0:
+            raise ValueError(f"tol must be > 0, got {self.tol!r}")
 
 
 @dataclass
@@ -139,7 +139,7 @@ def lasso_cd_gram(
     the support coordinates that are nonzero or have |gradient| > lambda,
     at the start and at each drift-free confirmation, which decides
     convergence over the whole support. Raises ConvergenceError past
-    config.max_iters cycles.
+    _MAX_ITERS cycles.
     """
     cfg = config or SolverConfig()
     if lam < 0:
@@ -153,7 +153,7 @@ def lasso_cd_gram(
     grad = -linear
     work = support_idx[np.abs(grad[support_idx]) > lam]
 
-    for iterations in range(1, cfg.max_iters + 1):
+    for iterations in range(1, _MAX_ITERS + 1):
         max_delta = 0.0
         for j in work.tolist():
             old = theta[j]
@@ -182,7 +182,7 @@ def lasso_cd_gram(
         kkt = _kkt_residual(theta, grad, lam, support_idx)
         if kkt > cfg.tol:
             raise ConvergenceError(
-                f"coordinate descent did not converge in {cfg.max_iters} cycles "
+                f"coordinate descent did not converge in {_MAX_ITERS} cycles "
                 f"(residual {kkt:.3e})",
                 kkt_residual=kkt,
             )
@@ -266,7 +266,7 @@ def solve_logistic_l1_batch(
     iterations = np.zeros(nodes.size, dtype=np.int64)
     kkt = np.full(nodes.size, np.inf)
     act = np.arange(nodes.size)
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         if act.size == 0:
             break
         pinned = (nodes[act], np.arange(act.size))
@@ -295,7 +295,7 @@ def solve_logistic_l1_batch(
         act = act[~done]
     for j in act:
         errors[int(nodes[j])] = ConvergenceError(
-            f"proximal gradient did not converge in {cfg.max_iters} iterations "
+            f"proximal gradient did not converge in {_MAX_ITERS} iterations "
             f"(residual {kkt[j]:.3e})", kkt_residual=float(kkt[j]))
 
     ok = np.flatnonzero(iterations)
@@ -341,6 +341,14 @@ def lambda_from_kappa(kappa: float, n: int, p: int) -> float:
     return kappa * math.sqrt(math.log(p) / n)
 
 
+def resolve_penalty(lam: float | None, kappa: float | None, n: int, p: int) -> float:
+    """The penalty from exactly one of lambda or kappa, kappa by the
+    lambda_from_kappa rule: the one rule of recover_graph and the CLI."""
+    if (lam is None) == (kappa is None):
+        raise ValueError("give exactly one of lambda or kappa")
+    return lam if kappa is None else lambda_from_kappa(kappa, n, p)
+
+
 @dataclass
 class GraphEstimate:
     """Combined output of per-node neighborhood regressions."""
@@ -370,16 +378,12 @@ def recover_graph(
     """Run the chosen per-node solver for every vertex and assemble the
     estimated signed neighborhoods.
 
-    Exactly one of lam / kappa must be given; kappa applies the
-    sqrt(log(p)/n) rule. Per-node convergence failures are recorded in
-    node_errors instead of aborting the remaining nodes. Every Lasso node
-    slices the one cached second moment of `samples`; the logistic solver
-    runs all p nodes as one batch.
+    Exactly one of lam / kappa must be given (resolve_penalty). Per-node
+    convergence failures are recorded in node_errors instead of aborting
+    the remaining nodes. Every Lasso node slices the one cached second
+    moment of `samples`; the logistic solver runs all p nodes as one batch.
     """
-    if (lam is None) == (kappa is None):
-        raise ValueError("give exactly one of lam or kappa")
-    if lam is None:
-        lam = lambda_from_kappa(kappa, samples.n, samples.p)
+    lam = resolve_penalty(lam, kappa, samples.n, samples.p)
     if solver == "lasso":
         solutions, errors = {}, {}
         for r in range(samples.p):

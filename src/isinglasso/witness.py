@@ -32,7 +32,7 @@ from .bethe import (
     tree_covariance,
 )
 from .experiment import _wald_stderr
-from .graphs import SignedGraph, check_node, support_vertices
+from .graphs import SignedGraph, check_node, require_int, support_vertices
 from .sampler import ExactMoments, SampleMatrix, SamplerConfig, exact_enumerate, gibbs_sample
 from .solvers import SolverConfig, lasso_cd_gram
 
@@ -381,9 +381,8 @@ def tail_rate_probe(
     statement's own floor. Rows with n < (c+1) d^2 log p are flagged as
     outside the statement's premise.
     """
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
-    if trials == 0:
+    n_grid = [require_int("n_grid entry", n, 1) for n in n_grid]
+    if require_int("trials", trials, 0) == 0:
         return []
     p = graph.p
     d = graph.max_degree
@@ -395,9 +394,6 @@ def tail_rate_probe(
 
     rows = []
     for i, n in enumerate(n_grid):
-        n = int(n)
-        if n < 1:
-            raise ValueError("sample sizes must be >= 1")
         lam = tail_bound_lambda(c, alpha, p, n)
         threshold = 0.5 * alpha * lam / (2.0 - alpha)
         exceed = 0

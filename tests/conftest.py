@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from isinglasso.graphs import (
     CouplingScheme,
@@ -36,3 +37,10 @@ def random_paramagnetic_tree(rng: np.random.Generator, p_max: int = 12) -> Signe
         mag = rng.uniform(0.05, 0.6)
         couplings[e] = float(mag if rng.random() < 0.5 else -mag)
     return SignedGraph(p=tree.p, edges=tree.edges, couplings=couplings)
+
+
+def value_kinds(valid, below):
+    """The kinds of value an outside caller may hand a constructor: a valid
+    one, a bool, a numeric string, a fraction, an integer below range, None
+    and a nested list."""
+    return st.sampled_from([valid, True, False, "2", 2.5, below, None, [[valid]]])

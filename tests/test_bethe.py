@@ -193,6 +193,18 @@ class TestRRConstants:
         assert c.kappa_floor == 2.0 * sigma / c.alpha
         assert abs(c.kappa_floor - 2.6282) < 1e-4
 
+    @pytest.mark.parametrize("d, theta0, message", [
+        (3.7, 0.4, "d must be an integer >= 3, got 3.7"),
+        (3.0, 0.4, "d must be an integer >= 3, got 3.0"),
+        (2, 0.4, "d must be an integer >= 3, got 2"),
+        (3, "0.4", "theta0 must be a finite number, got '0.4'"),
+        (3, 0.0, "theta0 must be positive"),
+    ])
+    def test_arguments_checked(self, d, theta0, message):
+        with pytest.raises(ValueError) as err:
+            rr_constants(d, theta0)
+        assert str(err.value) == message
+
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
             RRConstants(d=3, theta0=0.4, c_min=0.0, alpha=0.5, lambda_max_qss=1.1, theta_tilde_rr=0.2)

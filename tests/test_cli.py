@@ -44,6 +44,13 @@ class TestGraphCommand:
         assert payload["error"] == "ValueError"
         assert "even" in payload["message"]
 
+    def test_grid_needs_square_p(self, capsys):
+        code, out, err = run_cli(capsys, "graph", "--family", "grid", "-p", "10")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "grid family needs a square p, got 10",
+        }
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["graph"])  # missing required --family
@@ -162,8 +169,13 @@ class TestTheoryCommand:
         code, out, err = run_cli(capsys, "theory", "--rr-constants", "d=3.7", "theta0=0.4")
         assert code == 1 and out == ""
         assert json.loads(err) == {
-            "error": "ValueError", "message": "d must be an integer degree, got 3.7",
+            "error": "ValueError", "message": "d must be an integer >= 3, got 3.7",
         }
+
+    def test_rr_constants_degree_is_an_integer_literal(self, capsys):
+        code, out, err = run_cli(capsys, "theory", "--rr-constants", "d=3.0", "theta0=0.4")
+        assert code == 1 and out == ""
+        assert json.loads(err)["message"] == "d must be an integer >= 3, got 3.0"
 
     def test_rr_constants_missing_param(self, capsys):
         code, _, err = run_cli(capsys, "theory", "--rr-constants", "d=3")
@@ -194,7 +206,7 @@ class TestTheoryCommand:
 
     def test_cyclic_graph_rejected(self, tmp_path, capsys):
         out = tmp_path / "grid.json"
-        run_cli(capsys, "graph", "--family", "grid", "--rows", "3", "--cols", "3",
+        run_cli(capsys, "graph", "--family", "grid", "-p", "9",
                 "--coupling", "uniform", "--coupling-value", "0.2", "-o", str(out))
         code, _, err = run_cli(capsys, "theory", "--graph", str(out))
         assert code == 1
@@ -299,29 +311,56 @@ class TestExperimentCommand:
         assert code == 1
         assert "increasing" in json.loads(err)["message"]
 
+    # Explicit ids keep a case's name when only its expected message changed.
     @pytest.mark.parametrize("cfg, message", [
         ({**_SWEEP_CONFIG, "beta_factor": 10}, "unknown keys ['beta_factor']"),
         ({**_SWEEP_CONFIG, "coupling": "uniform"}, "unknown keys ['coupling']"),
         ({k: v for k, v in _SWEEP_CONFIG.items() if k != "trials"}, "missing keys ['trials']"),
-        ({**_SWEEP_CONFIG, "p_list": "32"}, "p_list must be a JSON array"),
-        ({**_SWEEP_CONFIG, "beta_grid": 1.0}, "beta_grid must be a JSON array"),
+        pytest.param({**_SWEEP_CONFIG, "p_list": "32"}, "p_list must be a nonempty array",
+                     id="cfg3-p_list must be a JSON array"),
+        pytest.param({**_SWEEP_CONFIG, "beta_grid": 1.0}, "beta_grid must be a nonempty array",
+                     id="cfg4-beta_grid must be a JSON array"),
         ([_SWEEP_CONFIG], "must be a JSON object"),
-        ({**_SWEEP_CONFIG, "trials": "2"}, "trials: expected a JSON integer"),
-        ({**_SWEEP_CONFIG, "trials": True}, "trials: expected a JSON integer"),
-        ({**_SWEEP_CONFIG, "workers": 1.5}, "workers: expected a JSON integer"),
-        ({**_SWEEP_CONFIG, "d": 3.0}, "d: expected a JSON integer"),
-        ({**_SWEEP_CONFIG, "master_seed": None}, "master_seed: expected a JSON integer"),
-        ({**_SWEEP_CONFIG, "burn_in_sweeps": "50"}, "burn_in_sweeps: expected a JSON integer"),
-        ({**_SWEEP_CONFIG, "thinning_sweeps": 1.5}, "thinning_sweeps: expected a JSON integer"),
-        ({**_SWEEP_CONFIG, "p_list": [8.7]}, "p_list: expected a JSON integer"),
-        ({**_SWEEP_CONFIG, "p_list": [8, True]}, "p_list: expected a JSON integer"),
-        ({**_SWEEP_CONFIG, "kappa": "2"}, "kappa: expected a JSON number"),
-        ({**_SWEEP_CONFIG, "kappa": False}, "kappa: expected a JSON number"),
-        ({**_SWEEP_CONFIG, "solver_tol": "1e-6"}, "solver_tol: expected a JSON number"),
-        ({**_SWEEP_CONFIG, "coupling_value": "0.4"}, "coupling_value: expected a JSON number"),
-        ({**_SWEEP_CONFIG, "beta_grid": ["1"]}, "beta_grid: expected a JSON number"),
-        ({**_SWEEP_CONFIG, "family": ["rr"]}, "family: expected a JSON string"),
-        ({**_SWEEP_CONFIG, "solver": 1}, "solver: expected a JSON string"),
+        pytest.param({**_SWEEP_CONFIG, "trials": "2"}, "trials must be an integer >= 1, got '2'",
+                     id="cfg6-trials: expected a JSON integer"),
+        pytest.param({**_SWEEP_CONFIG, "trials": True}, "trials must be an integer >= 1, got True",
+                     id="cfg7-trials: expected a JSON integer"),
+        pytest.param({**_SWEEP_CONFIG, "workers": 1.5}, "workers must be an integer >= 1, got 1.5",
+                     id="cfg8-workers: expected a JSON integer"),
+        pytest.param({**_SWEEP_CONFIG, "d": 3.0}, "d must be an integer >= 1, got 3.0",
+                     id="cfg9-d: expected a JSON integer"),
+        pytest.param({**_SWEEP_CONFIG, "master_seed": None},
+                     "master_seed must be an integer >= 0, got None",
+                     id="cfg10-master_seed: expected a JSON integer"),
+        pytest.param({**_SWEEP_CONFIG, "burn_in_sweeps": "50"},
+                     "burn_in_sweeps must be an integer >= 0, got '50'",
+                     id="cfg11-burn_in_sweeps: expected a JSON integer"),
+        pytest.param({**_SWEEP_CONFIG, "thinning_sweeps": 1.5},
+                     "thinning_sweeps must be an integer >= 1, got 1.5",
+                     id="cfg12-thinning_sweeps: expected a JSON integer"),
+        pytest.param({**_SWEEP_CONFIG, "p_list": [8.7]},
+                     "p_list entry must be an integer >= 1, got 8.7",
+                     id="cfg13-p_list: expected a JSON integer"),
+        pytest.param({**_SWEEP_CONFIG, "p_list": [8, True]},
+                     "p_list entry must be an integer >= 1, got True",
+                     id="cfg14-p_list: expected a JSON integer"),
+        pytest.param({**_SWEEP_CONFIG, "kappa": "2"}, "kappa must be a finite number, got '2'",
+                     id="cfg15-kappa: expected a JSON number"),
+        pytest.param({**_SWEEP_CONFIG, "kappa": False}, "kappa must be a finite number, got False",
+                     id="cfg16-kappa: expected a JSON number"),
+        pytest.param({**_SWEEP_CONFIG, "solver_tol": "1e-6"},
+                     "tol must be a finite number, got '1e-6'",
+                     id="cfg17-solver_tol: expected a JSON number"),
+        pytest.param({**_SWEEP_CONFIG, "coupling_value": "0.4"},
+                     "coupling value must be a finite number, got '0.4'",
+                     id="cfg18-coupling_value: expected a JSON number"),
+        pytest.param({**_SWEEP_CONFIG, "beta_grid": ["1"]},
+                     "beta_grid entry must be a finite number, got '1'",
+                     id="cfg19-beta_grid: expected a JSON number"),
+        pytest.param({**_SWEEP_CONFIG, "family": ["rr"]}, "unknown family ['rr']",
+                     id="cfg20-family: expected a JSON string"),
+        pytest.param({**_SWEEP_CONFIG, "solver": 1}, "unknown solver 1",
+                     id="cfg21-solver: expected a JSON string"),
         ({**_SWEEP_CONFIG, "coupling_value": -0.4}, "coupling magnitude must be positive"),
     ])
     def test_bad_config_json_error(self, tmp_path, capsys, cfg, message):

@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isinglasso.experiment import (
     CurvePoint,
@@ -17,6 +20,7 @@ from isinglasso.experiment import (
     sweep_to_csv,
     trial_seed_for,
 )
+from conftest import value_kinds
 
 
 def tiny_config(**overrides):
@@ -34,6 +38,35 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# Per key: a valid value and one below the valid range (a kind's "range"
+# for the string keys).
+_KEYS = {
+    "family": ("rr", 0), "p_list": ([8], [0]), "beta_grid": ([0.5, 1.0], [-1]),
+    "trials": (2, 0), "solver": ("lasso", 0), "kappa": (2.0, 0), "coupling_value": (0.4, 0),
+    "d": (3, 0), "master_seed": (5, -1), "burn_in_sweeps": (50, -1), "thinning_sweeps": (1, 0),
+    "solver_tol": (1e-6, 0), "workers": (1, 0),
+}
+
+_VALID = {key: valid for key, (valid, _) in _KEYS.items()}
+
+
+def _config_value(key):
+    valid, below = _KEYS[key]
+    if isinstance(valid, list):  # the arrays: the whole value, or each entry
+        return st.one_of(value_kinds(valid, below),
+                         st.lists(value_kinds(valid[-1], below[0]), min_size=1, max_size=2))
+    return value_kinds(valid, below)
+
+
+def _outcome(make):
+    """The config make() builds, or the message of the ValueError it raises;
+    any other exception fails the test."""
+    try:
+        return make()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 def point(beta, prob, p=32, trials=10):
@@ -92,6 +125,28 @@ class TestConfig:
         obj = json.loads(tiny_config().to_json())
         cfg = ExperimentConfig.from_json(json.dumps({**obj, "kappa": 2, "beta_grid": [1, 2]}))
         assert cfg.kappa == 2 and cfg.beta_grid == (1.0, 2.0) and cfg.coupling_value is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.fixed_dictionaries({key: _config_value(key) for key in _KEYS}))
+    @example({**_VALID, "beta_grid": [True]})
+    @example({**_VALID, "kappa": "2"})
+    def test_json_and_python_paths_agree(self, obj):
+        """from_json only parses, so a value is accepted or refused, with the
+        same message, whichever way it comes in; it is never a TypeError."""
+        from_json = _outcome(lambda: ExperimentConfig.from_json(json.dumps(obj)))
+        assert from_json == _outcome(lambda: ExperimentConfig(**obj))
+
+    @pytest.mark.parametrize("override, message", [
+        (dict(beta_grid=(True, "2.5")), "beta_grid entry must be a finite number, got True"),
+        (dict(beta_grid=(0.5, "2.5")), "beta_grid entry must be a finite number, got '2.5'"),
+        (dict(kappa="2"), "kappa must be a finite number, got '2'"),
+        (dict(solver_tol=True), "tol must be a finite number, got True"),
+        (dict(coupling_value=True), "coupling value must be a finite number, got True"),
+        (dict(p_list=8), "p_list must be a nonempty array, got 8"),
+    ])
+    def test_python_path_checks_kinds(self, override, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            tiny_config(**override)
 
     def test_sample_size_rule(self):
         cfg = tiny_config()

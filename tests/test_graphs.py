@@ -1,20 +1,25 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isinglasso.graphs import (
     CouplingScheme,
     SignedGraph,
     assign_couplings,
     generate_bethe_tree,
+    generate_graph,
     generate_grid_periodic,
     generate_random_regular,
     generate_random_tree,
     generate_star,
     signed_neighborhood_sets,
 )
+from conftest import value_kinds
 
 
 def recount_degrees(graph: SignedGraph) -> np.ndarray:
@@ -39,6 +44,19 @@ def has_cycle(graph: SignedGraph) -> bool:
             return True
         parent[ra] = rb
     return False
+
+
+def _hashable(value):
+    return tuple(_hashable(v) for v in value) if isinstance(value, list) else value
+
+
+def _outcome(make):
+    """The graph make() builds, or ValueError if it raises one; any other
+    exception fails the test."""
+    try:
+        return make()
+    except ValueError:
+        return ValueError
 
 
 class TestRandomRegular:
@@ -168,6 +186,21 @@ class TestHandshake:
         assert graph.degrees.tolist() == recount_degrees(graph).tolist()
 
 
+class TestFamilies:
+    def test_grid_needs_square_p(self):
+        assert generate_graph("grid", 9, 3, 0) == generate_grid_periodic(3, 3)
+        with pytest.raises(ValueError, match="square p, got 10"):
+            generate_graph("grid", 10, 3, 0)
+
+    def test_dispatch(self):
+        assert generate_graph("rr", 12, 3, 4) == generate_random_regular(12, 3, 4)
+        assert generate_graph("tree", 9, 3, 2) == generate_random_tree(9, 3, 2)
+        assert generate_graph("star", 6, 2, 0) == generate_star(6, 2)
+        assert generate_graph("bethe_tree", 10, 3, 0) == generate_bethe_tree(10, 3)
+        with pytest.raises(ValueError, match="unknown graph family"):
+            generate_graph("hexagon", 9, 3, 0)
+
+
 class TestCouplings:
     def test_uniform(self):
         g = assign_couplings(generate_random_regular(8, 3, seed=0), CouplingScheme.uniform(0.2), seed=1)
@@ -199,6 +232,12 @@ class TestCouplings:
         with pytest.raises(ValueError):
             CouplingScheme("bogus", 0.4)
 
+    @pytest.mark.parametrize("value", [True, "0.4", None, math.nan, [0.4]])
+    def test_scheme_value_is_a_number(self, value):
+        message = f"coupling value must be a finite number, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CouplingScheme("mixed", value)
+
 
 class TestSignedEdgeSet:
     def test_neighborhood_sets(self):
@@ -217,6 +256,17 @@ class TestGraphType:
             SignedGraph(p=3, edges=((0, 1),), couplings={(0, 1): 0.0})
         with pytest.raises(ValueError, match="cover"):
             SignedGraph(p=3, edges=((0, 1), (1, 2)), couplings={(0, 1): 0.4})
+
+    @pytest.mark.parametrize("p, edges, couplings, message", [
+        (2.7, (), {}, "vertex count p must be an integer >= 1, got 2.7"),
+        (True, (), {}, "vertex count p must be an integer >= 1, got True"),
+        (3, ((0, 1.0),), {}, "edge label must be an integer >= 0, got 1.0"),
+        (3, ((0, 1),), {(0, 1): "0.4"}, "edge coupling must be a finite number, got '0.4'"),
+        (3, ((0, 1),), {(0, 1): True}, "edge coupling must be a finite number, got True"),
+    ])
+    def test_python_path_checks_kinds(self, p, edges, couplings, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SignedGraph(p=p, edges=edges, couplings=couplings)
 
     def test_json_round_trip(self):
         g = assign_couplings(generate_random_regular(10, 3, seed=4), CouplingScheme.mixed(0.3), seed=2)
@@ -242,6 +292,22 @@ class TestGraphType:
     def test_json_malformed_rejected(self, obj):
         with pytest.raises(ValueError):
             SignedGraph.from_json(json.dumps(obj))
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=value_kinds(4, 0),
+           rows=st.lists(st.tuples(value_kinds(0, -1), value_kinds(2, -1), value_kinds(0.4, 0)),
+                         min_size=1, max_size=2))
+    def test_json_and_python_paths_agree(self, p, rows):
+        """from_json only parses, so p, the labels and the couplings are
+        accepted or refused the same way whichever way they come in. A JSON
+        null coupling is the format's "no coupling", and a JSON array
+        label is a tuple in Python, where a label must be hashable."""
+        text = json.dumps({"p": p, "edges": [list(row) for row in rows]})
+        edges = tuple((_hashable(r), _hashable(t)) for r, t, _ in rows)
+        couplings = {e: j for e, (_, _, j) in zip(edges, rows) if j is not None}
+        from_json = _outcome(lambda: SignedGraph.from_json(text))
+        from_python = _outcome(lambda: SignedGraph(p=p, edges=edges, couplings=couplings))
+        assert from_json == from_python
 
     def test_json_unweighted(self):
         g = generate_star(5, 2)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isinglasso import solvers
 from isinglasso.bethe import RescaledParams
 from isinglasso.graphs import CouplingScheme, assign_couplings, generate_bethe_tree
 from isinglasso.sampler import SampleMatrix, SamplerConfig, gibbs_sample
@@ -101,23 +103,27 @@ class TestLassoBasics:
         with pytest.raises(ValueError, match="lambda"):
             solve_lasso(samples, 0, -0.1)
 
-    def test_nonconvergence_carries_residual(self):
+    def test_nonconvergence_carries_residual(self, monkeypatch):
         rng = np.random.default_rng(10)
         gram, linear = gram_of(random_samples(rng, 7, 40), 0)
+        monkeypatch.setattr(solvers, "_MAX_ITERS", 1)
         with pytest.raises(ConvergenceError) as err:
-            lasso_cd_gram(gram, linear, 0.01, config=SolverConfig(max_iters=1, tol=1e-14))
+            lasso_cd_gram(gram, linear, 0.01, config=SolverConfig(tol=1e-14))
         assert err.value.kkt_residual > 0
 
 
 class TestSolverConfig:
-    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf, True, "1e-6", None])
     def test_bad_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol"):
             SolverConfig(tol=tol)
 
-    def test_bad_max_iters_rejected(self):
-        with pytest.raises(ValueError, match="max_iters"):
-            SolverConfig(max_iters=0)
+    def test_tol_is_the_only_setting(self):
+        """The iteration cap is the module constant _MAX_ITERS, which no
+        caller sets."""
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["tol"]
+        with pytest.raises(TypeError):
+            SolverConfig(max_iters=2.5)
 
 
 @pytest.mark.parametrize("solve", [solve_lasso, solve_logistic_l1])

@@ -375,6 +375,19 @@ class TestTailProbe:
         g, params = tree_fixture
         assert tail_rate_probe(g, params, [50], trials=0, c=0.5) == []
 
+    @pytest.mark.parametrize("n_grid, trials, message", [
+        ([50.7], 2, "n_grid entry must be an integer >= 1, got 50.7"),
+        ([50, True], 2, "n_grid entry must be an integer >= 1, got True"),
+        ([0], 0, "n_grid entry must be an integer >= 1, got 0"),
+        ([50], 2.5, "trials must be an integer >= 0, got 2.5"),
+        ([50], -1, "trials must be an integer >= 0, got -1"),
+    ])
+    def test_integer_arguments_checked(self, tree_fixture, n_grid, trials, message):
+        g, params = tree_fixture
+        with pytest.raises(ValueError) as err:
+            tail_rate_probe(g, params, n_grid, trials=trials, c=0.5)
+        assert str(err.value) == message
+
     def test_lambda_floor_formula(self):
         alpha = 0.5
         assert abs(
