@@ -23,6 +23,7 @@ from .graphs import (
     CouplingScheme,
     SignedGraph,
     assign_couplings,
+    check_regular_degree,
     generate_graph,
     require_int,
     require_number,
@@ -85,6 +86,9 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be a nonempty array, got {value!r}")
         p_list = tuple(require_int("p_list entry", p, 1) for p in self.p_list)
         object.__setattr__(self, "p_list", p_list)
+        if self.family == "rr":  # the generator's rule, before any worker starts
+            for p in p_list:
+                check_regular_degree(p, self.d)
         betas = tuple(require_number("beta_grid entry", b) for b in self.beta_grid)
         if any(b <= 0 for b in betas):
             raise ValueError("beta grid values must be positive")

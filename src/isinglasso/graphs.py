@@ -189,20 +189,25 @@ class SignedGraph:
         return cls(p=graph.p, edges=graph.edges, couplings=couplings) if couplings else graph
 
 
+def check_regular_degree(p: int, d: int) -> None:
+    """The degrees generate_random_regular takes: an integer d with
+    3 <= d < p and p*d even, else ValueError."""
+    require_int("degree d", d, 3)
+    if d >= p:
+        raise ValueError("degree must be < p")
+    if (p * d) % 2 != 0:
+        raise ValueError("p*d must be even")
+
+
 def generate_random_regular(p: int, d: int, seed: int) -> SignedGraph:
     """Uniform-ish simple d-regular graph on p vertices via the
     configuration (pairing) model with rejection of self-loops and
     multi-edges.
 
-    Raises ValueError when p*d is odd or d is out of range, RuntimeError
+    Raises ValueError when check_regular_degree refuses d, RuntimeError
     if no simple pairing is found within REGULAR_RETRY_CAP attempts.
     """
-    if d < 3:
-        raise ValueError("degree must be >= 3")
-    if d >= p:
-        raise ValueError("degree must be < p")
-    if (p * d) % 2 != 0:
-        raise ValueError("p*d must be even")
+    check_regular_degree(p, d)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(p, dtype=np.int64), d)
     for _ in range(REGULAR_RETRY_CAP):
@@ -250,9 +255,7 @@ def generate_grid_periodic(rows: int, cols: int) -> SignedGraph:
 def generate_star(p: int, d: int) -> SignedGraph:
     """Hub vertex 0 joined to vertices 1..d; the remaining p-1-d vertices
     stay isolated so the nominal problem size is p."""
-    if d < 1:
-        raise ValueError("hub degree must be >= 1")
-    if d > p - 1:
+    if require_int("hub degree", d, 1) > p - 1:
         raise ValueError("hub degree must be <= p-1")
     edges = tuple((0, t) for t in range(1, d + 1))
     return SignedGraph(p=p, edges=edges)
@@ -264,8 +267,7 @@ def generate_random_tree(p: int, d_max: int, seed: int) -> SignedGraph:
     still has spare degree."""
     if p < 2:
         raise ValueError("tree needs p >= 2")
-    if d_max < 2:
-        raise ValueError("d_max must be >= 2")
+    require_int("d_max", d_max, 2)
     rng = np.random.default_rng(seed)
     deg = np.zeros(p, dtype=np.int64)
     edges = []
@@ -288,8 +290,7 @@ def generate_bethe_tree(p: int, d: int) -> SignedGraph:
     """
     if p < 2:
         raise ValueError("tree needs p >= 2")
-    if d < 2:
-        raise ValueError("degree must be >= 2")
+    require_int("degree d", d, 2)
     edges = []
     queue = deque([0])
     deg = [0] * p
@@ -363,22 +364,20 @@ def signed_neighborhood_sets(graph: SignedGraph) -> dict[int, dict[int, int]]:
     return out
 
 
-def check_node(r: int, p: int) -> None:
-    """Reject a node label outside 0..p-1 instead of letting a negative
-    index wrap around."""
-    if not 0 <= r < p:
-        raise ValueError(f"node {r} out of range for p = {p}")
+def check_node(r: int, p: int, name: str = "node") -> int:
+    """The vertex label r as an int: an integer outside 0..p-1 is named out
+    of range (a negative index would wrap around), and anything else the
+    integer rule refuses (1.5, True) is a ValueError too."""
+    if isinstance(r, _INTEGERS) and not 0 <= r < p:
+        raise ValueError(f"{name} {r} out of range for p = {p}")
+    return require_int(name, r, 0)
 
 
 def support_vertices(support, p: int, r: int) -> np.ndarray:
-    """Sorted vertex labels of node r's support. Rejects r outside 0..p-1,
-    r itself and vertices outside 0..p-1 instead of letting negative
-    indices wrap around."""
+    """Sorted vertex labels of node r's support. Rejects a label that
+    check_node refuses, for r and every support vertex, and r itself."""
     check_node(r, p)
-    labels = sorted(int(v) for v in support)
+    labels = sorted(check_node(v, p, "support vertex") for v in support)
     if r in labels:
         raise ValueError("support must not contain the regression vertex")
-    for v in labels:
-        if not 0 <= v < p:
-            raise ValueError(f"support vertex {v} out of range")
     return np.asarray(labels, dtype=np.int64)

@@ -18,7 +18,8 @@ import numpy as np
 from .graphs import SignedGraph, require_int
 
 ENUMERATION_CAP = 20
-_ENUM_BLOCK_BITS = 14  # 2^14 states per block
+_ENUM_BLOCK_BITS = 14  # 2^14 low states
+_ENUM_CHUNK = 16  # high states per chunk: 2 MB of weights at 2^14 low states
 _BLOCK_UNIFORMS = 8192  # per Gibbs generator call: 64 KB of thresholds at any p
 _BINARY_MAGIC = b"ISNG"
 
@@ -161,12 +162,19 @@ def exact_enumerate(graph: SignedGraph) -> ExactMoments:
     """Exact moments by summing over all 2^p configurations; capped at
     p <= ENUMERATION_CAP.
 
-    States come in blocks of up to 2^_ENUM_BLOCK_BITS: the low-bit spin
-    columns are filled once and the high-bit columns, constant within a
-    block, once per block. A trailing column of ones makes one product per
-    block accumulate the total weight, the first and the second moment.
-    Weights are taken relative to the largest energy seen so far and the
-    sums are rescaled whenever it grows, so large couplings cannot overflow.
+    A state splits into its low bits l (the first low = min(p,
+    _ENUM_BLOCK_BITS) spins) and its high bits h, with energy
+    E = E_low(l) + E_high(h) + h.(J_hl l). The low states, as columns with
+    a trailing row of ones, and each high state's field [h J_hl, E_high(h)]
+    are built once per call; one product per chunk of _ENUM_CHUNK high
+    states then gives E_high + cross term for every low state. The weights
+    of a chunk, times the low states, give its per-high-state sums (the
+    ones row gives their totals), from which the low-high and high-high
+    moments come; the low-low moments come once, from the weights summed
+    over high states. States lie on the contiguous axis, so every 2^low-term
+    sum is a BLAS dot product. Weights are taken relative to the largest
+    energy seen so far and the sums are rescaled whenever it grows, so large
+    couplings cannot overflow.
     """
     if graph.p > ENUMERATION_CAP:
         raise ValueError(
@@ -175,28 +183,43 @@ def exact_enumerate(graph: SignedGraph) -> ExactMoments:
     graph._require_couplings()
     p = graph.p
     low = min(p, _ENUM_BLOCK_BITS)
-    spins = np.ones((1 << low, p + 1))
-    spins[:, :low] = 2.0 * ((np.arange(1 << low)[:, None] >> np.arange(low)) & 1) - 1.0
-    half_j = np.pad(0.5 * graph.coupling_matrix(), (0, 1))
-    # One work block and two vectors serve every block. Fresh block-sized
-    # temporaries were page-faulted in anew on every block in some
-    # processes and not in others, by where the heap happened to sit
-    # (55k against 3k minor faults per enumerate_tree20 benchmark op, 700
-    # against 510 ms on a 2-core host), so run times split in two.
-    work = np.empty_like(spins)
-    energy = np.empty(1 << low)
-    w = np.empty(1 << low)
+    j = np.triu(graph.coupling_matrix())  # each edge once
+    # low states as columns, high states as rows, each with a trailing one
+    lows = np.ones((low + 1, 1 << low))
+    lows[:low] = 2.0 * ((np.arange(1 << low) >> np.arange(low)[:, None]) & 1) - 1.0
+    highs = np.ones((1 << (p - low), p - low + 1))
+    highs[:, :-1] = 2.0 * ((np.arange(len(highs))[:, None] >> np.arange(p - low)) & 1) - 1.0
+    hs = highs[:, :-1]
+    e_low = np.einsum("ij,ij->j", j[:low, :low] @ lows[:low], lows[:low])
+    field = np.empty((len(hs), low + 1))
+    field[:, :low] = hs @ j[:low, low:].T
+    field[:, low] = np.einsum("ij,ij->i", hs @ j[low:, low:], hs)
+    # One chunk buffer serves every chunk: fresh block-sized temporaries were
+    # page-faulted in anew in some processes and not in others, by where the
+    # heap happened to sit, so run times split in two.
+    k = min(_ENUM_CHUNK, len(highs))
+    work = np.empty((k, 1 << low))
+    summed = np.empty(1 << low)
+    low_weight = np.zeros(1 << low)
+    per_high = np.empty((len(highs), low + 1))
     top = -np.inf
-    sums = np.zeros((p + 1, p + 1))
-    for high in range(1 << (p - low)):
-        spins[:, low:p] = 2.0 * ((high >> np.arange(p - low)) & 1) - 1.0
-        np.einsum("ij,ij->i", np.matmul(spins, half_j, out=work), spins, out=energy)
-        peak = float(energy.max())
+    for start in range(0, len(highs), k):
+        np.add(np.matmul(field[start:start + k], lows, out=work), e_low, out=work)
+        peak = float(work.max())
         if peak > top:
-            sums *= math.exp(top - peak)
+            scale = math.exp(top - peak)
+            low_weight *= scale
+            per_high[:start] *= scale
             top = peak
-        np.exp(np.subtract(energy, top, out=w), out=w)
-        sums += spins.T @ np.multiply(spins, w[:, None], out=work)
+        np.exp(np.subtract(work, top, out=work), out=work)
+        low_weight += np.sum(work, axis=0, out=summed)
+        np.matmul(work, lows.T, out=per_high[start:start + k])
+    sums = np.empty((p + 1, p + 1))
+    lo = np.r_[:low, p]
+    sums[np.ix_(lo, lo)] = (lows * low_weight) @ lows.T
+    sums[low:, lo] = highs.T @ per_high
+    sums[lo, low:] = sums[low:, lo].T
+    sums[low:p, low:p] = (hs * per_high[:, low:]).T @ hs
     total = sums[p, p]
     mean = sums[:p, p] / total
     covariance = sums[:p, :p] / total - np.outer(mean, mean)

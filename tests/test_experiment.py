@@ -121,6 +121,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             tiny_config(**override)
 
+    @pytest.mark.parametrize("p_list, d, message", [
+        ((8,), 2, "integer >= 3"),
+        ((8, 16), 8, "< p"),
+        ((8, 9), 3, "even"),
+    ])
+    def test_rr_degree_the_generator_refuses(self, p_list, d, message):
+        """An rr config fails when it is built, with the generator's own
+        rule for every p, not in its first trial after workers start."""
+        with pytest.raises(ValueError, match=message):
+            tiny_config(p_list=p_list, d=d)
+
     def test_from_json_takes_integers_as_numbers(self):
         obj = json.loads(tiny_config().to_json())
         cfg = ExperimentConfig.from_json(json.dumps({**obj, "kappa": 2, "beta_grid": [1, 2]}))

@@ -18,6 +18,7 @@ from isinglasso.graphs import (
     generate_random_tree,
     generate_star,
     signed_neighborhood_sets,
+    support_vertices,
 )
 from conftest import value_kinds
 
@@ -199,6 +200,54 @@ class TestFamilies:
         assert generate_graph("bethe_tree", 10, 3, 0) == generate_bethe_tree(10, 3)
         with pytest.raises(ValueError, match="unknown graph family"):
             generate_graph("hexagon", 9, 3, 0)
+
+
+_GENERATORS = {
+    "rr": (10, lambda p, d: generate_random_regular(p, d, 0)),
+    "tree": (10, lambda p, d: generate_random_tree(p, d, 0)),
+    "star": (6, generate_star),
+    "bethe_tree": (10, generate_bethe_tree),
+}
+
+
+class TestDegreeIsAnInteger:
+    """Each generator applies the integer rule to its degree where it is
+    entered, so a direct call and generate_graph refuse the same values
+    with a ValueError: no tree quietly capped at int(2.5) + 1, no
+    TypeError from range(2.5)."""
+
+    @pytest.mark.parametrize("family", sorted(_GENERATORS))
+    @pytest.mark.parametrize("d", [2.5, 3.0, True, "3", None])
+    def test_non_integer_degree_rejected(self, family, d):
+        p, generate = _GENERATORS[family]
+        with pytest.raises(ValueError, match="must be an integer"):
+            generate(p, d)
+        with pytest.raises(ValueError, match="must be an integer"):
+            generate_graph(family, p, d, 0)
+
+    @pytest.mark.parametrize("family", sorted(_GENERATORS))
+    def test_numpy_integer_degree_accepted(self, family):
+        p, generate = _GENERATORS[family]
+        assert generate(p, np.int64(3)) == generate(p, 3)
+
+
+class TestNodeLabels:
+    """A vertex label follows the integer rule before its range: a fraction
+    or a bool is a ValueError, not a label truncated by int() or an
+    IndexError deep in numpy."""
+
+    @pytest.mark.parametrize("label", [1.5, True, "1", None])
+    def test_non_integer_support_label_rejected(self, label):
+        with pytest.raises(ValueError, match="support vertex must be an integer"):
+            support_vertices([label], 5, 0)
+
+    @pytest.mark.parametrize("r", [1.5, True, "1"])
+    def test_non_integer_node_rejected(self, r):
+        with pytest.raises(ValueError, match="node must be an integer"):
+            support_vertices([2], 5, r)
+
+    def test_integer_labels_sorted(self):
+        assert support_vertices((np.int64(3), 1), 5, 0).tolist() == [1, 3]
 
 
 class TestCouplings:

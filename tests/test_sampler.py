@@ -15,6 +15,7 @@ from isinglasso.graphs import (
     generate_random_tree,
     generate_star,
 )
+from isinglasso import sampler
 from isinglasso.sampler import (
     _BLOCK_UNIFORMS,
     ExactMoments,
@@ -141,6 +142,9 @@ def chain_graph(kind: str, p: int, seed: int) -> SignedGraph:
         g = generate_random_tree(p, int(rng.integers(2, 5)), seed)
     elif kind == "star" and p >= 2:
         g = generate_star(p, int(rng.integers(1, p)))
+    elif kind == "loopy" and p >= 3:
+        pairs = [(r, t) for r in range(p) for t in range(r + 1, p)]
+        g = SignedGraph(p=p, edges=tuple(e for e in pairs if rng.random() < 0.5))
     else:
         return free_graph(p)
     mags = rng.uniform(0.05, 1.0, len(g.edges))
@@ -258,6 +262,44 @@ class TestExactEnumerate:
         assert np.abs(m.mean - mean).max() < 1e-13
         assert np.abs(m.covariance - cov).max() < 1e-13
         assert abs(m.log_partition - log_z) < 1e-12 * abs(log_z)
+
+
+class TestEnumerationSplit:
+    """exact_enumerate equals the state-by-state oracle however the states
+    split into low and high bits: a single block (no high bits), chunks of
+    high states with boundaries between them, and couplings large enough
+    that the peak energy first appears in a later chunk and the running
+    sums must be rescaled. The couplings are mixed +/-scale, so from 4 up
+    every energy is an exact integer, as in
+    test_large_couplings_do_not_overflow: with couplings of arbitrary
+    magnitude near 400, energies near 6000 carry a rounding of about
+    1e-12 that separates near-degenerate states in any float64 sum, the
+    state-by-state one included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["rr", "tree", "star", "free", "loopy"]),
+        p=st.integers(1, 10),
+        graph_seed=st.integers(0, 2**31 - 1),
+        scale=st.sampled_from([0.4, 4.0, 40.0, 400.0]),
+    )
+    def test_every_split_matches_oracle(self, kind, p, graph_seed, scale):
+        g = chain_graph(kind, p, graph_seed)
+        signed = {e: math.copysign(scale, j) for e, j in g.couplings.items()}
+        g = SignedGraph(p=p, edges=g.edges, couplings=signed)
+        mean, cov, log_z = enumeration_oracle(g)
+        # the looser of test_matches_state_by_state_oracle's and
+        # test_large_couplings_do_not_overflow's tolerances
+        tol = max((1 << p) * np.finfo(float).eps, 1e-13)
+        for bits in range(1, p + 1):
+            # patched in the body: a function-scoped fixture would be
+            # shared by every Hypothesis example
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sampler, "_ENUM_BLOCK_BITS", bits)
+                m = exact_enumerate(g)
+            assert np.abs(m.mean - mean).max() < tol
+            assert np.abs(m.covariance - cov).max() < tol
+            assert abs(m.log_partition - log_z) < max(tol, 1e-12 * abs(log_z))
 
 
 class TestMagnetization:

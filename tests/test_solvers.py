@@ -137,6 +137,14 @@ class TestNodeCheck:
         with pytest.raises(ValueError, match=f"node {r} out of range for p = 4"):
             solve(samples, r, 0.1)
 
+    @pytest.mark.parametrize("r", [1.5, True])
+    def test_non_integer_node_rejected(self, solve, r):
+        """A fraction or a bool is refused at entry, not an IndexError
+        deep in numpy."""
+        samples = random_samples(np.random.default_rng(16), 5, 30)
+        with pytest.raises(ValueError, match="node must be an integer"):
+            solve(samples, r, 0.1)
+
     def test_negative_lambda_rejected(self, solve):
         samples = random_samples(np.random.default_rng(17), 4, 20)
         with pytest.raises(ValueError, match="lambda must be >= 0"):
