@@ -89,6 +89,8 @@ class ExperimentConfig:
         if self.family == "rr":  # the generator's rule, before any worker starts
             for p in p_list:
                 check_regular_degree(p, self.d)
+        if self.family == "tree":  # generate_random_tree's degree-cap floor
+            require_int("d", self.d, 2)
         betas = tuple(require_number("beta_grid entry", b) for b in self.beta_grid)
         if any(b <= 0 for b in betas):
             raise ValueError("beta grid values must be positive")

@@ -265,8 +265,7 @@ def generate_random_tree(p: int, d_max: int, seed: int) -> SignedGraph:
     """Random labelled tree on p vertices with maximum degree <= d_max,
     grown by attaching each new vertex to a uniformly random vertex that
     still has spare degree."""
-    if p < 2:
-        raise ValueError("tree needs p >= 2")
+    p = require_int("p", p, 2)
     require_int("d_max", d_max, 2)
     rng = np.random.default_rng(seed)
     deg = np.zeros(p, dtype=np.int64)
@@ -288,8 +287,7 @@ def generate_bethe_tree(p: int, d: int) -> SignedGraph:
     of degree-d regular graphs: any closed form that depends only on the
     local degree-d branching holds exactly on its interior.
     """
-    if p < 2:
-        raise ValueError("tree needs p >= 2")
+    p = require_int("p", p, 2)
     require_int("degree d", d, 2)
     edges = []
     queue = deque([0])

@@ -10,11 +10,12 @@ from the shared second moment with node r pinned at zero; each cycle visits
 only a working set, which a drift-free full gradient confirms or grows. The
 logistic baseline replaces the square loss with the conditional log-loss
 (1/n) sum_i log(1 + exp(-2 x_r_i <theta, x_i>)), whose gradient for +/-1
-spins is (1/n) X'(tanh(X theta) - x_r): the residual against the heat-bath
-conditional mean, as the Lasso's is (1/n) X'(X theta - x_r). It runs
-accelerated proximal gradient (FISTA) with adaptive restart and one fixed
-step, 1 / lambda_max of the second moment, on all requested nodes at once
-as columns of one coefficient matrix. Both report the optimality-system
+spins is (1/n) X'tanh(X theta) - (1/n) X'x_r: the residual against the
+heat-bath conditional mean, as the Lasso's is (1/n) X'(X theta - x_r), with
+the linear term read from the same second moment. It runs accelerated
+proximal gradient (FISTA) with adaptive restart and one fixed step,
+1 / lambda_max of the second moment, on all requested nodes at once as rows
+of one coefficient matrix. Both report the optimality-system
 residual and a reconstructed subgradient, so downstream certificate checks
 can consume either one interchangeably.
 
@@ -100,6 +101,19 @@ def _kkt_residual(theta: np.ndarray, grad: np.ndarray, lam: float, idx=slice(Non
     return np.maximum(res.max(axis=0, initial=0.0), 0.0)
 
 
+def _work_residual(theta, grad, lam: float, work: list[int]) -> float:
+    """_kkt_residual(theta, grad, lam, work) in Python floats, for a list of
+    a few indices: the same IEEE operations, as lam * sign(theta_j) is +-lam
+    exactly, without numpy's per-call cost."""
+    worst = 0.0
+    for j in work:
+        th, g = theta.item(j), grad.item(j)
+        res = abs(g + lam) if th > 0.0 else (abs(g - lam) if th < 0.0 else abs(g) - lam)
+        if res > worst:
+            worst = res
+    return worst
+
+
 def _quadratic_loss(gram, linear, theta) -> float:
     return 0.5 * float(theta @ (gram @ theta)) - float(linear @ theta) + 0.5
 
@@ -151,11 +165,11 @@ def lasso_cd_gram(
 
     theta = np.zeros(m)
     grad = -linear
-    work = support_idx[np.abs(grad[support_idx]) > lam]
+    work = support_idx[np.abs(grad[support_idx]) > lam].tolist()
 
     for iterations in range(1, _MAX_ITERS + 1):
         max_delta = 0.0
-        for j in work.tolist():
+        for j in work:
             old = theta[j]
             z = old - grad[j]
             new = z - lam if z > lam else (z + lam if z < -lam else 0.0)  # soft-threshold
@@ -167,16 +181,16 @@ def lasso_cd_gram(
                     max_delta = abs(delta)
         if iterations % _GRAM_REFRESH_CYCLES == 0:
             grad = gram @ theta - linear  # shed accumulated float drift
-        if max_delta == 0.0 or _kkt_residual(theta, grad, lam, work) <= cfg.tol:
+        if max_delta == 0.0 or _work_residual(theta, grad, lam, work) <= cfg.tol:
             # the working set is solved: confirm over the whole support on a
             # drift-free gradient, and let violators join the set
             grad = gram @ theta - linear
             if _kkt_residual(theta, grad, lam, support_idx) <= cfg.tol:
                 break
             grown = np.union1d(work, support_idx[np.abs(grad[support_idx]) > lam])
-            if max_delta == 0.0 and grown.size == work.size:
+            if max_delta == 0.0 and grown.size == len(work):
                 break  # exact fixed point of every coordinate update: optimal
-            work = grown
+            work = grown.tolist()
     else:
         grad = gram @ theta - linear
         kkt = _kkt_residual(theta, grad, lam, support_idx)
@@ -206,14 +220,16 @@ def solve_lasso(
     return sol
 
 
-def _logistic_grad(x, y, theta, pinned):
+def _logistic_grad(xt, theta, linear, pinned):
     """Gradient of the mean log-loss (1/n) sum_i log(1 + exp(-2 y_ik <theta_k, x_i>))
-    at every column k of theta, zeroed at the pinned entries. For y = +/-1,
-    y sigmoid(-2 y u) = (y - tanh u) / 2, so it is (1/n) X'(tanh(X theta) - y)."""
-    s = x @ theta
+    at every row k of theta (K x p), zeroed at the pinned entries. For y = +/-1,
+    y sigmoid(-2 y u) = (y - tanh u) / 2, so it is (1/n) X'tanh(X theta) - (1/n) X'y,
+    where xt is X' and linear holds the rows (1/n) X'y of the second moment."""
+    s = theta @ xt
     np.tanh(s, out=s)
-    s -= y
-    grad = (x.T @ s) / x.shape[0]
+    grad = s @ xt.T
+    grad /= xt.shape[1]
+    grad -= linear
     grad[pinned] = 0.0
     return grad
 
@@ -231,7 +247,7 @@ def solve_logistic_l1_batch(
     samples: SampleMatrix, nodes, lam: float, config: SolverConfig | None = None
 ) -> tuple[dict[int, LassoSolution], dict[int, ConvergenceError]]:
     """L1-penalized logistic regressions of the listed spins on the rest as
-    one matrix FISTA: column k of the p x K coefficients is node nodes[k]'s,
+    one matrix FISTA: row k of the K x p coefficients is node nodes[k]'s,
     with its own entry pinned at 0. Returns (solutions, errors) by node.
 
     The factor 2 inside the logit matches the heat-bath conditional of the
@@ -239,10 +255,11 @@ def solve_logistic_l1_batch(
     row itself. Each sample's curvature 4 sigma (1 - sigma) is at most 1,
     so a node's Hessian is bounded by its predictor Gram, a principal block
     of the second moment: 1 / lambda_max of that is a valid step for every
-    column. Each column keeps its own momentum and gradient-based restart
+    node. Each node keeps its own momentum and gradient-based restart
     (O'Donoghue & Candes 2015), KKT test, divergence guard and iteration
-    count, and leaves the batch once converged. Raises ValueError for a
-    node outside 0..p-1 or lambda < 0.
+    count, and leaves the batch once converged or diverged: the loop holds
+    the rows of the nodes still running, compacted when one leaves. Raises
+    ValueError for a node outside 0..p-1 or lambda < 0.
     """
     cfg = config or SolverConfig()
     p = samples.p
@@ -250,65 +267,73 @@ def solve_logistic_l1_batch(
         check_node(r, p)
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    x = samples.as_float()
+    xt = samples.data.T.astype(np.float64, order="C")
     errors: dict[int, ConvergenceError] = {}
     if lam == 0.0:
         for r in nodes:
-            if _is_separable(np.delete(x, r, axis=1) * x[:, r, None]):
+            if _is_separable(np.delete(xt, r, axis=0).T * xt[r, :, None]):
                 errors[int(r)] = ConvergenceError(
                     "data are linearly separable and lambda = 0: the logistic loss "
                     "has no minimizer (coefficients diverge)", kkt_residual=float("inf"))
     nodes = np.array([r for r in nodes if r not in errors], dtype=np.int64)
-    step = 1.0 / np.linalg.eigvalsh(samples.second_moment())[-1]
-    y = samples.data[:, nodes]
-    theta, momentum, grad_final = (np.zeros((p, nodes.size)) for _ in range(3))
-    t_acc = np.ones(nodes.size)
+    second = samples.second_moment()
+    step = 1.0 / np.linalg.eigvalsh(second)[-1]
+    theta_final, grad_final = np.zeros((nodes.size, p)), np.zeros((nodes.size, p))
     iterations = np.zeros(nodes.size, dtype=np.int64)
     kkt = np.full(nodes.size, np.inf)
+    # the active rows only, compacted when a node leaves: row k is node act[k]
     act = np.arange(nodes.size)
+    theta, momentum = np.zeros((nodes.size, p)), np.zeros((nodes.size, p))
+    t_acc = np.ones(nodes.size)
+    linear = second[nodes]
+    pinned = (act, nodes)
     for it in range(1, _MAX_ITERS + 1):
         if act.size == 0:
             break
-        pinned = (nodes[act], np.arange(act.size))
-        mom, old = momentum[:, act], theta[:, act]
-        cand = mom - step * _logistic_grad(x, y[:, act], mom, pinned)
+        cand = momentum - step * _logistic_grad(xt, momentum, linear, pinned)
         new = np.sign(cand) * np.maximum(np.abs(cand) - step * lam, 0.0)
+        progress = new - theta
         # restart where the momentum step points against the progress made
-        restart = np.einsum("ij,ij->j", mom - new, new - old) > 0.0
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc[act] ** 2))
-        beta = np.where(restart, 0.0, (t_acc[act] - 1.0) / t_next)
-        momentum[:, act] = new + beta * (new - old)
-        theta[:, act] = new
-        t_acc[act] = np.where(restart, 1.0, t_next)
-        done = np.abs(new).max(axis=0) > _MAX_COEF
+        restart = np.einsum("ij,ij->i", momentum - new, progress) > 0.0
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
+        beta = np.where(restart, 0.0, (t_acc - 1.0) / t_next)
+        momentum = new + beta[:, None] * progress
+        theta = new
+        t_acc = np.where(restart, 1.0, t_next)
+        done = np.abs(new).max(axis=1) > _MAX_COEF
         for j in act[done]:
             errors[int(nodes[j])] = ConvergenceError(
                 "logistic coefficients diverged (with lambda = 0 this means the "
                 "data are separable and no minimizer exists)", kkt_residual=float("inf"))
         if it % _KKT_CHECK_EVERY == 0 or it == 1:
-            grad = _logistic_grad(x, y[:, act], new, pinned)
-            kkt[act] = _kkt_residual(new, grad, lam)
+            grad = _logistic_grad(xt, new, linear, pinned)
+            kkt[act] = _kkt_residual(new.T, grad.T, lam)
             converged = (kkt[act] <= cfg.tol) & ~done
-            grad_final[:, act[converged]] = grad[:, converged]
+            theta_final[act[converged]] = new[converged]
+            grad_final[act[converged]] = grad[converged]
             iterations[act[converged]] = it
             done |= converged
-        act = act[~done]
+        if done.any():
+            keep = ~done
+            act, theta, momentum = act[keep], theta[keep], momentum[keep]
+            t_acc, linear = t_acc[keep], linear[keep]
+            pinned = (np.arange(act.size), nodes[act])
     for j in act:
         errors[int(nodes[j])] = ConvergenceError(
             f"proximal gradient did not converge in {_MAX_ITERS} iterations "
             f"(residual {kkt[j]:.3e})", kkt_residual=float(kkt[j]))
 
     ok = np.flatnonzero(iterations)
-    terms = x @ theta[:, ok]
-    terms *= y[:, ok]
+    terms = theta_final[ok] @ xt
+    terms *= samples.data.T[nodes[ok]]
     terms *= -2.0
-    loss = np.logaddexp(0.0, terms, out=terms).mean(axis=0)
+    loss = np.logaddexp(0.0, terms, out=terms).mean(axis=1)
     solutions = {}
     for j, loss_j in zip(ok, loss):
         keep = predictor_vertices(p, nodes[j])
         solutions[int(nodes[j])] = _finalize(
-            theta[keep, j], grad_final[keep, j], float(loss_j), lam, int(iterations[j]),
-            np.arange(p - 1))
+            theta_final[j, keep], grad_final[j, keep], float(loss_j), lam,
+            int(iterations[j]), np.arange(p - 1))
     return solutions, errors
 
 

@@ -96,6 +96,63 @@ def logistic_l1_oracle(yx, lam, gtol=1e-8):
     raise RuntimeError(f"L-BFGS-B did not reach gtol = {gtol}: {res.message}")
 
 
+def logistic_fista_reference(samples, nodes, lam, tol):
+    """The matrix FISTA of solve_logistic_l1_batch as one p x K coefficient
+    matrix, for lam > 0: every iteration gathers the active columns of the
+    iterate, the momentum and the int8 responses, takes the gradient
+    (1/n) X'(tanh(X theta) - y) with dense products, and scatters the
+    results back. Same step, restart, KKT cadence and divergence guard.
+    Returns {node: (coefficients without entry node, iterations, residual)}
+    for the nodes that converged."""
+    from isinglasso.solvers import _KKT_CHECK_EVERY, _MAX_COEF, _MAX_ITERS
+
+    def grad_of(y, theta, pinned):
+        s = x @ theta
+        np.tanh(s, out=s)
+        s -= y
+        grad = (x.T @ s) / x.shape[0]
+        grad[pinned] = 0.0
+        return grad
+
+    def residual(theta, grad):
+        res = np.where(theta != 0.0, np.abs(grad + lam * np.sign(theta)), np.abs(grad) - lam)
+        return np.maximum(res.max(axis=0, initial=0.0), 0.0)
+
+    x, p = samples.as_float(), samples.p
+    nodes = np.asarray(nodes, dtype=np.int64)
+    step = 1.0 / np.linalg.eigvalsh(samples.second_moment())[-1]
+    y = samples.data[:, nodes]
+    theta, momentum = np.zeros((p, nodes.size)), np.zeros((p, nodes.size))
+    t_acc = np.ones(nodes.size)
+    iterations = np.zeros(nodes.size, dtype=np.int64)
+    kkt = np.full(nodes.size, np.inf)
+    act = np.arange(nodes.size)
+    for it in range(1, _MAX_ITERS + 1):
+        if act.size == 0:
+            break
+        pinned = (nodes[act], np.arange(act.size))
+        mom, old = momentum[:, act], theta[:, act]
+        cand = mom - step * grad_of(y[:, act], mom, pinned)
+        new = np.sign(cand) * np.maximum(np.abs(cand) - step * lam, 0.0)
+        restart = np.einsum("ij,ij->j", mom - new, new - old) > 0.0
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc[act] ** 2))
+        beta = np.where(restart, 0.0, (t_acc[act] - 1.0) / t_next)
+        momentum[:, act] = new + beta * (new - old)
+        theta[:, act] = new
+        t_acc[act] = np.where(restart, 1.0, t_next)
+        done = np.abs(new).max(axis=0) > _MAX_COEF
+        if it % _KKT_CHECK_EVERY == 0 or it == 1:
+            kkt[act] = residual(new, grad_of(y[:, act], new, pinned))
+            converged = (kkt[act] <= tol) & ~done
+            iterations[act[converged]] = it
+            done |= converged
+        act = act[~done]
+    return {
+        int(r): (np.delete(theta[:, j], r), int(iterations[j]), float(kkt[j]))
+        for j, r in enumerate(nodes) if iterations[j]
+    }
+
+
 def gibbs_reference(graph, n, config):
     """Heat-bath Gibbs samples, one generator call and one logistic per
     color class per sweep: x_r = +1 iff u < 1/(1 + exp(-2 h_r)). Consumes

@@ -132,6 +132,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             tiny_config(p_list=p_list, d=d)
 
+    def test_tree_degree_the_generator_refuses(self):
+        """A tree config with d < 2 fails when it is built, by the Python
+        path and the JSON path, not in its first trial."""
+        with pytest.raises(ValueError, match="d must be an integer >= 2, got 1"):
+            tiny_config(family="tree", d=1)
+        obj = {**json.loads(tiny_config(family="tree").to_json()), "d": 1}
+        with pytest.raises(ValueError, match="d must be an integer >= 2, got 1"):
+            ExperimentConfig.from_json(json.dumps(obj))
+        assert tiny_config(family="tree", d=2).d == 2
+
     def test_from_json_takes_integers_as_numbers(self):
         obj = json.loads(tiny_config().to_json())
         cfg = ExperimentConfig.from_json(json.dumps({**obj, "kappa": 2, "beta_grid": [1, 2]}))

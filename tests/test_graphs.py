@@ -231,6 +231,26 @@ class TestDegreeIsAnInteger:
         assert generate(p, np.int64(3)) == generate(p, 3)
 
 
+class TestTreeSizeIsAnInteger:
+    """The tree generators apply the integer rule to p before building
+    anything, so a fractional p is a ValueError, not a TypeError from
+    [0] * p or np.zeros(p)."""
+
+    _TREES = {"tree": lambda p: generate_random_tree(p, 3, 0),
+              "bethe_tree": lambda p: generate_bethe_tree(p, 3)}
+
+    @pytest.mark.parametrize("family", sorted(_TREES))
+    @pytest.mark.parametrize("p", [10.5, 10.0, True, "10", 1])
+    def test_non_integer_p_rejected(self, family, p):
+        with pytest.raises(ValueError, match="p must be an integer >= 2"):
+            self._TREES[family](p)
+
+    @pytest.mark.parametrize("family", sorted(_TREES))
+    def test_numpy_integer_p_accepted(self, family):
+        generate = self._TREES[family]
+        assert generate(np.int64(10)) == generate(10)
+
+
 class TestNodeLabels:
     """A vertex label follows the integer rule before its range: a fraction
     or a bool is a ValueError, not a label truncated by int() or an

@@ -9,12 +9,19 @@ from hypothesis import strategies as st
 
 from isinglasso import solvers
 from isinglasso.bethe import RescaledParams
-from isinglasso.graphs import CouplingScheme, assign_couplings, generate_bethe_tree
+from isinglasso.graphs import (
+    CouplingScheme,
+    assign_couplings,
+    generate_bethe_tree,
+    generate_random_regular,
+)
 from isinglasso.sampler import SampleMatrix, SamplerConfig, gibbs_sample
 from isinglasso.solvers import (
     ConvergenceError,
     SolverConfig,
+    _kkt_residual,
     _logistic_grad,
+    _work_residual,
     extract_signed_neighborhood,
     lambda_from_kappa,
     lasso_cd_gram,
@@ -27,6 +34,7 @@ from isinglasso.solvers import (
 from isinglasso.witness import construct_witness
 from oracles import (
     brute_force_lasso_objective,
+    logistic_fista_reference,
     logistic_grad_oracle,
     logistic_l1_oracle,
     node_moments,
@@ -210,11 +218,31 @@ class TestWorkingSet:
                 assert np.abs(sol.subgradient - ref.subgradient).max() <= 1e-12
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(1, 10), lam=st.floats(0.0, 1.0))
+def test_work_residual_equals_kkt_residual(data, m, lam):
+    """The Lasso's per-cycle working-set residual, taken in Python floats,
+    equals _kkt_residual over the same indices exactly, with coefficients
+    at +0 and -0 and gradients exactly at +-lambda among the draws."""
+    values = st.floats(-2.0, 2.0)
+    theta = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0]), values), min_size=m, max_size=m)))
+    grad = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from([lam, -lam, 0.0, -0.0]), values), min_size=m, max_size=m)))
+    work = data.draw(st.lists(st.integers(0, m - 1), unique=True))
+    got = _work_residual(theta, grad, lam, work)
+    assert isinstance(got, float)
+    assert got == _kkt_residual(theta, grad, lam, np.array(work, dtype=np.int64))
+
+
 def test_logistic_grad_matches_expit_form():
+    """The batch's gradient, one row per node with X'y/n read from the
+    second moment, equals the term-by-term expit form."""
     rng = np.random.default_rng(25)
     for _ in range(20):
         n, p = int(rng.integers(5, 60)), int(rng.integers(2, 9))
-        x = rng.choice(np.array([-1.0, 1.0]), size=(n, p))
+        samples = random_samples(rng, p, n)
+        x = samples.as_float()
         nodes = np.flatnonzero(rng.random(p) < 0.6)
         if nodes.size == 0:
             nodes = np.array([0])
@@ -222,8 +250,10 @@ def test_logistic_grad_matches_expit_form():
         theta = rng.normal(scale=rng.choice([0.1, 1.0, 5.0]), size=(p, nodes.size))
         pinned = (nodes, np.arange(nodes.size))
         theta[pinned] = 0.0
-        grad = _logistic_grad(x, y, theta, pinned)
-        assert np.abs(grad - logistic_grad_oracle(x, y, theta, pinned)).max() <= 1e-14
+        linear = samples.second_moment()[nodes]
+        rows = (np.arange(nodes.size), nodes)
+        grad = _logistic_grad(np.ascontiguousarray(x.T), theta.T.copy(), linear, rows)
+        assert np.abs(grad.T - logistic_grad_oracle(x, y, theta, pinned)).max() <= 1e-14
 
 
 class TestRestricted:
@@ -371,7 +401,47 @@ def test_logistic_batch_independent_of_company(seed, p, n, lam):
     shared, errors_shared = solve_logistic_l1_batch(samples, batch, lam, cfg)
     assert not errors_alone and not errors_shared
     assert alone[r].kkt_residual <= cfg.tol and shared[r].kkt_residual <= cfg.tol
+    assert alone[r].iterations == shared[r].iterations
     assert extract_signed_neighborhood(alone[r], r) == extract_signed_neighborhood(shared[r], r)
+
+
+def assert_matches_fista_reference(samples, nodes, lam, tol):
+    """The batch equals the gather-and-scatter FISTA node by node: the same
+    iteration count and signed support, coefficients within 1e-12, and both
+    residuals within tol."""
+    solutions, errors = solve_logistic_l1_batch(samples, nodes, lam, SolverConfig(tol=tol))
+    reference = logistic_fista_reference(samples, nodes, lam, tol)
+    assert not errors and solutions.keys() == reference.keys() == set(nodes)
+    for r, (coef, iterations, kkt) in reference.items():
+        sol = solutions[r]
+        assert sol.iterations == iterations
+        assert np.array_equal(np.sign(sol.coefficients), np.sign(coef))
+        assert np.abs(sol.coefficients - coef).max() <= 1e-12
+        assert sol.kkt_residual <= tol and kkt <= tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 7),
+    n=st.integers(4, 60),
+    lam=st.floats(0.02, 0.5),
+    tol=st.sampled_from([1e-6, 1e-9]),
+)
+def test_logistic_batch_matches_fista_reference(seed, p, n, lam, tol):
+    """On a random problem and a random subset of nodes in random order."""
+    rng = np.random.default_rng(seed)
+    samples = random_samples(rng, p, n)
+    nodes = [int(v) for v in rng.permutation(p)[: int(rng.integers(1, p + 1))]]
+    assert_matches_fista_reference(samples, nodes, lam, tol)
+
+
+def test_logistic_batch_matches_fista_reference_rr64():
+    """Every node of a p=64 rr chain, as recover_graph runs them."""
+    g = assign_couplings(generate_random_regular(64, 3, 5), CouplingScheme.mixed(0.4), seed=6)
+    samples = gibbs_sample(g, 700, SamplerConfig(seed=7))
+    lam = lambda_from_kappa(2.0, samples.n, samples.p)
+    assert_matches_fista_reference(samples, list(range(64)), lam, 1e-7)
 
 
 class TestNeighborhoodExtraction:
