@@ -13,11 +13,15 @@ logistic baseline replaces the square loss with the conditional log-loss
 spins is (1/n) X'tanh(X theta) - (1/n) X'x_r: the residual against the
 heat-bath conditional mean, as the Lasso's is (1/n) X'(X theta - x_r), with
 the linear term read from the same second moment. It runs accelerated
-proximal gradient (FISTA) with adaptive restart and one fixed step,
-1 / lambda_max of the second moment, on all requested nodes at once as rows
-of one coefficient matrix. Both report the optimality-system
-residual and a reconstructed subgradient, so downstream certificate checks
-can consume either one interchangeably.
+proximal gradient (FISTA) with adaptive restart on all requested nodes at
+once, each node on its own working set W (its nonzeros and the coordinates
+whose |gradient| exceeds lambda), with its own step 1 / lambda_max of the
+block M[W, W] of the second moment (the products over all columns stand in
+for the gathered ones where W is a large share of p); a dense gradient
+every few iterations decides convergence over all coordinates and
+rebuilds the sets. Both report the optimality-system residual and a
+reconstructed subgradient, so downstream certificate checks can consume
+either one interchangeably.
 
 Because spins are +/-1 the Gram diagonal is exactly 1, which makes the
 coordinate update a bare soft-threshold with no denominator.
@@ -36,6 +40,8 @@ from .sampler import SampleMatrix
 ACTIVE_TOL = 1e-8
 _GRAM_REFRESH_CYCLES = 50
 _KKT_CHECK_EVERY = 10  # logistic only; CD checks every cycle
+_GATHER_BYTES = 1 << 19  # logistic working-set columns per chunk of nodes: 512 KB
+_GATHER_SHARE = 12  # a logistic set wider than p / 12 takes dense products instead
 _MAX_COEF = 1e3  # divergence guard (logistic, lambda = 0)
 _MAX_ITERS = 100_000  # CD cycles or FISTA iterations before ConvergenceError
 
@@ -234,6 +240,72 @@ def _logistic_grad(xt, theta, linear, pinned):
     return grad
 
 
+def _soft_threshold(z, tau):
+    """sign(z) max(|z| - tau, 0) row-wise, as +0.0 wherever it is zero."""
+    return z - np.clip(z, -tau, tau)
+
+
+def _working_grad(xtp, work, widths, theta, linear_w, buf):
+    """Each row's log-loss gradient on its working set, (1/n) X_W'tanh(X_W theta_W)
+    - M[r, W], zero at the padding. Rows come widest first. Those whose set
+    is wider than p / _GATHER_SHARE, where gathering costs more than the
+    BLAS products over all p columns, take the dense products and keep W.
+    The others' columns X_W are gathered from xtp (X' and a zero row p) into
+    buf, _GATHER_BYTES long, a chunk of rows at a time, so a chunk is as
+    wide as its first row. Both gathered sums run in a fixed order, the
+    forward one over the set's positions and the backward one over the
+    samples, so neither the padding nor the chunking changes a bit of any
+    row; a row's path depends on its own width only."""
+    rows, n = work.shape[0], xtp.shape[1]
+    p = xtp.shape[0] - 1
+    grad = np.zeros(work.shape)
+    a = int(np.count_nonzero(widths * _GATHER_SHARE > p))
+    if a:
+        at = (np.arange(a)[:, None], work[:a])
+        full = np.zeros((a, p + 1))
+        full[at] = theta[:a]
+        s = full[:, :p] @ xtp[:p]
+        np.tanh(s, out=s)
+        full[:, :p] = s @ xtp[:p].T
+        full[:, p] = 0.0
+        grad[:a] = full[at]
+    while a < rows:
+        w = max(int(widths[a]), 1)
+        b = min(rows, a + max(1, buf.size // (w * n)))
+        size = (b - a) * w * n  # over the budget only for one row wider than it
+        cols = (buf[:size] if size <= buf.size else np.empty(size)).reshape(b - a, w, n)
+        np.take(xtp, work[a:b, :w], axis=0, out=cols, mode="clip")  # in range by construction
+        s = np.einsum("kw,kwn->kn", theta[a:b, :w], cols)
+        np.tanh(s, out=s)
+        grad[a:b, :w] = np.einsum("kwn,kn->kw", cols, s)
+        a = b
+    grad /= n
+    grad -= linear_w
+    return grad
+
+
+def _block_steps(second, work, widths):
+    """1 / lambda_max(M[W, W]) for each row's working set W, the blocks of
+    one width in one eigvalsh call so that no block is padded; 1 for an
+    empty set."""
+    steps = np.ones(widths.size)
+    for w in np.unique(widths[widths > 0]):
+        rows = np.flatnonzero(widths == w)
+        idx = work[rows, :w]
+        steps[rows] = 1.0 / np.linalg.eigvalsh(second[idx[:, :, None], idx[:, None, :]])[:, -1]
+    return steps
+
+
+def _padded_sets(mask):
+    """Each row's working set, the columns where mask is True in order,
+    padded to the widest row (at least 1) with the index of the zero row
+    that follows the p columns; with the widths."""
+    widths = mask.sum(axis=1)
+    width = max(int(widths.max(initial=0)), 1)
+    order = np.argsort(~mask, axis=1, kind="stable")[:, :width]
+    return np.where(np.arange(width) < widths[:, None], order, mask.shape[1]), widths
+
+
 def _is_separable(yx: np.ndarray) -> bool:
     """Strict linear separability check (feasibility of margins >= 1)."""
     from scipy.optimize import linprog
@@ -247,15 +319,24 @@ def solve_logistic_l1_batch(
     samples: SampleMatrix, nodes, lam: float, config: SolverConfig | None = None
 ) -> tuple[dict[int, LassoSolution], dict[int, ConvergenceError]]:
     """L1-penalized logistic regressions of the listed spins on the rest as
-    one matrix FISTA: row k of the K x p coefficients is node nodes[k]'s,
-    with its own entry pinned at 0. Returns (solutions, errors) by node.
+    one batch of FISTA runs: row k is node nodes[k]'s, with its own entry
+    pinned at 0. Returns (solutions, errors) by node.
 
     The factor 2 inside the logit matches the heat-bath conditional of the
     edge-coupling convention, so the population minimizer is the coupling
-    row itself. Each sample's curvature 4 sigma (1 - sigma) is at most 1,
-    so a node's Hessian is bounded by its predictor Gram, a principal block
-    of the second moment: 1 / lambda_max of that is a valid step for every
-    node. Each node keeps its own momentum and gradient-based restart
+    row itself. Each node iterates on a working set W: its nonzero
+    coefficients and every coordinate whose |gradient| exceeds lambda, as
+    of the last full check. Every _KKT_CHECK_EVERY iterations (and after
+    the first) the dense gradient over all p - 1 coordinates decides
+    convergence and rebuilds the sets, and every node restarts its momentum
+    from its iterate on the new set. Between checks the iterate, momentum
+    and gradient live on W, with the columns X_W gathered per chunk of
+    nodes, or with the products over all columns for a set wider than
+    p / _GATHER_SHARE (_working_grad).
+    Each sample's curvature 4 sigma (1 - sigma) = sech^2 is at most 1, so
+    the Hessian restricted to W is bounded by M[W, W], a principal block of
+    the second moment M: each node steps by 1 / lambda_max of its own block.
+    Each node keeps its own momentum and gradient-based restart
     (O'Donoghue & Candes 2015), KKT test, divergence guard and iteration
     count, and leaves the batch once converged or diverged: the loop holds
     the rows of the nodes still running, compacted when one leaves. Raises
@@ -267,7 +348,10 @@ def solve_logistic_l1_batch(
         check_node(r, p)
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    xt = samples.data.T.astype(np.float64, order="C")
+    xtp = np.zeros((p + 1, samples.n))  # X' and the zero row p that pads the sets
+    xtp[:p] = samples.data.T
+    xt = xtp[:p]
+    buf = np.empty(_GATHER_BYTES // 8)
     errors: dict[int, ConvergenceError] = {}
     if lam == 0.0:
         for r in nodes:
@@ -277,24 +361,32 @@ def solve_logistic_l1_batch(
                     "has no minimizer (coefficients diverge)", kkt_residual=float("inf"))
     nodes = np.array([r for r in nodes if r not in errors], dtype=np.int64)
     second = samples.second_moment()
-    step = 1.0 / np.linalg.eigvalsh(second)[-1]
     theta_final, grad_final = np.zeros((nodes.size, p)), np.zeros((nodes.size, p))
     iterations = np.zeros(nodes.size, dtype=np.int64)
     kkt = np.full(nodes.size, np.inf)
-    # the active rows only, compacted when a node leaves: row k is node act[k]
-    act = np.arange(nodes.size)
-    theta, momentum = np.zeros((nodes.size, p)), np.zeros((nodes.size, p))
-    t_acc = np.ones(nodes.size)
-    linear = second[nodes]
-    pinned = (act, nodes)
+    # the active rows only, widest working set first and compacted when a
+    # node leaves: row k is node act[k]
+    linear = np.zeros((nodes.size, p + 1))
+    linear[:, :p] = second[nodes]
+    mask = np.abs(linear[:, :p]) > lam  # at theta = 0 the gradient is -M[r]
+    mask[np.arange(nodes.size), nodes] = False
+    act = np.argsort(-mask.sum(axis=1), kind="stable")
+    linear = linear[act]
+    pinned = (np.arange(act.size), nodes[act])
+    work, widths = _padded_sets(mask[act])
+    theta, momentum = np.zeros(work.shape), np.zeros(work.shape)
+    t_acc = np.ones(act.size)
+    step = _block_steps(second, work, widths)
+    linear_w = np.take_along_axis(linear, work, axis=1)
     for it in range(1, _MAX_ITERS + 1):
         if act.size == 0:
             break
-        cand = momentum - step * _logistic_grad(xt, momentum, linear, pinned)
-        new = np.sign(cand) * np.maximum(np.abs(cand) - step * lam, 0.0)
+        grad_w = _working_grad(xtp, work, widths, momentum, linear_w, buf)
+        new = _soft_threshold(momentum - step[:, None] * grad_w, (step * lam)[:, None])
         progress = new - theta
-        # restart where the momentum step points against the progress made
-        restart = np.einsum("ij,ij->i", momentum - new, progress) > 0.0
+        # restart where the momentum step points against the progress made;
+        # the running sum adds the padding's zeros last, so they change no bit
+        restart = np.cumsum((momentum - new) * progress, axis=1)[:, -1] > 0.0
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
         beta = np.where(restart, 0.0, (t_acc - 1.0) / t_next)
         momentum = new + beta[:, None] * progress
@@ -305,19 +397,33 @@ def solve_logistic_l1_batch(
             errors[int(nodes[j])] = ConvergenceError(
                 "logistic coefficients diverged (with lambda = 0 this means the "
                 "data are separable and no minimizer exists)", kkt_residual=float("inf"))
-        if it % _KKT_CHECK_EVERY == 0 or it == 1:
-            grad = _logistic_grad(xt, new, linear, pinned)
-            kkt[act] = _kkt_residual(new.T, grad.T, lam)
+        check = it % _KKT_CHECK_EVERY == 0 or it == 1
+        if not (check or done.any()):
+            continue
+        keep = np.flatnonzero(~done)
+        if check:
+            # the full gradient decides convergence and rebuilds the sets
+            dense = np.zeros((act.size, p + 1))
+            np.put_along_axis(dense, work, new, axis=1)
+            grad = _logistic_grad(xt, dense[:, :p], linear[:, :p], pinned)
+            kkt[act] = _kkt_residual(dense[:, :p].T, grad.T, lam)
             converged = (kkt[act] <= cfg.tol) & ~done
-            theta_final[act[converged]] = new[converged]
+            theta_final[act[converged]] = dense[converged, :p]
             grad_final[act[converged]] = grad[converged]
             iterations[act[converged]] = it
-            done |= converged
-        if done.any():
-            keep = ~done
-            act, theta, momentum = act[keep], theta[keep], momentum[keep]
-            t_acc, linear = t_acc[keep], linear[keep]
-            pinned = (np.arange(act.size), nodes[act])
+            mask = (dense[:, :p] != 0.0) | (np.abs(grad) > lam)
+            keep = np.flatnonzero(~(done | converged))
+            keep = keep[np.argsort(-mask[keep].sum(axis=1), kind="stable")]
+        act, theta, momentum, t_acc, step, linear, linear_w, work, widths = (
+            v[keep] for v in (act, theta, momentum, t_acc, step, linear, linear_w, work, widths)
+        )
+        pinned = (np.arange(act.size), nodes[act])
+        if check and act.size:
+            work, widths = _padded_sets(mask[keep])
+            theta = momentum = np.take_along_axis(dense[keep], work, axis=1)
+            t_acc = np.ones(act.size)
+            step = _block_steps(second, work, widths)
+            linear_w = np.take_along_axis(linear, work, axis=1)
     for j in act:
         errors[int(nodes[j])] = ConvergenceError(
             f"proximal gradient did not converge in {_MAX_ITERS} iterations "

@@ -97,11 +97,13 @@ def logistic_l1_oracle(yx, lam, gtol=1e-8):
 
 
 def logistic_fista_reference(samples, nodes, lam, tol):
-    """The matrix FISTA of solve_logistic_l1_batch as one p x K coefficient
-    matrix, for lam > 0: every iteration gathers the active columns of the
-    iterate, the momentum and the int8 responses, takes the gradient
+    """Dense matrix FISTA over all p coordinates as one p x K coefficient
+    matrix, for lam > 0, with one global step 1 / lambda_max of the second
+    moment: every iteration gathers the active columns of the iterate, the
+    momentum and the int8 responses, takes the gradient
     (1/n) X'(tanh(X theta) - y) with dense products, and scatters the
-    results back. Same step, restart, KKT cadence and divergence guard.
+    results back. The restart, KKT cadence and divergence guard are
+    solve_logistic_l1_batch's; its working sets and per-node steps are not.
     Returns {node: (coefficients without entry node, iterations, residual)}
     for the nodes that converged."""
     from isinglasso.solvers import _KKT_CHECK_EVERY, _MAX_COEF, _MAX_ITERS

@@ -44,6 +44,11 @@ class TestGraphCommand:
         assert payload["error"] == "ValueError"
         assert "even" in payload["message"]
 
+    def test_unreachable_degree_fails_fast(self, capsys):
+        code, _, err = run_cli(capsys, "graph", "--family", "rr", "-p", "30", "-d", "20")
+        assert code == 1
+        assert "pairing model's reach" in json.loads(err)["message"]
+
     def test_grid_needs_square_p(self, capsys):
         code, out, err = run_cli(capsys, "graph", "--family", "grid", "-p", "10")
         assert code == 1 and out == ""
@@ -86,6 +91,20 @@ class TestSampleAndSolve:
         assert code == 0
         sol = json.loads(out)
         assert sol["r"] == 0 and len(sol["coefficients"]) == 7
+
+    def test_logistic_zeros_print_unsigned(self, tmp_path, capsys):
+        """The README walk-through's logistic solve prints its inactive
+        coefficients as 0.0, as the Lasso does, never as -0.0."""
+        graph, samples = tmp_path / "graph.json", tmp_path / "samples.txt"
+        run_cli(capsys, "graph", "--family", "rr", "-p", "32", "-d", "3", "--seed", "1",
+                "--coupling", "mixed", "--coupling-value", "0.4", "-o", str(graph))
+        run_cli(capsys, "sample", "--graph", str(graph), "-n", "5000", "--seed", "2",
+                "-o", str(samples))
+        code, out, _ = run_cli(capsys, "solve", "--samples", str(samples), "--node", "0",
+                               "--lambda", "0.05", "--solver", "logistic")
+        assert code == 0
+        zeros = [c for c in json.loads(out)["coefficients"] if c == 0.0]
+        assert zeros and all(math.copysign(1.0, c) > 0 for c in zeros)
 
     def test_huge_lambda_empty_neighborhood(self, tmp_path, capsys, graph_file):
         samples = tmp_path / "s.txt"

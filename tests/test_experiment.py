@@ -125,6 +125,7 @@ class TestConfig:
         ((8,), 2, "integer >= 3"),
         ((8, 16), 8, "< p"),
         ((8, 9), 3, "even"),
+        ((32,), 12, "pairing model's reach"),
     ])
     def test_rr_degree_the_generator_refuses(self, p_list, d, message):
         """An rr config fails when it is built, with the generator's own

@@ -84,6 +84,22 @@ class TestRandomRegular:
             generate_random_regular(10, 2, seed=0)
         with pytest.raises(ValueError):
             generate_random_regular(4, 4, seed=0)
+        # refused before the first draw, not after REGULAR_RETRY_CAP of them
+        for p, d in [(16, 8), (32, 12), (30, 20)]:
+            with pytest.raises(ValueError, match="pairing model's reach"):
+                generate_random_regular(p, d, seed=0)
+        assert (recount_degrees(generate_random_regular(128, 7, seed=0)) == 7).all()
+
+    def test_complete_graph(self):
+        """K6 is the one 5-regular graph on 6 vertices; its pairings are
+        rarely simple, and the generator redraws until one is."""
+        g = generate_random_regular(6, 5, seed=0)
+        assert len(g.edges) == 15 and (recount_degrees(g) == 5).all()
+
+    def test_degree_six_at_p128(self):
+        for seed in range(5):
+            g = generate_random_regular(128, 6, seed=seed)
+            assert (recount_degrees(g) == 6).all() and len(g.edges) == 384
 
     def test_deterministic(self):
         a = generate_random_regular(16, 3, seed=5)
