@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .graphs import SignedGraph, require_int, require_number, support_vertices
 from .sampler import ExactMoments
@@ -111,28 +111,50 @@ def bethe_inverse_covariance(graph: SignedGraph) -> np.ndarray:
 def tree_covariance(graph: SignedGraph) -> np.ndarray:
     """Pair correlations E[x_r x_t] on an acyclic graph: unit diagonal and
     the product of tanh(J_e) along the unique r-t path (zero across
-    components)."""
+    components). Entry [R, u] is cov[R, v] * tanh(J_vu), v the neighbour of
+    u toward R, filled by two passes of slices over one preorder per
+    component, where position k's subtree is [k, end[k]) (docs/decisions.md)."""
     _require_acyclic(graph)
     graph._require_couplings()
     p = graph.p
-    cov = np.eye(p)
     tanh_edges: list[list[tuple[int, float]]] = [[] for _ in range(p)]
     for (r, t), j in graph.couplings.items():
         th = math.tanh(j)
         tanh_edges[r].append((t, th))
         tanh_edges[t].append((r, th))
+    order, parent, th_up = [], [], []  # preorder; parent and tanh by position
+    seen = [False] * p
     for root in range(p):
-        # DFS outward from root, multiplying tanh factors edge by edge
+        if seen[root]:
+            continue
+        seen[root] = True
         stack = [(root, -1, 1.0)]
         while stack:
-            v, parent, acc = stack.pop()
-            for u, th in tanh_edges[v]:
-                if u == parent:
-                    continue
-                val = acc * th
-                cov[root, u] = val
-                stack.append((u, v, val))
-    return cov
+            v, up, th = stack.pop()
+            for u, th_vu in tanh_edges[v]:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append((u, len(order), th_vu))
+            order.append(v)
+            parent.append(up)
+            th_up.append(th)
+    # ct[v, R] holds cov[R, v] by preorder position, so every slice is a row
+    ct = np.eye(p)
+    end = list(range(1, p + 1))
+    for k in range(p - 1, -1, -1):  # R in k's subtree: the parent's step toward R is k
+        j = parent[k]
+        if j >= 0:
+            ct[j, k:end[k]] = ct[k, k:end[k]] * th_up[k]
+            end[j] = max(end[j], end[k])
+    for k in range(p):  # R outside k's subtree: k's step toward R is its parent
+        j = parent[k]
+        if j < 0:
+            lo, hi = k, end[k]  # a root's subtree is its component
+        else:
+            ct[k, lo:k] = ct[j, lo:k] * th_up[k]
+            ct[k, end[k]:hi] = ct[j, end[k]:hi] * th_up[k]
+    pos = np.argsort(order)
+    return ct.T[pos[:, None], pos]
 
 
 def tree_moments(graph: SignedGraph) -> ExactMoments:
@@ -190,24 +212,31 @@ def support_conditions(
     eigensolve: the smallest eigenvalue of Q_SS and the max-absolute-row-sum
     norm of Q_{S^c S} (Q_SS)^{-1}. Q is q_full read by vertex label: S is
     the given support vertices and S^c every other vertex except r. Raises
-    ValueError for r or a support vertex outside 0..p-1, and
-    SingularMatrixError (carrying the eigenvalue) when Q_SS is singular,
-    since the norm is then undefined."""
+    ValueError for r or a support vertex outside 0..p-1, an inf or NaN in
+    Q's columns at S or a failed LAPACK call, and SingularMatrixError
+    (carrying the eigenvalue) when Q_SS is singular, since the norm is then
+    undefined. The norm takes the column sums of |Q_SS^{-1} Q_{S,v}| over
+    every v but S and r, from the LAPACK routines scipy's cho_solve calls,
+    with its floats (docs/decisions.md)."""
     s = support_vertices(support, q_full.shape[0], r)
-    off = np.ones(q_full.shape[0], dtype=bool)
-    off[s] = off[r] = False
-    q_ss = q_full[np.ix_(s, s)]
-    q_scs = q_full[np.ix_(off, s)]
+    rhs = q_full[:, s].T  # Q_{S,v} for every vertex v, read from Q's columns at S
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    q_ss = q_full[s[:, None], s]
     eig_min = float(np.linalg.eigvalsh(q_ss).min())
     if eig_min <= EIG_FLOOR:
         raise SingularMatrixError(
             f"support covariance block is singular (min eigenvalue {eig_min:.3e})",
             min_eigenvalue=eig_min,
         )
-    if q_scs.shape[0] == 0:
-        return eig_min, 0.0
-    a = cho_solve(cho_factor(q_ss), q_scs.T).T
-    return eig_min, float(np.abs(a).sum(axis=1).max())
+    factor, info = dpotrf(q_ss, clean=0)
+    if info == 0:
+        x, info = dpotrs(factor, rhs, overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"LAPACK Cholesky failed on the support block (info {info})")
+    norms = np.abs(x.T).sum(axis=1)
+    norms[s] = norms[r] = 0.0
+    return eig_min, float(norms.max())
 
 
 @dataclass(frozen=True)

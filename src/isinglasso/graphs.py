@@ -7,6 +7,7 @@ generator) or a nonzero coupling on every edge (after assign_couplings).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import deque
@@ -192,19 +193,21 @@ class SignedGraph:
 def check_regular_degree(p: int, d: int) -> None:
     """The degrees generate_random_regular takes: an integer d with
     3 <= d < p and p*d even, and within the pairing model's reach, else
-    ValueError. A pairing is simple with probability about
-    exp(-(d^2 - 1) / 4), so d is refused when that many draws on average
-    would exceed REGULAR_RETRY_CAP: d <= 7 is admitted."""
+    ValueError. The pairing drawn has degree k = min(d, p-1-d) (see
+    generate_random_regular) and is simple with probability about
+    exp(-(k^2 - 1) / 4), so d is refused when that many draws on average
+    would exceed REGULAR_RETRY_CAP: k <= 7 is admitted."""
     require_int("degree d", d, 3)
     if d >= p:
         raise ValueError("degree must be < p")
     if (p * d) % 2 != 0:
         raise ValueError("p*d must be even")
-    if (d * d - 1) / 4 > math.log(REGULAR_RETRY_CAP):
+    k = min(d, p - 1 - d)
+    if (k * k - 1) / 4 > math.log(REGULAR_RETRY_CAP):
         raise ValueError(
-            f"degree {d} is out of the pairing model's reach: a pairing is simple "
-            f"with probability about exp(-(d^2 - 1) / 4), so a graph would take "
-            f"more than {REGULAR_RETRY_CAP} draws on average"
+            f"degree {d} is out of the pairing model's reach: a {k}-regular pairing "
+            f"is simple with probability about exp(-(k^2 - 1) / 4), so a graph "
+            f"would take more than {REGULAR_RETRY_CAP} draws on average"
         )
 
 
@@ -213,13 +216,18 @@ def generate_random_regular(p: int, d: int, seed: int) -> SignedGraph:
     (pairing) model, redrawing the pairing until it has no self-loop or
     multi-edge: d = 6 takes some 6,000 draws on average.
 
+    For d > (p-1)/2 the pairing is (p-1-d)-regular and the graph is its
+    complement. Complementing maps the d-regular graphs on p labelled
+    vertices one to one onto the (p-1-d)-regular ones, so the draw stays
+    uniform, and a dense graph such as K8 takes one draw.
+
     Raises ValueError when check_regular_degree refuses d, RuntimeError
-    if no simple pairing is found within REGULAR_RETRY_CAP attempts (a
-    dense small graph such as K8 can exhaust it).
+    if no simple pairing is found within REGULAR_RETRY_CAP attempts.
     """
     check_regular_degree(p, d)
+    dense = 2 * d > p - 1
     rng = np.random.default_rng(seed)
-    stubs = np.repeat(np.arange(p, dtype=np.int64), d)
+    stubs = np.repeat(np.arange(p, dtype=np.int64), p - 1 - d if dense else d)
     for _ in range(REGULAR_RETRY_CAP):
         rng.shuffle(stubs)
         edges = set()
@@ -235,6 +243,8 @@ def generate_random_regular(p: int, d: int, seed: int) -> SignedGraph:
                 break
             edges.add(e)
         if ok:
+            if dense:
+                edges = set(itertools.combinations(range(p), 2)) - edges
             return SignedGraph(p=p, edges=tuple(sorted(edges)))
     raise RuntimeError(
         f"failed to generate a simple {d}-regular graph on {p} vertices "

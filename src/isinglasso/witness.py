@@ -266,6 +266,7 @@ def construct_witness(
     second = data.second_moment()
     off = np.ones(tt.size, dtype=bool)
     off[s] = off[r] = False
+    off = np.flatnonzero(off)
 
     # raises SingularMatrixError when the support block is singular
     eig_min, incoherence = support_conditions(second, r, s)
@@ -273,11 +274,11 @@ def construct_witness(
 
     w = second[:, r] - second @ tt
 
-    sol = lasso_cd_gram(second, second[:, r], lam, support=s, config=cfg)
-    theta_hat_s = sol.coefficients[s]
+    sol = lasso_cd_gram(second[s[:, None], s], second[s, r], lam, config=cfg)
+    theta_hat_s = sol.coefficients
     z_s = np.sign(theta_hat_s)
     dev = theta_hat_s - tt[s]
-    z_sc = (w[off] - second[np.ix_(off, s)] @ dev) / lam
+    z_sc = (w[off] - second[off[:, None], s] @ dev) / lam
 
     return WitnessCertificate(
         node=r,
@@ -289,7 +290,7 @@ def construct_witness(
         z_s=z_s,
         z_sc=z_sc,
         w_s_inf=float(np.abs(w[s]).max()),
-        w_sc_inf=float(np.abs(w[off]).max()) if off.any() else 0.0,
+        w_sc_inf=float(np.abs(w[off]).max()) if off.size else 0.0,
         kkt_residual_s=sol.kkt_residual,
         solver_tol=cfg.tol,
         c_min_measured=eig_min,

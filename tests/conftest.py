@@ -39,6 +39,24 @@ def random_paramagnetic_tree(rng: np.random.Generator, p_max: int = 12) -> Signe
     return SignedGraph(p=tree.p, edges=tree.edges, couplings=couplings)
 
 
+def random_forest(rng: np.random.Generator, p_min: int = 1, p_max: int = 40) -> SignedGraph:
+    """Random labelled forest: 1-6 random trees over shuffled labels, about
+    one vertex in seven left isolated, and couplings of magnitude in
+    [0.05, 1) with random signs."""
+    p = int(rng.integers(p_min, p_max + 1))
+    groups = rng.integers(int(rng.integers(1, 7)), size=p)
+    groups[rng.random(p) < 0.15] = -1
+    labels = rng.permutation(p)
+    couplings = {}
+    for c in range(groups.max(initial=-1) + 1):
+        members = labels[groups == c]
+        for i in range(1, members.size):
+            u, v = sorted((int(members[rng.integers(i)]), int(members[i])))
+            mag = rng.uniform(0.05, 1.0)
+            couplings[(u, v)] = float(mag if rng.random() < 0.5 else -mag)
+    return SignedGraph(p=p, edges=tuple(sorted(couplings)), couplings=couplings)
+
+
 def value_kinds(valid, below):
     """The kinds of value an outside caller may hand a constructor: a valid
     one, a bool, a numeric string, a fraction, an integer below range, None

@@ -231,6 +231,29 @@ def reduced_support(support, p, r):
     return np.asarray(sorted(v - 1 if v > r else v for v in support), dtype=np.int64)
 
 
+def tree_covariance_reference(graph):
+    """Pair correlations of an acyclic model by one depth-first search per
+    root, multiplying tanh(J_e) edge by edge outward from the root, so that
+    entry [R, u] is cov[R, v] * tanh(J_vu) with v the neighbour of u toward
+    R; zero across components."""
+    p = graph.p
+    cov = np.eye(p)
+    tanh_edges = [[] for _ in range(p)]
+    for (r, t), j in graph.couplings.items():
+        th = math.tanh(j)
+        tanh_edges[r].append((t, th))
+        tanh_edges[t].append((r, th))
+    for root in range(p):
+        stack = [(root, -1, 1.0)]
+        while stack:
+            v, parent, acc = stack.pop()
+            for u, th in tanh_edges[v]:
+                if u != parent:
+                    cov[root, u] = acc * th
+                    stack.append((u, v, acc * th))
+    return cov
+
+
 def support_conditions_reference(second, r, support):
     """(smallest eigenvalue of Q_SS, max row l1 norm of Q_{S^c S} Q_SS^-1)
     on node r's p-1 coordinates; the norm is inf when Q_SS has an

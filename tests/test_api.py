@@ -5,8 +5,8 @@ History: `incoherence_norm` was replaced by `support_conditions`, which
 returns the support-block eigenvalue floor and the incoherence norm from
 one eigensolve. `NeighborhoodProblem` and `solve_lasso_restricted` were
 removed: `solve_lasso(samples, r, lam)` and `solve_logistic_l1(samples, r,
-lam)` are the per-node calls, and the witness's `lasso_cd_gram(support=)`
-is the one restricted Lasso. `path_length` and `signed_edge_set` were
+lam)` are the per-node calls, and the witness's restricted Lasso is
+`lasso_cd_gram` on the support block of the second moment. `path_length` and `signed_edge_set` were
 removed: no library code, CLI command or benchmark called them.
 `rescaled_theta_rr` was folded into `rr_constants`, whose `theta_tilde_rr`
 field holds the same magnitude.

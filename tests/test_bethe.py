@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isinglasso.bethe import (
     RRConstants,
@@ -21,9 +23,14 @@ from isinglasso.graphs import (
     generate_bethe_tree,
     generate_grid_periodic,
 )
-from isinglasso.sampler import exact_enumerate
-from conftest import random_paramagnetic_tree
-from oracles import rr_neighbor_row, rr_support_block
+from isinglasso.sampler import SampleMatrix, exact_enumerate
+from conftest import random_forest, random_paramagnetic_tree
+from oracles import (
+    rr_neighbor_row,
+    rr_support_block,
+    support_conditions_reference,
+    tree_covariance_reference,
+)
 
 
 class TestRescaledClosedForm:
@@ -140,6 +147,16 @@ class TestTreeCovariance:
         assert np.array_equal(bethe_inverse_covariance(g), np.eye(4))
         assert np.array_equal(tree_covariance(g), np.eye(4))
 
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_equals_dfs_reference(self, seed):
+        """The two slice passes multiply the same factors in the same order
+        as one depth-first search per root: equal arrays, not close ones."""
+        g = random_forest(np.random.default_rng(seed))
+        cov = tree_covariance(g)
+        assert cov.flags.c_contiguous
+        assert np.array_equal(cov, tree_covariance_reference(g))
+
     def test_cyclic_rejected(self):
         g = assign_couplings(generate_grid_periodic(3, 3), CouplingScheme.uniform(0.2), seed=0)
         with pytest.raises(ValueError, match="acyclic"):
@@ -253,6 +270,55 @@ class TestIncoherenceNorm:
         with pytest.raises(SingularMatrixError) as err:
             support_conditions(q, 0, [1, 2])
         assert err.value.min_eigenvalue <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tree=st.booleans())
+    def test_equals_reference(self, seed, tree):
+        """The direct LAPACK calls solve each right-hand side as
+        cho_factor/cho_solve do: equal floats, on random +/-1 second moments
+        and on forest covariances, with supports up to 20 wide."""
+        rng = np.random.default_rng(seed)
+        if tree:
+            second = tree_covariance(random_forest(rng, p_min=2))
+        else:
+            n, p = int(rng.integers(5, 400)), int(rng.integers(2, 41))
+            spins = rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, p))
+            second = SampleMatrix(spins).second_moment()
+        p = second.shape[0]
+        r = int(rng.integers(p))
+        width = int(rng.integers(1, min(20, p - 1) + 1))
+        support = rng.choice(np.delete(np.arange(p), r), size=width, replace=False).tolist()
+        eig_min, incoherence = support_conditions_reference(second, r, support)
+        if incoherence == math.inf:
+            with pytest.raises(SingularMatrixError) as err:
+                support_conditions(second, r, support)
+            assert err.value.min_eigenvalue == eig_min
+        else:
+            assert support_conditions(second, r, support) == (eig_min, incoherence)
+
+    @pytest.mark.parametrize("entry, value", [
+        ((1, 1), math.nan), ((1, 2), math.nan), ((2, 1), math.inf),  # Q_SS
+        ((3, 1), math.inf), ((4, 2), -math.inf), ((5, 1), math.nan),  # Q_{S^c S}
+    ])
+    def test_non_finite_input_is_a_plain_value_error(self, entry, value):
+        """Not a SingularMatrixError, which sample_covariance would turn
+        into incoherence = inf."""
+        q = np.eye(6)
+        q[entry] = value
+        with pytest.raises(ValueError, match="infs or NaNs") as err:
+            support_conditions(q, 0, [1, 2])
+        assert type(err.value) is ValueError
+
+    def test_failed_cholesky_raises(self):
+        """eigvalsh reads the lower triangle of Q_SS and the Cholesky
+        factorisation the upper one, so an asymmetric block passes the
+        eigenvalue floor and fails the factorisation: LAPACK's info is not
+        dropped."""
+        q = np.eye(4)
+        q[1, 2], q[2, 1] = 5.0, 0.1
+        with pytest.raises(ValueError, match="LAPACK Cholesky failed") as err:
+            support_conditions(q, 0, [1, 2])
+        assert type(err.value) is ValueError
 
     def test_support_containing_node_rejected(self):
         with pytest.raises(ValueError):

@@ -44,6 +44,10 @@ class TestGraphCommand:
         assert payload["error"] == "ValueError"
         assert "even" in payload["message"]
 
+    def test_complete_graph_k8(self, capsys):
+        code, out, _ = run_cli(capsys, "graph", "--family", "rr", "-p", "8", "-d", "7")
+        assert code == 0 and len(json.loads(out)["edges"]) == 28
+
     def test_unreachable_degree_fails_fast(self, capsys):
         code, _, err = run_cli(capsys, "graph", "--family", "rr", "-p", "30", "-d", "20")
         assert code == 1

@@ -1,9 +1,11 @@
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +13,7 @@ from isinglasso.graphs import (
     CouplingScheme,
     SignedGraph,
     assign_couplings,
+    check_regular_degree,
     generate_bethe_tree,
     generate_graph,
     generate_grid_periodic,
@@ -85,16 +88,37 @@ class TestRandomRegular:
         with pytest.raises(ValueError):
             generate_random_regular(4, 4, seed=0)
         # refused before the first draw, not after REGULAR_RETRY_CAP of them
-        for p, d in [(16, 8), (32, 12), (30, 20)]:
+        for p, d in [(32, 12), (30, 20)]:
             with pytest.raises(ValueError, match="pairing model's reach"):
                 generate_random_regular(p, d, seed=0)
+        # the reach is that of the degree drawn, min(d, p-1-d): 7 here
+        check_regular_degree(16, 8)
         assert (recount_degrees(generate_random_regular(128, 7, seed=0)) == 7).all()
 
     def test_complete_graph(self):
-        """K6 is the one 5-regular graph on 6 vertices; its pairings are
-        rarely simple, and the generator redraws until one is."""
+        """K6 is the one 5-regular graph on 6 vertices: the complement of
+        the empty 0-regular pairing, drawn once."""
         g = generate_random_regular(6, 5, seed=0)
         assert len(g.edges) == 15 and (recount_degrees(g) == 5).all()
+
+    @pytest.mark.parametrize("p, d", [(8, 7), (10, 7), (8, 6), (9, 6), (12, 9), (12, 8)])
+    def test_dense_degrees_by_complement(self, p, d):
+        """d > (p-1)/2 draws a (p-1-d)-regular graph and complements it, so
+        K8 and (10, 7), which exhausted the 10^6 pairings drawn directly,
+        build."""
+        for seed in range(3):
+            g = generate_random_regular(p, d, seed=seed)
+            assert len(g.edges) == p * d // 2 and (recount_degrees(g) == d).all()
+
+    def test_uniform_over_labelled_cubic_graphs_on_six_vertices(self):
+        """There are 70 labelled cubic graphs on 6 vertices: the 10 labellings
+        of K_{3,3} and the 60 of the triangular prism. 7,000 draws with
+        seeds 0..6999 must hit all 70 with counts a chi-square test accepts.
+        (6, 3) takes the complement path: the pairing is 2-regular."""
+        counts = Counter(generate_random_regular(6, 3, seed=seed).edges for seed in range(7000))
+        assert len(counts) == 70
+        assert all((recount_degrees(SignedGraph(p=6, edges=e)) == 3).all() for e in counts)
+        assert scipy.stats.chisquare(list(counts.values())).pvalue > 0.01
 
     def test_degree_six_at_p128(self):
         for seed in range(5):

@@ -259,9 +259,10 @@ def test_logistic_grad_matches_expit_form():
 
 
 class TestRestricted:
-    """The one restricted path is lasso_cd_gram(support=) on the shared
-    second moment, as construct_witness calls it; the witness checks the
-    support through graphs.support_vertices first."""
+    """The witness's restricted Lasso is lasso_cd_gram on the |S| x |S|
+    support block of the shared second moment, checked through
+    graphs.support_vertices first; lasso_cd_gram(support=) pins the
+    coordinates off a support of a full Gram matrix, as solve_lasso does."""
 
     @staticmethod
     def _zero_params(p):

@@ -177,6 +177,22 @@ class TestWitnessConstruction:
         assert abs(cert.alpha_measured - (1.0 - math.tanh(0.4))) < 1e-10
         assert abs(cert.c_min_measured - rr_constants(3, 0.4).c_min) < 1e-10
 
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(3, 5), theta0=st.floats(0.05, 0.8), seed=st.integers(0, 2**32 - 1),
+           pick=st.integers(0, 10**6), lam=st.floats(0.01, 0.3))
+    def test_population_witness_equals_rr_closed_forms(self, d, theta0, seed, pick, lam):
+        """At an interior vertex of a degree-d Bethe tree with mixed signs,
+        the witness measures the closed-form c_min and alpha on the tree
+        moments, and its targets have the closed-form magnitude."""
+        g = assign_couplings(generate_bethe_tree(3 * d * d, d), CouplingScheme.mixed(theta0), seed)
+        interior = [v for v in range(g.p) if g.degrees[v] == d]
+        r = interior[pick % len(interior)]
+        cert = construct_witness(tree_moments(g), r, g.neighbors[r], rescaled_theta(g), lam)
+        consts = rr_constants(d, theta0)
+        assert abs(cert.c_min_measured - consts.c_min) <= 1e-12
+        assert abs(cert.alpha_measured - consts.alpha) <= 1e-12
+        assert np.abs(np.abs(cert.theta_tilde_s) - consts.theta_tilde_rr).max() <= 1e-12
+
     def test_sample_certificate_internal_consistency(self, tree_fixture, tree_samples):
         g, params = tree_fixture
         cfg = SolverConfig(tol=1e-10)
