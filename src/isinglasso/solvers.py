@@ -16,9 +16,10 @@ the linear term read from the same second moment. It runs accelerated
 proximal gradient (FISTA) with adaptive restart on all requested nodes at
 once, each node on its own working set W (its nonzeros and the coordinates
 whose |gradient| exceeds lambda), with its own step 1 / lambda_max of the
-block M[W, W] of the second moment (the products over all columns stand in
-for the gathered ones where W is a large share of p); a dense gradient
-every few iterations decides convergence over all coordinates and
+block M[W, W] of the second moment, and its gradient summed over the
+2^|W| sign patterns of its columns, weighted by how many samples show each
+(the products over all columns stand in where 2^|W| is too many); a dense
+gradient every few iterations decides convergence over all coordinates and
 rebuilds the sets. Both report the optimality-system residual and a
 reconstructed subgradient, so downstream certificate checks can consume
 either one interchangeably.
@@ -40,8 +41,7 @@ from .sampler import SampleMatrix
 ACTIVE_TOL = 1e-8
 _GRAM_REFRESH_CYCLES = 50
 _KKT_CHECK_EVERY = 10  # logistic only; CD checks every cycle
-_GATHER_BYTES = 1 << 19  # logistic working-set columns per chunk of nodes: 512 KB
-_GATHER_SHARE = 12  # a logistic set wider than p / 12 takes dense products instead
+_PATTERN_COST = 8  # a logistic set W takes dense products when 8 |W| 2^|W| > p n
 _MAX_COEF = 1e3  # divergence guard (logistic, lambda = 0)
 _MAX_ITERS = 100_000  # CD cycles or FISTA iterations before ConvergenceError
 
@@ -124,9 +124,9 @@ def _quadratic_loss(gram, linear, theta) -> float:
     return 0.5 * float(theta @ (gram @ theta)) - float(linear @ theta) + 0.5
 
 
-def _finalize(theta, grad, loss, lam, iterations, support_idx):
-    """Solution record from the final iterate and the gradient of its smooth
-    loss, shared by the Lasso and the logistic solver."""
+def _finalize(theta, grad, loss, lam, iterations, kkt):
+    """Solution record from the final iterate, the gradient of its smooth
+    loss and its residual, shared by the Lasso and the logistic solver."""
     if lam > 0:
         subgrad = np.where(theta != 0.0, np.sign(theta), -grad / lam)
     else:
@@ -134,7 +134,7 @@ def _finalize(theta, grad, loss, lam, iterations, support_idx):
     return LassoSolution(
         coefficients=theta,
         subgradient=subgrad,
-        kkt_residual=float(_kkt_residual(theta, grad, lam, support_idx)),
+        kkt_residual=float(kkt),
         iterations=iterations,
         objective=loss + lam * float(np.abs(theta).sum()),
         lam=lam,
@@ -191,7 +191,8 @@ def lasso_cd_gram(
             # the working set is solved: confirm over the whole support on a
             # drift-free gradient, and let violators join the set
             grad = gram @ theta - linear
-            if _kkt_residual(theta, grad, lam, support_idx) <= cfg.tol:
+            kkt = _kkt_residual(theta, grad, lam, support_idx)
+            if kkt <= cfg.tol:
                 break
             grown = np.union1d(work, support_idx[np.abs(grad[support_idx]) > lam])
             if max_delta == 0.0 and grown.size == len(work):
@@ -206,9 +207,7 @@ def lasso_cd_gram(
                 f"(residual {kkt:.3e})",
                 kkt_residual=kkt,
             )
-    return _finalize(
-        theta, grad, _quadratic_loss(gram, linear, theta), lam, iterations, support_idx
-    )
+    return _finalize(theta, grad, _quadratic_loss(gram, linear, theta), lam, iterations, kkt)
 
 
 def solve_lasso(
@@ -245,40 +244,62 @@ def _soft_threshold(z, tau):
     return z - np.clip(z, -tau, tau)
 
 
-def _working_grad(xtp, work, widths, theta, linear_w, buf):
-    """Each row's log-loss gradient on its working set, (1/n) X_W'tanh(X_W theta_W)
-    - M[r, W], zero at the padding. Rows come widest first. Those whose set
-    is wider than p / _GATHER_SHARE, where gathering costs more than the
-    BLAS products over all p columns, take the dense products and keep W.
-    The others' columns X_W are gathered from xtp (X' and a zero row p) into
-    buf, _GATHER_BYTES long, a chunk of rows at a time, so a chunk is as
-    wide as its first row. Both gathered sums run in a fixed order, the
-    forward one over the set's positions and the backward one over the
-    samples, so neither the padding nor the chunking changes a bit of any
-    row; a row's path depends on its own width only."""
-    rows, n = work.shape[0], xtp.shape[1]
-    p = xtp.shape[0] - 1
-    grad = np.zeros(work.shape)
-    a = int(np.count_nonzero(widths * _GATHER_SHARE > p))
-    if a:
-        at = (np.arange(a)[:, None], work[:a])
-        full = np.zeros((a, p + 1))
-        full[at] = theta[:a]
-        s = full[:, :p] @ xtp[:p]
-        np.tanh(s, out=s)
-        full[:, :p] = s @ xtp[:p].T
-        full[:, p] = 0.0
-        grad[:a] = full[at]
-    while a < rows:
-        w = max(int(widths[a]), 1)
-        b = min(rows, a + max(1, buf.size // (w * n)))
-        size = (b - a) * w * n  # over the budget only for one row wider than it
-        cols = (buf[:size] if size <= buf.size else np.empty(size)).reshape(b - a, w, n)
-        np.take(xtp, work[a:b, :w], axis=0, out=cols, mode="clip")  # in range by construction
-        s = np.einsum("kw,kwn->kn", theta[a:b, :w], cols)
-        np.tanh(s, out=s)
-        grad[a:b, :w] = np.einsum("kwn,kn->kw", cols, s)
+def _pattern_groups(bits, work, widths, n):
+    """How each row's working-set gradient is taken, rows widest first.
+    The rows whose set W has 2^|W| >= n sign patterns, or costs more on
+    them than on the products over all p columns (_PATTERN_COST |W| 2^|W|
+    > p n), take those products; they are a prefix, and its length comes
+    first. For each width w of the others, its rows a:b, the w x 2^w table
+    of +-1 sign patterns (column c holds the bits of c, bit j for set
+    position j) and each row's counts of the samples that show each pattern
+    on its set, from bits, the p x n uint8 indicator of x = +1."""
+    p = bits.shape[0]
+    dense = int(np.count_nonzero(
+        (widths >= (n - 1).bit_length()) | (_PATTERN_COST * widths * np.exp2(widths) > p * n)))
+    groups = []
+    a = dense
+    while a < widths.size:
+        w = int(widths[a])
+        b = a + int(np.count_nonzero(widths[a:] == w))
+        if w:
+            codes = bits[work[a:b, w - 1]].astype(np.int32)
+            for j in range(w - 2, -1, -1):
+                codes <<= 1
+                codes |= bits[work[a:b, j]]
+            counts = np.array([np.bincount(row, minlength=1 << w) for row in codes], dtype=float)
+            table = ((np.arange(1 << w) >> np.arange(w)[:, None]) & 1) * 2.0 - 1.0
+            groups.append((a, b, table, counts))
         a = b
+    return dense, groups
+
+
+def _working_grad(xt, dense, groups, work, theta, linear_w):
+    """Each row's log-loss gradient on its working set, (1/n) X_W'tanh(X_W theta_W)
+    - M[r, W], zero at the padding, with dense and groups from
+    _pattern_groups. The dense rows take the BLAS products over all p
+    columns of xt = X'. For the others the samples enter only through their
+    sign patterns on W: the forward sum runs over the set's positions in
+    order, as a sum over X_W's rows would, so each of the 2^w margins is the
+    float each sample with that pattern would get, and the backward sum adds
+    each pattern's count times its tanh once. Both sums run in a fixed
+    order, so a pattern row's result depends on its own set only."""
+    p, n = xt.shape
+    grad = np.zeros(work.shape)
+    if dense:
+        at = (np.arange(dense)[:, None], work[:dense])
+        full = np.zeros((dense, p + 1))
+        full[at] = theta[:dense]
+        s = full[:, :p] @ xt
+        np.tanh(s, out=s)
+        full[:, :p] = s @ xt.T
+        full[:, p] = 0.0
+        grad[:dense] = full[at]
+    for a, b, table, counts in groups:
+        w = table.shape[0]
+        s = np.einsum("kw,wm->km", theta[a:b, :w], table)
+        np.tanh(s, out=s)
+        s *= counts
+        grad[a:b, :w] = np.einsum("km,wm->kw", s, table)
     grad /= n
     grad -= linear_w
     return grad
@@ -298,8 +319,9 @@ def _block_steps(second, work, widths):
 
 def _padded_sets(mask):
     """Each row's working set, the columns where mask is True in order,
-    padded to the widest row (at least 1) with the index of the zero row
-    that follows the p columns; with the widths."""
+    padded to the widest row (at least 1) with index p, the zero column
+    that follows the p columns of the batch's p + 1 wide arrays; with the
+    widths."""
     widths = mask.sum(axis=1)
     width = max(int(widths.max(initial=0)), 1)
     order = np.argsort(~mask, axis=1, kind="stable")[:, :width]
@@ -328,11 +350,14 @@ def solve_logistic_l1_batch(
     coefficients and every coordinate whose |gradient| exceeds lambda, as
     of the last full check. Every _KKT_CHECK_EVERY iterations (and after
     the first) the dense gradient over all p - 1 coordinates decides
-    convergence and rebuilds the sets, and every node restarts its momentum
-    from its iterate on the new set. Between checks the iterate, momentum
-    and gradient live on W, with the columns X_W gathered per chunk of
-    nodes, or with the products over all columns for a set wider than
-    p / _GATHER_SHARE (_working_grad).
+    convergence and rebuilds the sets; a node whose set changed restarts
+    its momentum from its iterate on the new set (one whose set is the same
+    keeps it, or small-lambda problems with repeated columns stall), and
+    each node's samples are counted by their sign pattern on its set.
+    Between checks the iterate, momentum and gradient live on W, and the
+    gradient sums over the 2^|W| patterns instead of the n samples, or
+    takes the products over all columns where that costs less
+    (_pattern_groups, _working_grad).
     Each sample's curvature 4 sigma (1 - sigma) = sech^2 is at most 1, so
     the Hessian restricted to W is bounded by M[W, W], a principal block of
     the second moment M: each node steps by 1 / lambda_max of its own block.
@@ -348,10 +373,8 @@ def solve_logistic_l1_batch(
         check_node(r, p)
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    xtp = np.zeros((p + 1, samples.n))  # X' and the zero row p that pads the sets
-    xtp[:p] = samples.data.T
-    xt = xtp[:p]
-    buf = np.empty(_GATHER_BYTES // 8)
+    xt = np.array(samples.data.T, dtype=np.float64, order="C")
+    bits = (xt > 0.0).view(np.uint8)
     errors: dict[int, ConvergenceError] = {}
     if lam == 0.0:
         for r in nodes:
@@ -378,10 +401,11 @@ def solve_logistic_l1_batch(
     t_acc = np.ones(act.size)
     step = _block_steps(second, work, widths)
     linear_w = np.take_along_axis(linear, work, axis=1)
+    dense_rows, groups = 0, []  # at theta = 0 the margins are 0: no row reads its samples
     for it in range(1, _MAX_ITERS + 1):
         if act.size == 0:
             break
-        grad_w = _working_grad(xtp, work, widths, momentum, linear_w, buf)
+        grad_w = _working_grad(xt, dense_rows, groups, work, momentum, linear_w)
         new = _soft_threshold(momentum - step[:, None] * grad_w, (step * lam)[:, None])
         progress = new - theta
         # restart where the momentum step points against the progress made;
@@ -419,11 +443,20 @@ def solve_logistic_l1_batch(
         )
         pinned = (np.arange(act.size), nodes[act])
         if check and act.size:
+            # a node whose set is unchanged keeps its momentum; the others
+            # restart from their iterate on the new set
+            was = np.zeros((act.size, p + 1), dtype=bool)
+            np.put_along_axis(was, work, True, axis=1)
+            same = (was[:, :p] == mask[keep]).all(axis=1)
+            kept = np.zeros((act.size, p + 1))
+            np.put_along_axis(kept, work, momentum, axis=1)
             work, widths = _padded_sets(mask[keep])
-            theta = momentum = np.take_along_axis(dense[keep], work, axis=1)
-            t_acc = np.ones(act.size)
+            theta = np.take_along_axis(dense[keep], work, axis=1)
+            momentum = np.where(same[:, None], np.take_along_axis(kept, work, axis=1), theta)
+            t_acc = np.where(same, t_acc, 1.0)
             step = _block_steps(second, work, widths)
             linear_w = np.take_along_axis(linear, work, axis=1)
+        dense_rows, groups = _pattern_groups(bits, work, widths, samples.n)
     for j in act:
         errors[int(nodes[j])] = ConvergenceError(
             f"proximal gradient did not converge in {_MAX_ITERS} iterations "
@@ -437,9 +470,10 @@ def solve_logistic_l1_batch(
     solutions = {}
     for j, loss_j in zip(ok, loss):
         keep = predictor_vertices(p, nodes[j])
+        # the residual of its converging check: the pinned entry adds |0| - lam < 0
         solutions[int(nodes[j])] = _finalize(
             theta_final[j, keep], grad_final[j, keep], float(loss_j), lam,
-            int(iterations[j]), np.arange(p - 1))
+            int(iterations[j]), kkt[j])
     return solutions, errors
 
 

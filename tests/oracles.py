@@ -57,6 +57,26 @@ def rr_neighbor_row(d: int, theta0: float) -> np.ndarray:
     return row
 
 
+def finalize_reference(theta, grad, loss, lam, iterations, support_idx):
+    """One node's solution record from its final iterate and the gradient
+    of its smooth loss, built node by node, with the residual taken over
+    the positions support_idx."""
+    from isinglasso.solvers import LassoSolution, _kkt_residual
+
+    if lam > 0:
+        subgrad = np.where(theta != 0.0, np.sign(theta), -grad / lam)
+    else:
+        subgrad = np.zeros_like(theta)
+    return LassoSolution(
+        coefficients=theta,
+        subgradient=subgrad,
+        kkt_residual=float(_kkt_residual(theta, grad, lam, support_idx)),
+        iterations=iterations,
+        objective=loss + lam * float(np.abs(theta).sum()),
+        lam=lam,
+    )
+
+
 def logistic_grad_oracle(x, y, theta, pinned):
     """Gradient of the mean log-loss (1/n) sum_i log(1 + exp(-2 y_ik <theta_k, x_i>))
     at every column k of theta, term by term from d/du log(1 + exp(-2yu)) =

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isinglasso import solvers
@@ -22,8 +22,11 @@ from isinglasso.solvers import (
     SolverConfig,
     _kkt_residual,
     _logistic_grad,
+    _padded_sets,
+    _pattern_groups,
     _soft_threshold,
     _work_residual,
+    _working_grad,
     extract_signed_neighborhood,
     lambda_from_kappa,
     lasso_cd_gram,
@@ -36,6 +39,7 @@ from isinglasso.solvers import (
 from isinglasso.witness import construct_witness
 from oracles import (
     brute_force_lasso_objective,
+    finalize_reference,
     logistic_fista_reference,
     logistic_grad_oracle,
     logistic_l1_oracle,
@@ -237,6 +241,16 @@ def test_work_residual_equals_kkt_residual(data, m, lam):
     assert got == _kkt_residual(theta, grad, lam, np.array(work, dtype=np.int64))
 
 
+def assert_same_solution(got, want):
+    """Every LassoSolution field equal bit for bit."""
+    assert got.coefficients.tobytes() == want.coefficients.tobytes()
+    assert got.subgradient.tobytes() == want.subgradient.tobytes()
+    assert got.kkt_residual == want.kkt_residual
+    assert got.iterations == want.iterations
+    assert got.objective == want.objective
+    assert got.lam == want.lam
+
+
 def test_logistic_grad_matches_expit_form():
     """The batch's gradient, one row per node with X'y/n read from the
     second moment, equals the term-by-term expit form."""
@@ -393,19 +407,25 @@ class TestLogistic:
 )
 def test_logistic_batch_independent_of_company(seed, p, n, lam):
     """A node's supports and KKT residual do not depend on which other
-    nodes share its batch."""
+    nodes share its batch, once with every row whose set has 2^w < n sign
+    patterns on the pattern path (_PATTERN_COST = 0) and once with the
+    shipped crossover, which sends some rows to the dense products."""
     rng = np.random.default_rng(seed)
     samples = SampleMatrix(rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, p)))
     cfg = SolverConfig(tol=1e-9)
     r = int(rng.integers(p))
     company = [v for v in range(p) if v != r and rng.random() < 0.5]
     batch = sorted(company + [r])
-    alone, errors_alone = solve_logistic_l1_batch(samples, [r], lam, cfg)
-    shared, errors_shared = solve_logistic_l1_batch(samples, batch, lam, cfg)
-    assert not errors_alone and not errors_shared
-    assert alone[r].kkt_residual <= cfg.tol and shared[r].kkt_residual <= cfg.tol
-    assert alone[r].iterations == shared[r].iterations
-    assert extract_signed_neighborhood(alone[r], r) == extract_signed_neighborhood(shared[r], r)
+    for cost in (0, solvers._PATTERN_COST):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_PATTERN_COST", cost)
+            alone, errors_alone = solve_logistic_l1_batch(samples, [r], lam, cfg)
+            shared, errors_shared = solve_logistic_l1_batch(samples, batch, lam, cfg)
+        assert not errors_alone and not errors_shared
+        assert alone[r].kkt_residual <= cfg.tol and shared[r].kkt_residual <= cfg.tol
+        assert alone[r].iterations == shared[r].iterations
+        hood = extract_signed_neighborhood(alone[r], r)
+        assert hood == extract_signed_neighborhood(shared[r], r)
 
 
 def assert_matches_fista_reference(samples, nodes, lam, tol):
@@ -456,11 +476,16 @@ def assert_matches_fista_reference(samples, nodes, lam, tol):
     tol=st.sampled_from([1e-6, 1e-9]),
 )
 def test_logistic_batch_matches_fista_reference(seed, p, n, lam, tol):
-    """On a random problem and a random subset of nodes in random order."""
+    """On a random problem and a random subset of nodes in random order,
+    once with every row whose set has 2^w < n sign patterns on the pattern
+    path (_PATTERN_COST = 0) and once with the shipped crossover."""
     rng = np.random.default_rng(seed)
     samples = random_samples(rng, p, n)
     nodes = [int(v) for v in rng.permutation(p)[: int(rng.integers(1, p + 1))]]
-    assert_matches_fista_reference(samples, nodes, lam, tol)
+    for cost in (0, solvers._PATTERN_COST):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_PATTERN_COST", cost)
+            assert_matches_fista_reference(samples, nodes, lam, tol)
 
 
 def test_logistic_batch_matches_fista_reference_rr64():
@@ -476,7 +501,35 @@ def test_logistic_batch_matches_fista_reference_rr64():
         assert extract_signed_neighborhood(solutions[r], r) == extract_signed_neighborhood(ref, r)
 
 
-@pytest.mark.parametrize("share", [0, 3])
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 8),
+    extra=st.integers(1, 200),
+    lam=st.floats(0.02, 0.5),
+)
+def test_logistic_pattern_rows_independent_of_company(seed, p, extra, lam):
+    """With n > 2^(p-1) samples and _PATTERN_COST = 0 every row takes the
+    pattern path, and a node's coefficients and iterations are bit-identical
+    alone and inside the batch of all nodes, whose rows have other widths.
+    The residual comes from the dense check gradient, a BLAS product whose
+    last bits depend on how many rows it holds, so it is held to tol."""
+    rng = np.random.default_rng(seed)
+    samples = random_samples(rng, p, 2 ** (p - 1) + extra)
+    nodes = [int(v) for v in rng.permutation(p)]
+    cfg = SolverConfig(tol=1e-9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_PATTERN_COST", 0)
+        batch, errors = solve_logistic_l1_batch(samples, nodes, lam, cfg)
+        assert not errors
+        for r in nodes:
+            alone = solve_logistic_l1(samples, r, lam, cfg)
+            assert alone.coefficients.tobytes() == batch[r].coefficients.tobytes()
+            assert alone.iterations == batch[r].iterations
+            assert alone.kkt_residual <= cfg.tol and batch[r].kkt_residual <= cfg.tol
+
+
+@pytest.mark.parametrize("cost", [0, 3])
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -484,26 +537,118 @@ def test_logistic_batch_matches_fista_reference_rr64():
     n=st.integers(4, 80),
     lam=st.floats(0.02, 0.5),
 )
-def test_logistic_batch_independent_of_chunking(share, seed, p, n, lam):
-    """With a gather budget that holds one row per chunk, every node's
-    coefficients, iterations and residual are bit-identical to the default
-    budget's, whose chunk here holds the whole batch. _GATHER_SHARE = 0
-    gathers every row; 3 sends the sets wider than p / 3 to the dense
-    products, so one batch takes both paths."""
+@example(seed=11, p=10, n=9, lam=0.0234375)
+def test_logistic_batch_independent_of_chunking(cost, seed, p, n, lam):
+    """With every width group of _pattern_groups split into groups of one
+    row, every node's coefficients, iterations and residual are
+    bit-identical to those with one einsum per width. _PATTERN_COST = 0
+    puts every row with 2^w < n on the pattern path; 3 sends the rows with
+    3 w 2^w > p n to the dense products, so one batch takes both paths.
+    The example has n < p, columns that repeat up to sign and a small
+    lambda: node 5 converges only because a node whose set is unchanged
+    keeps its momentum at a check (restarted at every check, it stalls
+    near residual 2e-6)."""
     rng = np.random.default_rng(seed)
     samples = random_samples(rng, p, n)
     nodes = [int(v) for v in rng.permutation(p)[: int(rng.integers(1, p + 1))]]
     cfg = SolverConfig(tol=1e-9)
+
+    def one_row_groups(bits, work, widths, n_samples):
+        dense, groups = _pattern_groups(bits, work, widths, n_samples)
+        return dense, [(a + i, a + i + 1, table, counts[i : i + 1])
+                       for a, b, table, counts in groups for i in range(b - a)]
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_GATHER_SHARE", share)
+        mp.setattr(solvers, "_PATTERN_COST", cost)
         default, errors_default = solve_logistic_l1_batch(samples, nodes, lam, cfg)
-        mp.setattr(solvers, "_GATHER_BYTES", 8)
+        mp.setattr(solvers, "_pattern_groups", one_row_groups)
         one_row, errors_one_row = solve_logistic_l1_batch(samples, nodes, lam, cfg)
     assert not errors_default and not errors_one_row
     for r in nodes:
         a, b = default[r], one_row[r]
         assert a.iterations == b.iterations and a.kkt_residual == b.kkt_residual
         assert a.coefficients.tobytes() == b.coefficients.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 10),
+    n=st.integers(2, 300),
+    scale=st.sampled_from([0.1, 1.0, 10.0]),
+)
+def test_pattern_grad_matches_oracle(seed, p, n, scale):
+    """The working-set gradient summed over sign patterns equals
+    logistic_grad_oracle on W, for random sets of every width with 2^w < n.
+    With E the machine epsilon and ||theta||_1 the row's l1 norm, each side
+    is within E (p ||theta||_1 + n + 4) of the exact gradient. The forward
+    sum of at most p exact terms +-theta_j errs by at most p E ||theta||_1 / 2,
+    which tanh u, or 2 y expit(-2yu) in the oracle, passes on with Lipschitz
+    constant 1, adding an ulp. The backward sum, over the 2^w patterns with
+    counts that add up to n or over the n samples, has terms of total size
+    at most n, so after the scaling by 1/n (2/n in the oracle) it errs by at
+    most n E. The weights, the scaling and the subtraction of M[r, W] add an
+    ulp each. So the two differ by at most E (2 p ||theta||_1 + 2 n + 8)."""
+    rng = np.random.default_rng(seed)
+    samples = random_samples(rng, p, n)
+    x = samples.as_float()
+    xt = np.ascontiguousarray(x.T)
+    nodes = rng.integers(p, size=int(rng.integers(1, 2 * p + 1)))
+    top = min(p - 1, (n - 1).bit_length() - 1)  # the widest set with 2^w < n
+    mask = np.zeros((nodes.size, p), dtype=bool)
+    for k, r in enumerate(nodes):
+        others = np.delete(np.arange(p), r)
+        mask[k, rng.choice(others, size=int(rng.integers(0, top + 1)), replace=False)] = True
+    order = np.argsort(-mask.sum(axis=1), kind="stable")
+    nodes, mask = nodes[order], mask[order]
+    work, widths = _padded_sets(mask)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_PATTERN_COST", 0)
+        dense, groups = _pattern_groups((xt > 0).view(np.uint8), work, widths, n)
+    assert dense == 0
+    on_set = np.arange(work.shape[1]) < widths[:, None]
+    theta_w = rng.normal(scale=scale, size=work.shape) * on_set
+    linear = np.zeros((nodes.size, p + 1))
+    linear[:, :p] = samples.second_moment()[nodes]
+    got = _working_grad(xt, dense, groups, work, theta_w, np.take_along_axis(linear, work, axis=1))
+    theta = np.zeros((p + 1, nodes.size))
+    theta[work.T, np.arange(nodes.size)] = theta_w.T
+    pinned = (nodes, np.arange(nodes.size))
+    oracle = logistic_grad_oracle(x, x[:, nodes].astype(np.int8), theta[:p], pinned)
+    eps = np.finfo(float).eps
+    for k, w in enumerate(widths):
+        bound = eps * (2 * p * np.abs(theta_w[k]).sum() + 2 * n + 8)
+        assert np.abs(got[k, :w] - oracle[work[k, :w], k]).max(initial=0.0) <= bound
+        assert not got[k, w:].any()
+
+
+def test_logistic_batch_finishes_as_per_node_finalize(monkeypatch):
+    """Each node's record, built with the residual stored at its converging
+    check, equals finalize_reference's, which takes the residual again from
+    the node's final iterate and gradient, bit for bit: the pinned entry
+    the check also sees adds |0| - lambda < 0, below the floor of 0."""
+    calls = []
+    finalize = solvers._finalize
+
+    def spy(theta, grad, loss, lam, iterations, kkt):
+        got = finalize(theta, grad, loss, lam, iterations, kkt)
+        want = finalize_reference(theta.copy(), grad.copy(), loss, lam, iterations,
+                                  np.arange(theta.size))
+        calls.append((got, want))
+        return got
+
+    monkeypatch.setattr(solvers, "_finalize", spy)
+    rng = np.random.default_rng(27)
+    g = assign_couplings(generate_random_regular(64, 3, 5), CouplingScheme.mixed(0.4), seed=6)
+    sets = [gibbs_sample(g, 700, SamplerConfig(seed=7)), random_samples(rng, 9, 60),
+            random_samples(rng, 4, 400)]
+    for samples, lam in zip(sets, (0.1, 0.05, 0.0)):
+        solutions, errors = solve_logistic_l1_batch(samples, range(samples.p), lam)
+        assert not errors and len(solutions) == samples.p
+        assert len(calls) == samples.p
+        for got, want in calls:
+            assert_same_solution(got, want)
+        calls.clear()
 
 
 @settings(max_examples=300, deadline=None)
