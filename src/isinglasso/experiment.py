@@ -10,12 +10,14 @@ sweep can be reproduced outcome-for-outcome.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .solvers import SolverConfig, lambda_from_kappa, recover_graph
 
 FAMILIES = ("rr", "grid", "star_linear", "star_log", "tree")
 SOLVERS = ("lasso", "logistic")
+CHUNKSIZE = 4  # tasks a pool worker takes at a time; no outcome depends on it
 
 # Penalty constant of the sweeps; docs/decisions.md records how it was
 # chosen and why it stays. At this kappa exact recovery levels off near 0.7
@@ -85,6 +88,8 @@ class ExperimentConfig:
             if not isinstance(value, (list, tuple)) or not value:
                 raise ValueError(f"{key} must be a nonempty array, got {value!r}")
         p_list = tuple(require_int("p_list entry", p, 1) for p in self.p_list)
+        if len(set(p_list)) < len(p_list):
+            raise ValueError(f"p_list entries must be distinct, got {list(p_list)}")
         object.__setattr__(self, "p_list", p_list)
         if self.family == "rr":  # the generator's rule, before any worker starts
             for p in p_list:
@@ -269,9 +274,26 @@ def trial_seed_for(master_seed: int, p_idx: int, beta_idx: int, trial: int) -> i
     return int(ss.generate_state(1)[0])
 
 
-def _trial_task(args):
-    config, p, beta, seed = args
-    return run_trial(config, p, beta, seed)
+def openblas_num_threads(verb: str, *args) -> list:
+    """What `<verb>_num_threads(*args)` ("get" or "set") returns on each OpenBLAS
+    in this process (the numpy and scipy wheels each bundle one); none off Linux."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = [ctypes.CDLL(p) for p in sorted({ln.split()[-1] for ln in fh if "openblas" in ln})]
+    except FileNotFoundError:
+        return []
+    names = [f"scipy_openblas_{verb}_num_threads{suffix}" for suffix in ("64_", "")]
+    return [getattr(lib, name)(*args) for lib in libs for name in names if hasattr(lib, name)]
+
+
+def parallel_map(fn, tasks: list, workers: int) -> list:
+    """fn(*task) for each task, in task order: here when workers == 1, else in
+    min(workers, len(tasks)) spawned processes that each run BLAS on one thread."""
+    if workers == 1 or not tasks:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(min(workers, len(tasks)), get_context("spawn"),
+                             openblas_num_threads, ("set", 1)) as pool:
+        return list(pool.map(fn, *zip(*tasks), chunksize=CHUNKSIZE))
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
@@ -284,17 +306,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             seeds[f"{p}:{beta}"] = cell
             tasks.extend((config, p, beta, s) for s in cell)
 
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_trial_task, tasks, chunksize=4))
-    else:
-        results = [_trial_task(t) for t in tasks]
-
-    by_cell: dict[tuple[int, float], list[TrialResult]] = {}
-    mag_warnings = 0
-    for res in results:
-        by_cell.setdefault((res.p, res.beta), []).append(res)
-        mag_warnings += res.magnetization_warning
+    results = iter(parallel_map(run_trial, tasks, config.workers))
+    by_cell = {key: [next(results) for _ in cell] for key, cell in seeds.items()}
+    mag_warnings = sum(r.magnetization_warning for cell in by_cell.values() for r in cell)
 
     curves: dict[tuple[str, int], list[CurvePoint]] = {
         (solver, p): [] for solver in config.solvers for p in config.p_list
@@ -302,7 +316,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     failures: dict[str, list[str]] = {}
     for p in config.p_list:
         for beta in config.beta_grid:
-            cell = by_cell[(p, beta)]
+            cell = by_cell[f"{p}:{beta}"]
             mean_ms = sum(r.duration_ms for r in cell) / len(cell)
             causes = [r.failure_cause[s] for r in cell for s in r.failure_cause]
             if causes:

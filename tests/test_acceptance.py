@@ -6,7 +6,6 @@ recalibrated here.
 """
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from isinglasso.experiment import (
     ExperimentConfig,
     compare_solvers,
     crossing_half,
+    parallel_map,
     run_sweep,
 )
 from isinglasso.graphs import (
@@ -322,10 +322,9 @@ def test_criterion_8_noise_tail_probe():
     assert elapsed < 600
 
 
-def _conditional_l2_trial(args):
+def _conditional_l2_trial(p, beta, trial_seed, kappa):
     """One regular-tree trial: count (node, hypothesis-held) pairs and
     any violation of the conditional l2 bound."""
-    p, beta, trial_seed, kappa = args
     ss = np.random.SeedSequence(trial_seed)
     coupling_seed, chain_seed = (int(s) for s in ss.generate_state(2))
     g = assign_couplings(generate_bethe_tree(p, 3), CouplingScheme.mixed(0.4), coupling_seed)
@@ -360,10 +359,9 @@ def test_criterion_9_conditional_l2_bound():
                 seed = int(np.random.SeedSequence(entropy=(9021, pi, bi, t)).generate_state(1)[0])
                 tasks.append((p, beta, seed, KAPPA_DEFAULT))
     checked = violations = 0
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        for got, bad in pool.map(_conditional_l2_trial, tasks, chunksize=8):
-            checked += got
-            violations += bad
+    for got, bad in parallel_map(_conditional_l2_trial, tasks, workers=2):
+        checked += got
+        violations += bad
     elapsed = time.perf_counter() - start
     ok = checked > 0 and violations == 0
     report(9, ok, f"{checked} qualifying (trial, node) pairs, {violations} violations "

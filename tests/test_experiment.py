@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from isinglasso import experiment
 from isinglasso.experiment import (
     CurvePoint,
     ExperimentConfig,
@@ -14,6 +16,8 @@ from isinglasso.experiment import (
     compare_solvers,
     crossing_half,
     monotonicity_warnings,
+    openblas_num_threads,
+    parallel_map,
     run_sweep,
     run_trial,
     save_manifest,
@@ -98,6 +102,8 @@ class TestConfig:
             tiny_config(burn_in_sweeps=-1)
         with pytest.raises(ValueError, match="p_list"):
             tiny_config(p_list=())
+        with pytest.raises(ValueError, match="p_list entries must be distinct"):
+            tiny_config(p_list=(8, 8))  # one cell's trials would be read as both
         with pytest.raises(ValueError, match="workers"):
             tiny_config(workers=0)
         with pytest.raises(ValueError, match="positive"):
@@ -263,14 +269,52 @@ class TestRunSweep:
         loaded = json.loads(manifest_path.read_text())
         assert loaded["config"]["family"] == "rr"
 
-    def test_workers_match_serial_outcomes(self):
-        cfg = tiny_config()
-        serial = run_sweep(cfg)
-        parallel = run_sweep(tiny_config(workers=2))
-        for key in serial.curves:
-            assert [pt.successes for pt in serial.curves[key]] == [
-                pt.successes for pt in parallel.curves[key]
-            ]
+    def test_workers_match_serial_outcomes(self, monkeypatch):
+        """Every curve field but the timing, the failure causes and the
+        magnetization warnings are the same in one process and in two, for
+        the pool's chunk size and for chunks of one task."""
+        def outcomes(result):
+            curves = {key: [dataclasses.replace(pt, mean_trial_ms=0.0) for pt in points]
+                      for key, points in result.curves.items()}
+            manifest = result.manifest
+            return curves, manifest["solver_failures"], manifest["magnetization_warnings"]
+
+        serial = outcomes(run_sweep(tiny_config()))
+        for chunksize in (experiment.CHUNKSIZE, 1):
+            monkeypatch.setattr(experiment, "CHUNKSIZE", chunksize)
+            assert outcomes(run_sweep(tiny_config(workers=2))) == serial
+
+    def test_pool_bounded_by_tasks(self, monkeypatch):
+        """--workers 64 on a 4-trial sweep asks for 4 processes; the
+        executor is replaced by one that runs the tasks here."""
+        sizes = []
+
+        class InProcessExecutor:
+            def __init__(self, max_workers, *args):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessExecutor)
+        result = run_sweep(tiny_config(workers=64))
+        assert sizes == [4]
+        assert sum(pt.trials for pt in result.curves[("lasso", 8)]) == 4
+
+    def test_workers_run_one_blas_thread(self):
+        """A pool worker's OpenBLAS libraries run one thread each, and the
+        calling process keeps its own setting."""
+        before = openblas_num_threads("get")
+        if not before:
+            pytest.skip("no OpenBLAS thread query is loaded")
+        assert parallel_map(openblas_num_threads, [("get",)], workers=2) == [[1] * len(before)]
+        assert openblas_num_threads("get") == before
 
     def test_trial_seed_counter_based(self):
         a = trial_seed_for(3, 0, 1, 7)

@@ -121,7 +121,7 @@ class TestRandomRegular:
         assert scipy.stats.chisquare(list(counts.values())).pvalue > 0.01
 
     def test_degree_six_at_p128(self):
-        for seed in range(5):
+        for seed in range(20):
             g = generate_random_regular(128, 6, seed=seed)
             assert (recount_degrees(g) == 6).all() and len(g.edges) == 384
 

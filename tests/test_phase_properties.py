@@ -10,12 +10,11 @@ default kappa = 2.0, where the curves level off near 0.7 rather than
 reaching 1; their thresholds are set for that.
 """
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from isinglasso.experiment import KAPPA_DEFAULT
+from isinglasso.experiment import KAPPA_DEFAULT, parallel_map
 from isinglasso.graphs import CouplingScheme, assign_couplings, generate_random_regular
 from isinglasso.sampler import SamplerConfig, gibbs_sample
 from isinglasso.solvers import SolverConfig, lambda_from_kappa, recover_graph
@@ -43,12 +42,13 @@ def _trial(p, beta, t):
 @pytest.fixture(scope="module")
 def curves():
     out = {(solver, p): [] for solver in SOLVERS for p in (32, 64)}
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        for p in (32, 64):
-            for beta in BETAS:
-                outcomes = list(pool.map(_trial, [p] * TRIALS, [beta] * TRIALS, range(TRIALS)))
-                for solver, wins in zip(SOLVERS, zip(*outcomes)):
-                    out[(solver, p)].append(sum(wins) / TRIALS)
+    tasks = [(p, beta, t) for p in (32, 64) for beta in BETAS for t in range(TRIALS)]
+    outcomes = iter(parallel_map(_trial, tasks, workers=2))
+    for p in (32, 64):
+        for beta in BETAS:
+            cell = [next(outcomes) for _ in range(TRIALS)]
+            for solver, wins in zip(SOLVERS, zip(*cell)):
+                out[(solver, p)].append(sum(wins) / TRIALS)
     for key, probs in sorted(out.items()):
         print(f"  {key}: {probs}")
     return out
