@@ -168,10 +168,10 @@ def _cmd_theory(args) -> int:
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
         config = experiment.ExperimentConfig.from_json(fh.read())
-    overrides = {"workers": args.workers, "master_seed": args.seed, "trials": args.trials}
+    overrides = {"master_seed": args.seed, "trials": args.trials}
     config = dataclasses.replace(
         config, **{key: value for key, value in overrides.items() if value is not None})
-    result = experiment.run_sweep(config)
+    result = experiment.run_sweep(config, args.workers)
     os.makedirs(args.output_dir, exist_ok=True)
     csv_path = os.path.join(args.output_dir, "curves.csv")
     manifest_path = os.path.join(args.output_dir, "manifest.json")
@@ -248,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("experiment", help="run a success-probability sweep")
     e.add_argument("--config", required=True)
     e.add_argument("--output-dir", default=".")
-    e.add_argument("--workers", type=int,
-                   help="trial workers (default: the config's workers)")
+    e.add_argument("--workers", type=int, default=1,
+                   help="processes that run the trials; no outcome depends on it")
     e.add_argument("--seed", type=int, help="override master seed")
     e.add_argument("--trials", type=int, help="override trial count")
     e.set_defaults(func=_cmd_experiment)

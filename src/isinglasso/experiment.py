@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import hashlib
 import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from multiprocessing import get_context
 
 import numpy as np
@@ -38,7 +37,6 @@ from .sampler import (
 )
 from .solvers import SolverConfig, lambda_from_kappa, recover_graph
 
-FAMILIES = ("rr", "grid", "star_linear", "star_log", "tree")
 SOLVERS = ("lasso", "logistic")
 CHUNKSIZE = 4  # tasks a pool worker takes at a time; no outcome depends on it
 
@@ -48,13 +46,13 @@ CHUNKSIZE = 4  # tasks a pool worker takes at a time; no outcome depends on it
 # below the dual-feasibility floor 2 sigma / alpha ~ 2.63.
 KAPPA_DEFAULT = 2.0
 
-_FAMILY_BETA_FACTOR = {"rr": 10, "grid": 15, "star_linear": 10, "star_log": 10, "tree": 10}
-_FAMILY_COUPLING = {
-    "rr": ("mixed", 0.4),
-    "grid": ("uniform", 0.2),
-    "star_linear": ("degree_scaled", 1.2),
-    "star_log": ("degree_scaled", 1.2),
-    "tree": ("mixed", 0.4),
+# Per family: the sample-size factor, then the coupling scheme's kind and value.
+_FAMILY_RULES = {
+    "rr": (10, "mixed", 0.4),
+    "grid": (15, "uniform", 0.2),
+    "star_linear": (10, "degree_scaled", 1.2),
+    "star_log": (10, "degree_scaled", 1.2),
+    "tree": (10, "mixed", 0.4),
 }
 
 
@@ -72,16 +70,15 @@ class ExperimentConfig:
     burn_in_sweeps: int = 1000
     thinning_sweeps: int = 10
     solver_tol: float = 1e-7
-    workers: int = 1
 
     def __post_init__(self):
         """Every field is checked here, for a config built in Python and
         one read by from_json alike."""
-        if self.family not in FAMILIES:
+        if not isinstance(self.family, str) or self.family not in _FAMILY_RULES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.solver not in SOLVERS + ("both",):
             raise ValueError(f"unknown solver {self.solver!r}")
-        for name, low in (("trials", 1), ("workers", 1), ("d", 1), ("master_seed", 0)):
+        for name, low in (("trials", 1), ("d", 1), ("master_seed", 0)):
             require_int(name, getattr(self, name), low)
         for key in ("p_list", "beta_grid"):
             value = getattr(self, key)
@@ -115,10 +112,10 @@ class ExperimentConfig:
 
     @property
     def factor(self) -> int:
-        return _FAMILY_BETA_FACTOR[self.family]
+        return _FAMILY_RULES[self.family][0]
 
     def scheme(self) -> CouplingScheme:
-        kind, value = _FAMILY_COUPLING[self.family]
+        _, kind, value = _FAMILY_RULES[self.family]
         if self.coupling_value is not None:
             value = self.coupling_value
         return CouplingScheme(kind=kind, value=value)
@@ -153,9 +150,6 @@ class ExperimentConfig:
         if unknown or missing:
             raise ValueError(f"sweep config: unknown keys {unknown}, missing keys {missing}")
         return cls(**obj)
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
 def build_graph(config: ExperimentConfig, p: int, graph_seed: int, coupling_seed: int) -> SignedGraph:
@@ -288,67 +282,56 @@ def openblas_num_threads(verb: str, *args) -> list:
 
 def parallel_map(fn, tasks: list, workers: int) -> list:
     """fn(*task) for each task, in task order: here when workers == 1, else in
-    min(workers, len(tasks)) spawned processes that each run BLAS on one thread."""
-    if workers == 1 or not tasks:
+    min(workers, len(tasks)) spawned processes that each run BLAS on one thread.
+    A worker count that is no integer >= 1 raises ValueError before any task runs."""
+    if require_int("workers", workers, 1) == 1 or not tasks:
         return [fn(*task) for task in tasks]
     with ProcessPoolExecutor(min(workers, len(tasks)), get_context("spawn"),
                              openblas_num_threads, ("set", 1)) as pool:
         return list(pool.map(fn, *zip(*tasks), chunksize=CHUNKSIZE))
 
 
-def run_sweep(config: ExperimentConfig) -> SweepResult:
-    """Full Cartesian sweep over p_list x beta_grid x trials."""
-    tasks = []
-    seeds: dict[str, list[int]] = {}
-    for pi, p in enumerate(config.p_list):
-        for bi, beta in enumerate(config.beta_grid):
-            cell = [trial_seed_for(config.master_seed, pi, bi, t) for t in range(config.trials)]
-            seeds[f"{p}:{beta}"] = cell
-            tasks.extend((config, p, beta, s) for s in cell)
-
-    results = iter(parallel_map(run_trial, tasks, config.workers))
-    by_cell = {key: [next(results) for _ in cell] for key, cell in seeds.items()}
-    mag_warnings = sum(r.magnetization_warning for cell in by_cell.values() for r in cell)
+def run_sweep(config: ExperimentConfig, workers: int = 1) -> SweepResult:
+    """Full Cartesian sweep over p_list x beta_grid x trials, the trials run
+    by parallel_map in up to `workers` processes; no outcome depends on it."""
+    cells = [
+        (p, beta, [trial_seed_for(config.master_seed, pi, bi, t) for t in range(config.trials)])
+        for pi, p in enumerate(config.p_list)
+        for bi, beta in enumerate(config.beta_grid)
+    ]
+    tasks = [(config, p, beta, seed) for p, beta, seeds in cells for seed in seeds]
+    results = iter(parallel_map(run_trial, tasks, workers))
 
     curves: dict[tuple[str, int], list[CurvePoint]] = {
         (solver, p): [] for solver in config.solvers for p in config.p_list
     }
+    trial_seeds: dict[str, list[int]] = {}
     failures: dict[str, list[str]] = {}
-    for p in config.p_list:
-        for beta in config.beta_grid:
-            cell = by_cell[f"{p}:{beta}"]
-            mean_ms = sum(r.duration_ms for r in cell) / len(cell)
-            causes = [r.failure_cause[s] for r in cell for s in r.failure_cause]
-            if causes:
-                failures[f"{p}:{beta}"] = causes
-            for solver in config.solvers:
-                wins = sum(r.success[solver] for r in cell)
-                curves[(solver, p)].append(
-                    CurvePoint(
-                        p=p,
-                        d=config.degree_for(p),
-                        beta=beta,
-                        n=cell[0].n,
-                        lam=cell[0].lam,
-                        trials=len(cell),
-                        successes=wins,
-                        probability=wins / len(cell),
-                        stderr=_wald_stderr(wins, len(cell)),
-                        mean_trial_ms=mean_ms,
-                    )
-                )
-
-    warnings = monotonicity_warnings(curves)
+    mag_warnings = 0
+    for p, beta, seeds in cells:
+        cell, key = [next(results) for _ in seeds], f"{p}:{beta}"
+        trial_seeds[key] = seeds
+        causes = [r.failure_cause[s] for r in cell for s in r.failure_cause]
+        if causes:
+            failures[key] = causes
+        mag_warnings += sum(r.magnetization_warning for r in cell)
+        mean_ms = sum(r.duration_ms for r in cell) / len(cell)
+        for solver in config.solvers:
+            wins = sum(r.success[solver] for r in cell)
+            curves[(solver, p)].append(CurvePoint(
+                p=p, d=config.degree_for(p), beta=beta, n=cell[0].n, lam=cell[0].lam,
+                trials=len(cell), successes=wins, probability=wins / len(cell),
+                stderr=_wald_stderr(wins, len(cell)), mean_trial_ms=mean_ms))
 
     manifest = {
         "config": json.loads(config.to_json()),
-        "config_hash": config.digest(),
-        "trial_seeds": seeds,
+        "trial_seeds": trial_seeds,
         "solver_failures": failures,
         "magnetization_warnings": mag_warnings,
     }
     return SweepResult(
-        config=config, curves=curves, manifest=manifest, monotonicity_warnings=warnings
+        config=config, curves=curves, manifest=manifest,
+        monotonicity_warnings=monotonicity_warnings(curves),
     )
 
 
@@ -359,27 +342,16 @@ CSV_COLUMNS = [
 
 
 def sweep_to_csv(result: SweepResult, path: str) -> None:
+    """One row per curve point: the solver, the family, then the CurvePoint
+    fields in order, floats written exactly (.17g)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for (solver, p), points in sorted(result.curves.items()):
             for pt in points:
-                writer.writerow(
-                    [
-                        solver,
-                        result.config.family,
-                        pt.p,
-                        pt.d,
-                        format(pt.beta, ".17g"),
-                        pt.n,
-                        format(pt.lam, ".17g"),
-                        pt.trials,
-                        pt.successes,
-                        format(pt.probability, ".17g"),
-                        format(pt.stderr, ".17g"),
-                        format(pt.mean_trial_ms, ".17g"),
-                    ]
-                )
+                writer.writerow([solver, result.config.family] + [
+                    format(v, ".17g") if isinstance(v, float) else v for v in astuple(pt)
+                ])
 
 
 def save_manifest(result: SweepResult, path: str) -> None:

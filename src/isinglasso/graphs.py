@@ -194,20 +194,22 @@ def check_regular_degree(p: int, d: int) -> None:
     """The degrees generate_random_regular takes: an integer d with
     3 <= d < p and p*d even, and within the pairing model's reach, else
     ValueError. The pairing drawn has degree k = min(d, p-1-d) (see
-    generate_random_regular) and is simple with probability about
-    exp(-(k^2 - 1) / 4), so d is refused when that many draws on average
-    would exceed REGULAR_RETRY_CAP: k <= 7 is admitted."""
+    generate_random_regular) and takes about exp((k^2-1)/4 + k^3/(12p))
+    draws on average to be simple (McKay and Wormald, 1991), so d is refused
+    when that mean exceeds REGULAR_RETRY_CAP / 4: where the estimate holds,
+    an admitted degree exhausts the cap with probability below e^-4. Every
+    k <= 6 is admitted, and k = 7 from p = 67 on."""
     require_int("degree d", d, 3)
     if d >= p:
         raise ValueError("degree must be < p")
     if (p * d) % 2 != 0:
         raise ValueError("p*d must be even")
     k = min(d, p - 1 - d)
-    if (k * k - 1) / 4 > math.log(REGULAR_RETRY_CAP):
+    if (k * k - 1) / 4 + k**3 / (12 * p) > math.log(REGULAR_RETRY_CAP / 4):
         raise ValueError(
             f"degree {d} is out of the pairing model's reach: a {k}-regular pairing "
-            f"is simple with probability about exp(-(k^2 - 1) / 4), so a graph "
-            f"would take more than {REGULAR_RETRY_CAP} draws on average"
+            f"on {p} vertices takes about exp((k^2-1)/4 + k^3/(12p)) draws on average "
+            f"to be simple, more than a quarter of {REGULAR_RETRY_CAP}"
         )
 
 

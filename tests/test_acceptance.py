@@ -257,10 +257,9 @@ def test_criterion_7_phase_curves_as_stated():
         kappa=kappa,
         master_seed=7021,
         solver_tol=1e-6,
-        workers=2,
     )
     start = time.perf_counter()
-    result = run_sweep(config)
+    result = run_sweep(config, workers=2)
     elapsed = time.perf_counter() - start
 
     lasso32 = result.curves[("lasso", 32)]

@@ -311,20 +311,27 @@ class TestExperimentCommand:
         assert manifest["config"]["family"] == "rr"
         assert str(out_dir / "curves.csv") in out
 
-    def test_flags_override_config(self, tmp_path, capsys, cfg_path, monkeypatch):
-        monkeypatch.setenv("ISINGLASSO_WORKERS", "2")  # not read: the config says 1
+    def test_flags_override_config(self, tmp_path, capsys, cfg_path):
         out_dir = tmp_path / "out"
         code, _, _ = run_cli(capsys, "experiment", "--config", str(cfg_path),
                              "--output-dir", str(out_dir), "--seed", "9", "--trials", "1")
         assert code == 0
         config = json.loads((out_dir / "manifest.json").read_text())["config"]
-        assert (config["master_seed"], config["trials"], config["workers"]) == (9, 1, 1)
+        assert (config["master_seed"], config["trials"]) == (9, 1)
+        assert "workers" not in config  # a scheduling setting, not part of the experiment
 
     def test_bad_override_json_error(self, tmp_path, capsys, cfg_path):
         code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path),
                                "--output-dir", str(tmp_path / "out"), "--trials", "0")
         assert code == 1
         assert "trials" in json.loads(err)["message"]
+
+    def test_bad_workers_json_error(self, tmp_path, capsys, cfg_path):
+        code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path),
+                               "--output-dir", str(tmp_path / "out"), "--workers", "0")
+        assert code == 1
+        assert json.loads(err)["message"] == "workers must be an integer >= 1, got 0"
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -348,7 +355,7 @@ class TestExperimentCommand:
                      id="cfg6-trials: expected a JSON integer"),
         pytest.param({**_SWEEP_CONFIG, "trials": True}, "trials must be an integer >= 1, got True",
                      id="cfg7-trials: expected a JSON integer"),
-        pytest.param({**_SWEEP_CONFIG, "workers": 1.5}, "workers must be an integer >= 1, got 1.5",
+        pytest.param({**_SWEEP_CONFIG, "workers": 2}, "unknown keys ['workers']",
                      id="cfg8-workers: expected a JSON integer"),
         pytest.param({**_SWEEP_CONFIG, "d": 3.0}, "d must be an integer >= 1, got 3.0",
                      id="cfg9-d: expected a JSON integer"),

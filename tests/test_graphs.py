@@ -13,7 +13,6 @@ from isinglasso.graphs import (
     CouplingScheme,
     SignedGraph,
     assign_couplings,
-    check_regular_degree,
     generate_bethe_tree,
     generate_graph,
     generate_grid_periodic,
@@ -87,13 +86,20 @@ class TestRandomRegular:
             generate_random_regular(10, 2, seed=0)
         with pytest.raises(ValueError):
             generate_random_regular(4, 4, seed=0)
-        # refused before the first draw, not after REGULAR_RETRY_CAP of them
-        for p, d in [(32, 12), (30, 20)]:
+        # refused before the first draw, not after REGULAR_RETRY_CAP of them;
+        # the reach is that of the degree drawn, min(d, p-1-d), and shrinks
+        # with p: (16, 8) draws a 7-regular pairing, which seed 1 could not
+        # make simple within the cap
+        for p, d in [(32, 12), (30, 20), (16, 8)]:
             with pytest.raises(ValueError, match="pairing model's reach"):
                 generate_random_regular(p, d, seed=0)
-        # the reach is that of the degree drawn, min(d, p-1-d): 7 here
-        check_regular_degree(16, 8)
         assert (recount_degrees(generate_random_regular(128, 7, seed=0)) == 7).all()
+
+    @pytest.mark.parametrize("p", [32, 64, 128])
+    def test_every_degree_to_six_admitted(self, p):
+        for d in range(3, 7):
+            if p * d % 2 == 0:
+                assert (recount_degrees(generate_random_regular(p, d, seed=0)) == d).all()
 
     def test_complete_graph(self):
         """K6 is the one 5-regular graph on 6 vertices: the complement of

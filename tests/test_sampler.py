@@ -10,6 +10,7 @@ from isinglasso.graphs import (
     CouplingScheme,
     SignedGraph,
     assign_couplings,
+    check_regular_degree,
     generate_bethe_tree,
     generate_random_regular,
     generate_random_tree,
@@ -129,13 +130,20 @@ class TestGibbs:
         SamplerConfig(**{field: np.int64(3)})
 
 
+def _regular_degree_admitted(p: int, d: int) -> bool:
+    try:
+        check_regular_degree(p, d)
+    except ValueError:
+        return False
+    return True
+
+
 def chain_graph(kind: str, p: int, seed: int) -> SignedGraph:
     """A graph of the given kind on p vertices with couplings of random
     sign and magnitude in [0.05, 1); edge-free where the kind needs more
     vertices than p."""
     rng = np.random.default_rng(seed)
-    # degrees 3 and 4 below p - 1: the pairing model finds those quickly
-    degrees = [d for d in (3, 4) if d < p - 1 and p * d % 2 == 0]
+    degrees = [d for d in range(3, p) if _regular_degree_admitted(p, d)]
     if kind == "rr" and degrees:
         g = generate_random_regular(p, int(rng.choice(degrees)), seed)
     elif kind == "tree" and p >= 2:
