@@ -63,7 +63,6 @@ from .witness import (
     construct_witness,
     enumerate_z_statistics,
     sample_covariance,
-    tail_rate_probe,
 )
 
 __version__ = "0.1.0"

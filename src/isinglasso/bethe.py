@@ -212,13 +212,15 @@ def support_conditions(
     eigensolve: the smallest eigenvalue of Q_SS and the max-absolute-row-sum
     norm of Q_{S^c S} (Q_SS)^{-1}. Q is q_full read by vertex label: S is
     the given support vertices and S^c every other vertex except r. Raises
-    ValueError for r or a support vertex outside 0..p-1, an inf or NaN in
-    Q's columns at S or a failed LAPACK call, and SingularMatrixError
-    (carrying the eigenvalue) when Q_SS is singular, since the norm is then
-    undefined. The norm takes the column sums of |Q_SS^{-1} Q_{S,v}| over
+    ValueError for an empty support, r or a support vertex outside 0..p-1,
+    an inf or NaN in Q's columns at S or a failed LAPACK call, and
+    SingularMatrixError (carrying the eigenvalue) when Q_SS is singular,
+    since the norm is then undefined. The norm takes the column sums of |Q_SS^{-1} Q_{S,v}| over
     every v but S and r, from the LAPACK routines scipy's cho_solve calls,
     with its floats (docs/decisions.md)."""
     s = support_vertices(support, q_full.shape[0], r)
+    if not s.size:
+        raise ValueError("support must be nonempty")
     rhs = q_full[:, s].T  # Q_{S,v} for every vertex v, read from Q's columns at S
     if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")

@@ -88,9 +88,6 @@ class ExperimentConfig:
         if len(set(p_list)) < len(p_list):
             raise ValueError(f"p_list entries must be distinct, got {list(p_list)}")
         object.__setattr__(self, "p_list", p_list)
-        if self.family == "rr":  # the generator's rule, before any worker starts
-            for p in p_list:
-                check_regular_degree(p, self.d)
         if self.family == "tree":  # generate_random_tree's degree-cap floor
             require_int("d", self.d, 2)
         betas = tuple(require_number("beta_grid entry", b) for b in self.beta_grid)
@@ -105,6 +102,11 @@ class ExperimentConfig:
         self.scheme()
         SolverConfig(tol=self.solver_tol)
         SamplerConfig(burn_in_sweeps=self.burn_in_sweeps, thinning_sweeps=self.thinning_sweeps)
+        for p in p_list:  # each p by its generator's own rule, before any worker starts
+            if self.family == "rr":  # one rr draw can take thousands of attempts
+                check_regular_degree(p, self.d)
+            else:
+                build_graph(self, p, 0, 0)
 
     @property
     def solvers(self) -> tuple[str, ...]:

@@ -11,6 +11,7 @@ Provides a heat-bath Gibbs sampler for arbitrary graphs and an exact
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,12 +245,14 @@ def save_samples_text(samples: SampleMatrix, path: str) -> None:
 
 
 def load_samples_text(path: str) -> SampleMatrix:
+    """Inverse of save_samples_text; a header other than "p=<p> n=<n>" or a
+    body of another shape raises ValueError."""
     with open(path) as fh:
-        header = fh.readline().split()
-        fields = dict(part.split("=") for part in header)
-        if "p" not in fields or "n" not in fields:
-            raise ValueError(f"sample file header {' '.join(header)!r} lacks p=<p> n=<n>")
-        p, n = int(fields["p"]), int(fields["n"])
+        header = fh.readline().strip()
+        sizes = re.fullmatch(r"p=([0-9]+) n=([0-9]+)", header)
+        if sizes is None:
+            raise ValueError(f"sample file header {header!r} is not p=<p> n=<n>")
+        p, n = int(sizes[1]), int(sizes[2])
         data = np.loadtxt(fh, dtype=np.int8, ndmin=2)
     if data.shape != (n, p):
         raise ValueError(f"sample file body {data.shape} does not match header ({n}, {p})")

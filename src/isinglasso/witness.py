@@ -25,15 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import (
-    RescaledParams,
-    SingularMatrixError,
-    support_conditions,
-    tree_covariance,
-)
-from .experiment import _wald_stderr
-from .graphs import SignedGraph, check_node, require_int, support_vertices
-from .sampler import ExactMoments, SampleMatrix, SamplerConfig, exact_enumerate, gibbs_sample
+from .bethe import RescaledParams, SingularMatrixError, support_conditions
+from .graphs import SignedGraph, check_node, support_vertices
+from .sampler import ExactMoments, SampleMatrix, exact_enumerate
 from .solvers import SolverConfig, lasso_cd_gram
 
 
@@ -254,14 +248,12 @@ def construct_witness(
     c_min and alpha are measured on the supplied data; check_conditions
     compares them with closed-form targets. Raises SingularMatrixError
     when the support block is singular and ValueError for lambda <= 0, an
-    empty support or r outside 0..p-1.
+    empty support (support_conditions' rule) or r outside 0..p-1.
     """
     if lam <= 0:
         raise ValueError("witness construction needs lambda > 0")
     tt = _regression_row(theta_tilde, r)
     s = support_vertices(support, tt.size, r)
-    if not s.size:
-        raise ValueError("support must be nonempty")
     cfg = config or SolverConfig()
     second = data.second_moment()
     off = np.ones(tt.size, dtype=bool)
@@ -344,82 +336,3 @@ def check_conditions(
         incoherence_pass=report.incoherence <= inc_target + _CHECK_SLACK,
         delta=delta,
     )
-
-
-def tail_bound_lambda(c: float, alpha: float, p: int, n: int) -> float:
-    """Penalty floor 4 sqrt(c+1) (2 - alpha) / alpha * sqrt(log(p)/n) that
-    the noise concentration statement requires."""
-    return 4.0 * math.sqrt(c + 1.0) * (2.0 - alpha) / alpha * math.sqrt(math.log(p) / n)
-
-
-@dataclass(frozen=True)
-class ProbeRow:
-    n: int
-    lam: float
-    trials: int
-    exceed_count: int
-    empirical_prob: float
-    stderr: float
-    bound: float
-    within_precondition: bool
-
-
-def tail_rate_probe(
-    graph: SignedGraph,
-    theta_tilde: RescaledParams,
-    n_grid,
-    trials: int,
-    c: float,
-    sampler: SamplerConfig | None = None,
-    seed: int = 0,
-) -> list[ProbeRow]:
-    """Monte Carlo estimate, per sample size, of the probability that the
-    scaled noise (2-alpha)/lambda * sup|W| reaches alpha/2, next to its
-    theoretical ceiling 2 exp(-c log p).
-
-    The probe node is the first max-degree vertex, and alpha is its
-    population incoherence margin. lambda is set at the concentration
-    statement's own floor. Rows with n < (c+1) d^2 log p are flagged as
-    outside the statement's premise.
-    """
-    n_grid = [require_int("n_grid entry", n, 1) for n in n_grid]
-    if require_int("trials", trials, 0) == 0:
-        return []
-    p = graph.p
-    d = graph.max_degree
-    node = int(np.argmax(graph.degrees))
-    alpha = 1.0 - support_conditions(tree_covariance(graph), node, graph.neighbors[node])[1]
-    base = sampler or SamplerConfig()
-    bound = 2.0 * math.exp(-c * math.log(p))
-    precondition_n = (c + 1.0) * d * d * math.log(p)
-
-    rows = []
-    for i, n in enumerate(n_grid):
-        lam = tail_bound_lambda(c, alpha, p, n)
-        threshold = 0.5 * alpha * lam / (2.0 - alpha)
-        exceed = 0
-        for t in range(trials):
-            chain_seed = int(np.random.SeedSequence(entropy=(seed, i, t)).generate_state(1)[0])
-            cfg = SamplerConfig(
-                burn_in_sweeps=base.burn_in_sweeps,
-                thinning_sweeps=base.thinning_sweeps,
-                seed=chain_seed,
-            )
-            w = compute_noise_vector(gibbs_sample(graph, n, cfg), node, theta_tilde).w
-            if float(np.abs(w).max()) >= threshold:
-                exceed += 1
-        prob = exceed / trials
-        stderr = _wald_stderr(exceed, trials)
-        rows.append(
-            ProbeRow(
-                n=n,
-                lam=lam,
-                trials=trials,
-                exceed_count=exceed,
-                empirical_prob=prob,
-                stderr=stderr,
-                bound=bound,
-                within_precondition=n >= precondition_n,
-            )
-        )
-    return rows

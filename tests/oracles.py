@@ -1,6 +1,8 @@
-"""Independent brute-force references used by tests only."""
+"""Independent brute-force references, and the noise-tail probe, used by tests only."""
 import itertools
 import math
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -321,3 +323,57 @@ def noise_reference(x, r, theta_row):
     xs = np.delete(x, r, axis=1)
     z = xs * (x[:, r] - xs @ theta_row)[:, None]
     return z.mean(axis=0), np.abs(z).max(axis=0), z.var(axis=0)
+
+
+class ProbeRow(NamedTuple):
+    """One sample size of tail_rate_probe."""
+
+    n: int
+    lam: float
+    trials: int
+    exceed_count: int
+    empirical_prob: float
+    stderr: float
+    bound: float
+    within_precondition: bool
+
+
+def _probe_sup_noise(graph, theta_tilde, node, n, config):
+    """sup|W| of node's noise vector on one Gibbs chain: one probe task."""
+    from isinglasso.sampler import gibbs_sample
+    from isinglasso.witness import compute_noise_vector
+
+    w = compute_noise_vector(gibbs_sample(graph, n, config), node, theta_tilde).w
+    return float(np.abs(w).max())
+
+
+def tail_rate_probe(graph, theta_tilde, n_grid, trials, c, sampler=None, seed=0):
+    """Monte Carlo estimate, per n, of the probability that the scaled noise
+    (2-alpha)/lambda * sup|W| reaches alpha/2, next to its ceiling 2 p^-c, at
+    the noise concentration statement's penalty, kappa = 4 sqrt(c+1)
+    (2-alpha)/alpha in the lambda_from_kappa rule. The probe node is the first
+    max-degree vertex and alpha its population incoherence margin; rows with
+    n < (c+1) d^2 log p lie outside the statement's premise. Chain (i, t) of
+    n_grid[i] is seeded by SeedSequence((seed, i, t)), run in two processes."""
+    from isinglasso.bethe import support_conditions, tree_covariance
+    from isinglasso.experiment import _wald_stderr, parallel_map
+    from isinglasso.sampler import SamplerConfig
+    from isinglasso.solvers import lambda_from_kappa
+
+    p, d, node = graph.p, graph.max_degree, int(np.argmax(graph.degrees))
+    alpha = 1.0 - support_conditions(tree_covariance(graph), node, graph.neighbors[node])[1]
+    kappa = 4.0 * math.sqrt(c + 1.0) * (2.0 - alpha) / alpha
+    base = sampler or SamplerConfig()
+    tasks = [
+        (graph, theta_tilde, node, n,
+         replace(base, seed=int(np.random.SeedSequence(entropy=(seed, i, t)).generate_state(1)[0])))
+        for i, n in enumerate(n_grid) for t in range(trials)
+    ]
+    sup_w = iter(parallel_map(_probe_sup_noise, tasks, workers=2))
+    rows = []
+    for n in n_grid:
+        lam = lambda_from_kappa(kappa, n, p)
+        exceed = sum(next(sup_w) >= 0.5 * alpha * lam / (2.0 - alpha) for _ in range(trials))
+        rows.append(ProbeRow(n, lam, trials, exceed, exceed / trials, _wald_stderr(exceed, trials),
+                             2.0 * math.exp(-c * math.log(p)), n >= (c + 1.0) * d * d * math.log(p)))
+    return rows

@@ -9,7 +9,9 @@ lam)` are the per-node calls, and the witness's restricted Lasso is
 `lasso_cd_gram` on the support block of the second moment. `path_length` and `signed_edge_set` were
 removed: no library code, CLI command or benchmark called them.
 `rescaled_theta_rr` was folded into `rr_constants`, whose `theta_tilde_rr`
-field holds the same magnitude.
+field holds the same magnitude. `tail_rate_probe` moved to the tests
+(`tests/oracles.py`), its only callers, with its penalty taken from
+`lambda_from_kappa`.
 """
 import types
 
@@ -63,7 +65,6 @@ EXPORTED = {
     "solve_logistic_l1",
     "support_conditions",
     "sweep_to_csv",
-    "tail_rate_probe",
     "theorem_thresholds",
     "tree_covariance",
     "tree_moments",

@@ -153,6 +153,19 @@ class TestConfig:
             ExperimentConfig.from_json(json.dumps(obj))
         assert tiny_config(family="tree", d=2).d == 2
 
+    @pytest.mark.parametrize("family, p, message", [
+        ("grid", 10, "grid family needs a square p, got 10"),
+        ("grid", 4, "periodic grid needs rows >= 3 and cols >= 3"),
+        ("star_linear", 1, "hub degree must be <= p-1"),
+        ("star_log", 1, "hub degree must be an integer >= 1, got 0"),
+        ("tree", 1, "p must be an integer >= 2, got 1"),
+    ])
+    def test_p_the_generator_refuses(self, family, p, message):
+        """A p that the family's generator refuses fails when the config is
+        built, with the generator's own message, not in a worker's first trial."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tiny_config(family=family, p_list=(9, p))
+
     def test_from_json_takes_integers_as_numbers(self):
         obj = json.loads(tiny_config().to_json())
         cfg = ExperimentConfig.from_json(json.dumps({**obj, "kappa": 2, "beta_grid": [1, 2]}))
@@ -222,7 +235,7 @@ class TestBuildGraph:
         assert build_graph(cfg, p, 1, 2).degrees[0] == cfg.degree_for(p)
 
     def test_grid_requires_square(self):
-        cfg = tiny_config(family="grid", p_list=(12,))
+        cfg = tiny_config(family="grid", p_list=(9,))  # a config refuses p = 12 itself
         with pytest.raises(ValueError, match="square"):
             build_graph(cfg, 12, 1, 2)
 

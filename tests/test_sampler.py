@@ -378,11 +378,14 @@ class TestSampleIO:
         assert load_samples_binary(str(path)).data.min() == 1
 
     def test_text_header_without_sizes(self, tmp_path):
-        for header in ("p=3", "n=2", ""):
+        """Only save_samples_text's own header shape loads; any other is one
+        ValueError that names the header."""
+        for header in ("p=3", "n=2", "", "p=2 n=2 q=1", "p n=3", "p=3=4 n=2", "p=x n=2"):
             path = tmp_path / "samples.txt"
-            path.write_text(header + "\n1 -1 1\n-1 1 1\n")
-            with pytest.raises(ValueError, match="p=<p> n=<n>"):
+            path.write_text(header + "\n1 -1\n-1 1\n")
+            with pytest.raises(ValueError) as err:
                 load_samples_text(str(path))
+            assert str(err.value) == f"sample file header {header!r} is not p=<p> n=<n>"
 
 
 def _random_samples(seed: int, n: int, p: int) -> SampleMatrix:

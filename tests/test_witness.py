@@ -23,20 +23,19 @@ from isinglasso.graphs import (
     support_vertices,
 )
 from isinglasso.sampler import SampleMatrix, SamplerConfig, gibbs_sample
-from isinglasso.solvers import SolverConfig, solve_lasso, extract_signed_neighborhood
+from isinglasso.solvers import SolverConfig, extract_signed_neighborhood, lambda_from_kappa, solve_lasso
 from isinglasso.witness import (
     check_conditions,
     compute_noise_vector,
     construct_witness,
     enumerate_z_statistics,
     sample_covariance,
-    tail_bound_lambda,
-    tail_rate_probe,
 )
 from conftest import random_paramagnetic_tree
 from oracles import (
     noise_reference,
     support_conditions_reference,
+    tail_rate_probe,
     witness_reference,
     z_statistics_oracle,
 )
@@ -272,6 +271,58 @@ class TestWitnessConstruction:
         assert obj["strict_feasibility_margin"] > 0
 
 
+_CONVERSE_TOL = 1e-10
+
+
+def _check_converse(seed, n, kappa):
+    """The converse of test_witness_agrees_with_unrestricted (Wainwright,
+    IEEE Trans. IT 2009): wherever the full working-set Lasso recovers node
+    r's signed neighbourhood S with every off-support |z| <= 1 - 1e-6, the
+    witness on S is sign-consistent and strictly dual-feasible, and both
+    solutions agree. Each is within sqrt|S| res / c_min of the unique
+    restricted minimiser (res its KKT residual, at most tol; c_min the
+    least eigenvalue of Q_SS), so theta_hat_S differs by at most
+    2 tol sqrt|S| / c_min; z_sc differs by Q_{off,S} dtheta / lambda, with
+    |Q| <= 1, so by at most 2 tol |S| / (c_min lambda). 1e-12 covers the
+    rounding of the two formulas. Returns the number of nodes checked."""
+    rng = np.random.default_rng(seed)
+    g = random_paramagnetic_tree(rng, p_max=10)
+    samples = gibbs_sample(g, n, SamplerConfig(burn_in_sweeps=100, thinning_sweeps=1, seed=seed))
+    params = rescaled_theta(g)
+    lam = lambda_from_kappa(kappa, n, g.p)
+    cfg = SolverConfig(tol=_CONVERSE_TOL)
+    checked = 0
+    for r in range(g.p):
+        sol = solve_lasso(samples, r, lam, cfg)
+        z_full = np.insert(sol.subgradient, r, 0.0)  # by vertex label
+        support = list(g.neighbors[r])
+        off = np.setdiff1d(np.arange(g.p), support + [r])
+        truth = {t: (1 if g.coupling(r, t) > 0 else -1) for t in support}
+        if (extract_signed_neighborhood(sol, r).signs != truth
+                or np.abs(z_full[off]).max(initial=0.0) > 1 - 1e-6):
+            continue
+        checked += 1
+        cert = construct_witness(samples, r, support, params, lam, config=cfg)
+        assert cert.sign_consistent and cert.checks()["strict_dual_feasibility"]
+        theta_gap = 2 * _CONVERSE_TOL * math.sqrt(len(support)) / cert.c_min_measured
+        theta_full = np.insert(sol.coefficients, r, 0.0)[support]
+        assert np.abs(cert.theta_hat_s - theta_full).max() <= theta_gap + 1e-12
+        z_gap = 2 * _CONVERSE_TOL * len(support) / (cert.c_min_measured * lam)
+        assert np.abs(cert.z_sc - z_full[off]).max(initial=0.0) <= z_gap + 1e-12
+    return checked
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(200, 3000), kappa=st.floats(1.0, 4.0))
+def test_recovery_implies_witness(seed, n, kappa):
+    _check_converse(seed, n, kappa)
+
+
+def test_recovery_implies_witness_is_exercised():
+    """The property above is not vacuous: its premise holds on fixed draws."""
+    assert sum(_check_converse(seed, 1000, 2.0) for seed in range(5)) > 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -335,6 +386,18 @@ class TestNodeRange:
         with pytest.raises(ValueError, match=f"node {r} out of range"):
             _NODE_CALLS[call](g, params, tree_samples, r)
 
+    @pytest.mark.parametrize("call", ["support_conditions", "sample_covariance", "construct_witness"])
+    def test_empty_support_rejected(self, tree_fixture, tree_samples, call):
+        """One rule in support_conditions, not numpy's zero-size reduction error."""
+        g, params = tree_fixture
+        entry = {
+            "support_conditions": lambda: support_conditions(tree_samples.second_moment(), 0, []),
+            "sample_covariance": lambda: sample_covariance(tree_samples, 0, []),
+            "construct_witness": lambda: construct_witness(tree_samples, 0, [], params, lam=0.1),
+        }[call]
+        with pytest.raises(ValueError, match="^support must be nonempty$"):
+            entry()
+
 
 class TestConditionChecks:
     def test_population_targets_met_exactly(self, tree_fixture):
@@ -387,36 +450,13 @@ class TestConditionChecks:
 
 
 class TestTailProbe:
-    def test_zero_trials_empty(self, tree_fixture):
-        g, params = tree_fixture
-        assert tail_rate_probe(g, params, [50], trials=0, c=0.5) == []
-
-    @pytest.mark.parametrize("n_grid, trials, message", [
-        ([50.7], 2, "n_grid entry must be an integer >= 1, got 50.7"),
-        ([50, True], 2, "n_grid entry must be an integer >= 1, got True"),
-        ([0], 0, "n_grid entry must be an integer >= 1, got 0"),
-        ([50], 2.5, "trials must be an integer >= 0, got 2.5"),
-        ([50], -1, "trials must be an integer >= 0, got -1"),
-    ])
-    def test_integer_arguments_checked(self, tree_fixture, n_grid, trials, message):
-        g, params = tree_fixture
-        with pytest.raises(ValueError) as err:
-            tail_rate_probe(g, params, n_grid, trials=trials, c=0.5)
-        assert str(err.value) == message
-
-    def test_lambda_floor_formula(self):
-        alpha = 0.5
-        assert abs(
-            tail_bound_lambda(0.5, alpha, 32, 100)
-            - 4 * math.sqrt(1.5) * 3.0 * math.sqrt(math.log(32) / 100)
-        ) < 1e-12
-
     def test_probe_rows_and_csv(self, tree_fixture):
+        """Every field of the probe's rows for fixed arguments, float for float."""
         g, params = tree_fixture
         cfg = SamplerConfig(burn_in_sweeps=100, thinning_sweeps=1)
         rows = tail_rate_probe(g, params, [20, 200], trials=8, c=0.5, sampler=cfg, seed=5)
-        assert len(rows) == 2
-        assert not rows[0].within_precondition
-        assert rows[1].within_precondition
-        assert all(0 <= row.empirical_prob <= 1 for row in rows)
-        assert all(abs(row.bound - 2 * 12 ** -0.5) < 1e-12 for row in rows)
+        bound = 0.5773502691896257  # the ceiling 2 p^-c at p = 12, c = 0.5
+        assert [tuple(row) for row in rows] == [
+            (20, 3.8430961280709592, 8, 0, 0.0, 0.0625, bound, False),
+            (200, 1.2152937031678392, 8, 0, 0.0, 0.0625, bound, True),
+        ]
