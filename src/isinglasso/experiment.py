@@ -103,10 +103,15 @@ class ExperimentConfig:
         SolverConfig(tol=self.solver_tol)
         SamplerConfig(burn_in_sweeps=self.burn_in_sweeps, thinning_sweeps=self.thinning_sweeps)
         for p in p_list:  # each p by its generator's own rule, before any worker starts
-            if self.family == "rr":  # one rr draw can take thousands of attempts
-                check_regular_degree(p, self.d)
-            else:
-                build_graph(self, p, 0, 0)
+            try:
+                if self.family == "rr":  # one rr draw can take thousands of attempts
+                    check_regular_degree(p, self.d)
+                else:
+                    build_graph(self, p, 0, 0)
+            except ValueError as exc:
+                raise ValueError(
+                    f"p_list entry {p} is refused by family {self.family!r}: {exc}"
+                ) from exc
 
     @property
     def solvers(self) -> tuple[str, ...]:

@@ -84,8 +84,9 @@ class SampleMatrix:
 
 @dataclass(frozen=True)
 class ExactMoments:
-    """Exact mean vector, covariance matrix and log partition function.
-    Construction rejects moments whose E[x_i^2] fails
+    """Exact mean vector, covariance matrix and log partition function;
+    immutable once built, as mean and covariance are stored as read-only
+    float64 copies. Construction rejects moments whose E[x_i^2] fails
     np.allclose(., 1, atol=1e-9), with numpy's default rtol of 1e-5, so
     off 1 by more than about 1.0001e-5, or NaN: the unit diagonal the
     Lasso kernel relies on."""
@@ -95,6 +96,10 @@ class ExactMoments:
     log_partition: float
 
     def __post_init__(self):
+        for name in ("mean", "covariance"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         second = self.covariance + np.outer(self.mean, self.mean)
         if not np.allclose(np.diag(second), 1.0, atol=1e-9):
             raise ValueError("E[x x^T] must have unit diagonal for +/-1 spins")
@@ -159,37 +164,67 @@ def gibbs_sample(graph: SignedGraph, n: int, config: SamplerConfig) -> SampleMat
     return SampleMatrix(data=out)
 
 
+def _spin_table(bits: int) -> np.ndarray:
+    """The 2^bits spin states as columns: row b holds bit b of the column
+    index as -1/+1, in runs of 2^b -1s and then 2^b +1s."""
+    table = np.empty((bits, 1 << bits))
+    for b in range(bits):
+        runs = table[b].reshape(-1, 2, 1 << b)
+        runs[:, 0] = -1.0
+        runs[:, 1] = 1.0
+    return table
+
+
 def exact_enumerate(graph: SignedGraph) -> ExactMoments:
-    """Exact moments by summing over all 2^p configurations; capped at
+    """Exact moments by summing over the 2^p configurations; capped at
     p <= ENUMERATION_CAP.
 
-    A state splits into its low bits l (the first low = min(p,
-    _ENUM_BLOCK_BITS) spins) and its high bits h, with energy
-    E = E_low(l) + E_high(h) + h.(J_hl l). The low states, as columns with
-    a trailing row of ones, and each high state's field [h J_hl, E_high(h)]
-    are built once per call; one product per chunk of _ENUM_CHUNK high
-    states then gives E_high + cross term for every low state. The weights
-    of a chunk, times the low states, give its per-high-state sums (the
-    ones row gives their totals), from which the low-high and high-high
-    moments come; the low-low moments come once, from the weights summed
-    over high states. States lie on the contiguous axis, so every 2^low-term
-    sum is a BLAS dot product. Weights are taken relative to the largest
-    energy seen so far and the sums are rescaled whenever it grows, so large
-    couplings cannot overflow.
+    The first call makes the pass and stores its record on the graph, with
+    a copy of the couplings it was computed from; a later call returns that
+    record while graph.couplings still equals the copy, so every caller of
+    one graph (enumerate_z_statistics for each node, say) shares one pass,
+    and a changed coupling dict gets a fresh one. The record is read-only.
     """
     if graph.p > ENUMERATION_CAP:
         raise ValueError(
             f"exact enumeration capped at p <= {ENUMERATION_CAP}, got p = {graph.p}"
         )
     graph._require_couplings()
+    stored = graph.__dict__.get("_exact_moments")
+    if stored is None or stored[0] != graph.couplings:
+        stored = (dict(graph.couplings), _enumeration_pass(graph))
+        object.__setattr__(graph, "_exact_moments", stored)
+    return stored[1]
+
+
+def _enumeration_pass(graph: SignedGraph) -> ExactMoments:
+    """One pass over the half of the states with x_{p-1} = +1. With no
+    external field E(x) = E(-x), so the mean is exactly 0, the second
+    moment is the half's sums over the half's total, and Z is twice that
+    total.
+
+    A state splits into its low bits l (the first low = min(p - 1,
+    _ENUM_BLOCK_BITS) spins) and its high bits h (spins low..p-1, the last
+    pinned), with energy E = E_low(l) + E_high(h) + h.(J_hl l). The low
+    states, as columns with a trailing row of ones, and each high state's
+    field [h J_hl, E_high(h)] are built once per pass; one product per chunk
+    of _ENUM_CHUNK high states then gives E_high + cross term for every low
+    state. The weights of a chunk, times the low states, give its per-high-
+    state sums (the ones row gives their totals), from which the low-high
+    and high-high moments come; the low-low moments come once, from the
+    weights summed over high states. States lie on the contiguous axis, so
+    every 2^low-term sum is a BLAS dot product. Weights are taken relative
+    to the largest energy seen so far and the sums are rescaled whenever it
+    grows, so large couplings cannot overflow.
+    """
     p = graph.p
-    low = min(p, _ENUM_BLOCK_BITS)
+    low = min(p - 1, _ENUM_BLOCK_BITS)
     j = np.triu(graph.coupling_matrix())  # each edge once
-    # low states as columns, high states as rows, each with a trailing one
+    # low states as columns, high states (spin p-1 at +1) as rows, each with a trailing one
     lows = np.ones((low + 1, 1 << low))
-    lows[:low] = 2.0 * ((np.arange(1 << low) >> np.arange(low)[:, None]) & 1) - 1.0
-    highs = np.ones((1 << (p - low), p - low + 1))
-    highs[:, :-1] = 2.0 * ((np.arange(len(highs))[:, None] >> np.arange(p - low)) & 1) - 1.0
+    lows[:low] = _spin_table(low)
+    highs = np.ones((1 << (p - 1 - low), p - low + 1))
+    highs[:, :-2] = _spin_table(p - 1 - low).T
     hs = highs[:, :-1]
     e_low = np.einsum("ij,ij->j", j[:low, :low] @ lows[:low], lows[:low])
     field = np.empty((len(hs), low + 1))
@@ -222,9 +257,8 @@ def exact_enumerate(graph: SignedGraph) -> ExactMoments:
     sums[lo, low:] = sums[low:, lo].T
     sums[low:p, low:p] = (hs * per_high[:, low:]).T @ hs
     total = sums[p, p]
-    mean = sums[:p, p] / total
-    covariance = sums[:p, :p] / total - np.outer(mean, mean)
-    return ExactMoments(mean=mean, covariance=covariance, log_partition=top + math.log(total))
+    return ExactMoments(mean=np.zeros(p), covariance=sums[:p, :p] / total,
+                        log_partition=top + math.log(2.0 * total))
 
 
 def estimate_magnetization(samples: SampleMatrix) -> np.ndarray:

@@ -126,7 +126,9 @@ class ZStatistics:
 def enumerate_z_statistics(
     graph: SignedGraph, r: int, theta_tilde: RescaledParams
 ) -> ZStatistics:
-    """Z statistics from the exact second moment of the 2^p enumeration.
+    """Z statistics from the exact second moment of the 2^p enumeration,
+    read from the record exact_enumerate stores on the graph: one pass
+    serves every node of a graph whose couplings do not change.
     E[Z] = b - Q theta_tilde, and because spins are +/-1,
     E[Z_s^2] = E[(x_r - <theta_tilde, x>)^2] = 1 - 2 b.theta_tilde
     + theta_tilde.Q.theta_tilde for every s, as in compute_noise_vector.

@@ -347,14 +347,16 @@ def _probe_sup_noise(graph, theta_tilde, node, n, config):
     return float(np.abs(w).max())
 
 
-def tail_rate_probe(graph, theta_tilde, n_grid, trials, c, sampler=None, seed=0):
+def tail_rate_probe(graph, theta_tilde, n_grid, trials, c, workers, sampler=None, seed=0):
     """Monte Carlo estimate, per n, of the probability that the scaled noise
     (2-alpha)/lambda * sup|W| reaches alpha/2, next to its ceiling 2 p^-c, at
     the noise concentration statement's penalty, kappa = 4 sqrt(c+1)
     (2-alpha)/alpha in the lambda_from_kappa rule. The probe node is the first
     max-degree vertex and alpha its population incoherence margin; rows with
     n < (c+1) d^2 log p lie outside the statement's premise. Chain (i, t) of
-    n_grid[i] is seeded by SeedSequence((seed, i, t)), run in two processes."""
+    n_grid[i] is seeded by SeedSequence((seed, i, t)) and run by
+    experiment.parallel_map in `workers` processes, a count that no outcome
+    depends on."""
     from isinglasso.bethe import support_conditions, tree_covariance
     from isinglasso.experiment import _wald_stderr, parallel_map
     from isinglasso.sampler import SamplerConfig
@@ -369,7 +371,7 @@ def tail_rate_probe(graph, theta_tilde, n_grid, trials, c, sampler=None, seed=0)
          replace(base, seed=int(np.random.SeedSequence(entropy=(seed, i, t)).generate_state(1)[0])))
         for i, n in enumerate(n_grid) for t in range(trials)
     ]
-    sup_w = iter(parallel_map(_probe_sup_noise, tasks, workers=2))
+    sup_w = iter(parallel_map(_probe_sup_noise, tasks, workers))
     rows = []
     for n in n_grid:
         lam = lambda_from_kappa(kappa, n, p)

@@ -305,7 +305,7 @@ def test_criterion_8_noise_tail_probe():
     d = g.max_degree
     base = round(d * d * math.log(p))
     rows = tail_rate_probe(
-        g, params, [2 * base, 4 * base, 8 * base], trials=trials, c=c, seed=88
+        g, params, [2 * base, 4 * base, 8 * base], trials=trials, c=c, workers=2, seed=88
     )
     all_ok = True
     details = []

@@ -162,8 +162,10 @@ class TestConfig:
     ])
     def test_p_the_generator_refuses(self, family, p, message):
         """A p that the family's generator refuses fails when the config is
-        built, with the generator's own message, not in a worker's first trial."""
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        built, naming the entry and the family before the generator's own
+        message, not in a worker's first trial."""
+        entry = f"p_list entry {p} is refused by family {family!r}: "
+        with pytest.raises(ValueError, match=f"^{re.escape(entry + message)}$"):
             tiny_config(family=family, p_list=(9, p))
 
     def test_from_json_takes_integers_as_numbers(self):

@@ -30,6 +30,8 @@ from isinglasso.sampler import (
     save_samples_binary,
     save_samples_text,
 )
+from isinglasso.bethe import rescaled_theta
+from isinglasso.witness import enumerate_z_statistics
 from conftest import random_paramagnetic_tree
 from oracles import enumeration_oracle, gibbs_reference
 
@@ -258,8 +260,9 @@ class TestExactEnumerate:
         SignedGraph(p=3, edges=((0, 1), (0, 2), (1, 2)),
                     couplings={(0, 1): 400.0, (0, 2): -400.0, (1, 2): 400.0}),
         # the antiferromagnetic last bond puts the peak energy, 6000, where
-        # x14 != x15: past the first block of 2^14 states (x14 = x15 = -1,
-        # peak 5200), so the running maximum must grow by 800
+        # x14 != x15, and 5200 where they agree: weights near e^-800 of the
+        # peak underflow to 0 and must not turn into NaN (a running maximum
+        # that grows across chunks is TestEnumerationSplit's case)
         SignedGraph(p=16, edges=tuple((v, v + 1) for v in range(15)),
                     couplings={(v, v + 1): (-400.0 if v == 14 else 400.0) for v in range(15)}),
     ], ids=["frustrated_triangle", "path16_peak_in_block_1"])
@@ -272,10 +275,57 @@ class TestExactEnumerate:
         assert abs(m.log_partition - log_z) < 1e-12 * abs(log_z)
 
 
+class TestOnePassPerGraph:
+    """exact_enumerate stores its record on the graph: every later call, and
+    enumerate_z_statistics at every node, reads it while the couplings stay
+    as they were."""
+
+    @staticmethod
+    def _tree():
+        return assign_couplings(generate_bethe_tree(10, 3), CouplingScheme.mixed(0.4), seed=6)
+
+    def test_one_pass_serves_every_node(self, monkeypatch):
+        passes = []
+        real = sampler._enumeration_pass
+
+        def counted(graph):
+            passes.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(sampler, "_enumeration_pass", counted)
+        g = self._tree()
+        m = exact_enumerate(g)
+        params = rescaled_theta(g)
+        for r in range(g.p):
+            enumerate_z_statistics(g, r, params)
+        assert exact_enumerate(g) is m
+        assert len(passes) == 1
+
+    def test_changed_couplings_get_fresh_moments(self):
+        g = self._tree()
+        before = exact_enumerate(g)
+        edge = g.edges[0]
+        g.couplings[edge] = -g.couplings[edge]
+        after = exact_enumerate(g)
+        rebuilt = exact_enumerate(SignedGraph(p=g.p, edges=g.edges, couplings=dict(g.couplings)))
+        assert after is not before
+        assert abs(after.covariance[edge] + before.covariance[edge]) < 1e-15
+        assert np.array_equal(after.covariance, rebuilt.covariance)
+        assert after.log_partition == rebuilt.log_partition
+
+    def test_checks_run_on_every_call(self):
+        g = self._tree()
+        exact_enumerate(g)
+        g.couplings.clear()
+        with pytest.raises(ValueError, match="no couplings"):
+            exact_enumerate(g)
+
+
 class TestEnumerationSplit:
     """exact_enumerate equals the state-by-state oracle however the states
-    split into low and high bits: a single block (no high bits), chunks of
-    high states with boundaries between them, and couplings large enough
+    split into low and high bits: a single block (no high bits but the
+    pinned last spin), no low bits at all, chunks of high states with
+    boundaries between them, and couplings large enough
     that the peak energy first appears in a later chunk and the running
     sums must be rescaled. The couplings are mixed +/-scale, so from 4 up
     every energy is an exact integer, as in
@@ -294,17 +344,17 @@ class TestEnumerationSplit:
     def test_every_split_matches_oracle(self, kind, p, graph_seed, scale):
         g = chain_graph(kind, p, graph_seed)
         signed = {e: math.copysign(scale, j) for e, j in g.couplings.items()}
-        g = SignedGraph(p=p, edges=g.edges, couplings=signed)
-        mean, cov, log_z = enumeration_oracle(g)
+        mean, cov, log_z = enumeration_oracle(SignedGraph(p=p, edges=g.edges, couplings=signed))
         # the looser of test_matches_state_by_state_oracle's and
         # test_large_couplings_do_not_overflow's tolerances
         tol = max((1 << p) * np.finfo(float).eps, 1e-13)
-        for bits in range(1, p + 1):
+        for bits in range(0, p + 1):
             # patched in the body: a function-scoped fixture would be
             # shared by every Hypothesis example
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(sampler, "_ENUM_BLOCK_BITS", bits)
-                m = exact_enumerate(g)
+                # a fresh graph per split, or its stored pass would answer
+                m = exact_enumerate(SignedGraph(p=p, edges=g.edges, couplings=signed))
             assert np.abs(m.mean - mean).max() < tol
             assert np.abs(m.covariance - cov).max() < tol
             assert abs(m.log_partition - log_z) < max(tol, 1e-12 * abs(log_z))
@@ -486,6 +536,15 @@ class TestMomentsType:
     def test_second_moment_identity(self):
         m = ExactMoments(mean=np.array([0.5]), covariance=np.array([[0.75]]), log_partition=0.0)
         assert abs(m.second_moment()[0, 0] - 1.0) < 1e-15
+
+    def test_moments_read_only(self):
+        mean, cov = np.array([0.5, 0.0]), np.array([[0.75, 0.1], [0.1, 1.0]])
+        m = ExactMoments(mean=mean, covariance=cov, log_partition=0.0)
+        mean[0] = cov[0, 0] = 0.0  # the record holds copies
+        assert m.mean[0] == 0.5 and m.covariance[0, 0] == 0.75
+        for arr in (m.mean, m.covariance, exact_enumerate(free_graph(3)).covariance):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] += 1.0
 
     def test_second_moment_cached_read_only(self):
         m = ExactMoments(mean=np.array([0.5, 0.0]), covariance=np.array([[0.75, 0.1], [0.1, 1.0]]),

@@ -454,7 +454,8 @@ class TestTailProbe:
         """Every field of the probe's rows for fixed arguments, float for float."""
         g, params = tree_fixture
         cfg = SamplerConfig(burn_in_sweeps=100, thinning_sweeps=1)
-        rows = tail_rate_probe(g, params, [20, 200], trials=8, c=0.5, sampler=cfg, seed=5)
+        rows = tail_rate_probe(g, params, [20, 200], trials=8, c=0.5, workers=1,
+                               sampler=cfg, seed=5)
         bound = 0.5773502691896257  # the ceiling 2 p^-c at p = 12, c = 0.5
         assert [tuple(row) for row in rows] == [
             (20, 3.8430961280709592, 8, 0, 0.0, 0.0625, bound, False),
