@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("graph", help="generate a graph and write it as JSON")
     g.add_argument("--family", required=True,
                    choices=["rr", "grid", "star", "tree", "bethe_tree"])
-    g.add_argument("-p", type=int, default=0, help="vertex count (a square for grid)")
+    g.add_argument("-p", type=int, required=True, help="vertex count (a square for grid)")
     g.add_argument("-d", type=int, default=3, help="degree parameter")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--coupling", choices=["uniform", "mixed", "degree_scaled"],

@@ -216,7 +216,9 @@ def check_regular_degree(p: int, d: int) -> None:
 def generate_random_regular(p: int, d: int, seed: int) -> SignedGraph:
     """Uniform simple d-regular graph on p vertices via the configuration
     (pairing) model, redrawing the pairing until it has no self-loop or
-    multi-edge: d = 6 takes some 6,000 draws on average.
+    multi-edge: d = 6 takes some 6,000 draws on average. A pairing is
+    simple when no pair (u, v) has u = v and the codes min*p + max of its
+    pairs are distinct.
 
     For d > (p-1)/2 the pairing is (p-1-d)-regular and the graph is its
     complement. Complementing maps the d-regular graphs on p labelled
@@ -232,22 +234,16 @@ def generate_random_regular(p: int, d: int, seed: int) -> SignedGraph:
     stubs = np.repeat(np.arange(p, dtype=np.int64), p - 1 - d if dense else d)
     for _ in range(REGULAR_RETRY_CAP):
         rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for i in range(0, stubs.size, 2):
-            u, v = int(stubs[i]), int(stubs[i + 1])
-            if u == v:
-                ok = False
-                break
-            e = _canonical_edge(u, v)
-            if e in edges:
-                ok = False
-                break
-            edges.add(e)
-        if ok:
-            if dense:
-                edges = set(itertools.combinations(range(p), 2)) - edges
-            return SignedGraph(p=p, edges=tuple(sorted(edges)))
+        u, v = stubs[0::2], stubs[1::2]
+        if (u == v).any():
+            continue
+        codes = np.sort(np.minimum(u, v) * p + np.maximum(u, v))
+        if (codes[1:] == codes[:-1]).any():
+            continue
+        edges = [divmod(c, p) for c in codes.tolist()]
+        if dense:
+            edges = sorted(set(itertools.combinations(range(p), 2)).difference(edges))
+        return SignedGraph(p=p, edges=tuple(edges))
     raise RuntimeError(
         f"failed to generate a simple {d}-regular graph on {p} vertices "
         f"within {REGULAR_RETRY_CAP} pairing attempts"

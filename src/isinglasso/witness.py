@@ -14,8 +14,10 @@ relies on: strict dual feasibility, sign agreement, the l2 deviation
 against 3 lambda sqrt(|S|) / c_min, and the sup deviation against half the
 minimum rescaled magnitude.
 
-All constructions accept either a SampleMatrix or ExactMoments, so the
-same code path runs in the population limit (where W vanishes).
+The certificate, the covariance report and the noise vector each accept
+either a SampleMatrix or ExactMoments, so the same code path runs in the
+population limit (where W vanishes); enumerate_z_statistics is the noise
+vector on a graph's 2^p enumeration.
 """
 from __future__ import annotations
 
@@ -52,11 +54,11 @@ class CovarianceReport:
     incoherence: float
 
 
-def sample_covariance(samples: SampleMatrix, r: int, support) -> CovarianceReport:
-    """Recovery conditions of node r's support block on the sample second
-    moment (1/n) sum_i x_i x_i^T."""
+def sample_covariance(data: SampleMatrix | ExactMoments, r: int, support) -> CovarianceReport:
+    """Recovery conditions of node r's support block on the data's second
+    moment: (1/n) sum_i x_i x_i^T for samples, E[x x^T] for exact moments."""
     try:
-        eig_min_ss, inc = support_conditions(samples.second_moment(), r, support)  # validates r
+        eig_min_ss, inc = support_conditions(data.second_moment(), r, support)  # validates r
     except SingularMatrixError as exc:
         eig_min_ss, inc = exc.min_eigenvalue, float("inf")
     return CovarianceReport(
@@ -69,80 +71,65 @@ def sample_covariance(samples: SampleMatrix, r: int, support) -> CovarianceRepor
 
 @dataclass(frozen=True)
 class NoiseVector:
-    """Empirical noise W at the population regression point, with
-    per-coordinate summaries of the underlying per-sample statistics
-    Z_s_i = x_s_i (x_r_i - <theta_tilde, x_i>)."""
-
-    node: int
-    w: np.ndarray
-    inf_norm: float
-    max_abs_z: np.ndarray
-    z_variance: np.ndarray
-
-
-def compute_noise_vector(
-    samples: SampleMatrix, r: int, theta_tilde: RescaledParams
-) -> NoiseVector:
-    """W_s = (1/n) sum_i Z_s_i per predictor coordinate.
-
-    No per-sample Z matrix is formed: W = b - Q theta_tilde from the shared
-    second moment, and since |x_s_i| = 1, |Z_s_i| = |resid_i| for every s,
-    where resid = x_r - <theta_tilde, x>, so E[Z_s^2] = mean(resid^2). The
-    residual reads only the columns theta_tilde_r touches, r included.
-    """
-    if theta_tilde.matrix.shape[0] != samples.p:
-        raise ValueError(
-            f"theta_tilde is for p = {theta_tilde.matrix.shape[0]} vertices, "
-            f"samples have p = {samples.p}"
-        )
-    tt = _regression_row(theta_tilde, r)
-    second = samples.second_moment()
-    w = np.delete(second[:, r] - second @ tt, r)
-    coef = -tt
-    coef[r] = 1.0
-    cols = np.flatnonzero(coef)
-    resid = samples.data[:, cols] @ coef[cols]
-    return NoiseVector(
-        node=r,
-        w=w,
-        inf_norm=float(np.abs(w).max()),
-        max_abs_z=np.full(w.size, np.abs(resid).max()),
-        z_variance=float(np.mean(resid * resid)) - w * w,
-    )
-
-
-@dataclass(frozen=True)
-class ZStatistics:
-    """Exact enumeration statistics of Z_s = x_s (x_r - <theta_tilde, x>):
-    per-coordinate mean, the common second moment, and the largest |Z|
-    over all configurations."""
+    """Statistics of Z_s = x_s (x_r - <theta_tilde, x>) at the population
+    regression point, over samples or over the exact law: the per-predictor
+    means W_s (node r's p-1 predictors in vertex order), the second moment
+    E[Z_s^2], which is the same for every s, and the largest |Z_s|."""
 
     node: int
     means: np.ndarray
     second_moment: float
     max_abs: float
 
+    @property
+    def inf_norm(self) -> float:
+        return float(np.abs(self.means).max(initial=0.0))
 
-def enumerate_z_statistics(
-    graph: SignedGraph, r: int, theta_tilde: RescaledParams
-) -> ZStatistics:
-    """Z statistics from the exact second moment of the 2^p enumeration,
-    read from the record exact_enumerate stores on the graph: one pass
-    serves every node of a graph whose couplings do not change.
-    E[Z] = b - Q theta_tilde, and because spins are +/-1,
-    E[Z_s^2] = E[(x_r - <theta_tilde, x>)^2] = 1 - 2 b.theta_tilde
-    + theta_tilde.Q.theta_tilde for every s, as in compute_noise_vector.
-    max |Z_s| = 1 + l1_norm(theta_tilde): every state is enumerated, so the
-    one with x_r = 1 and x_t = -sign(theta_tilde_t) is among them."""
+
+def compute_noise_vector(
+    data: SampleMatrix | ExactMoments, r: int, theta_tilde: RescaledParams
+) -> NoiseVector:
+    """Node r's noise from the shared second moment Q, with b = Q[:, r]:
+    W = b - Q theta_tilde, and since |x_s| = 1, E[Z_s^2] = E[(x_r -
+    <theta_tilde, x>)^2] = 1 - 2 b.theta_tilde + theta_tilde.Q.theta_tilde
+    for every s. No per-sample Z matrix is formed.
+
+    max |Z_s| is the one figure that needs the data kind. On samples it is
+    the largest |x_r - <theta_tilde, x>| over the samples, a residual that
+    reads only the columns theta_tilde_r touches, r included. On exact
+    moments every state has positive weight, so the state with x_r = 1 and
+    x_t = -sign(theta_tilde_t) gives 1 + l1_norm(theta_tilde).
+    """
+    second = data.second_moment()
+    if theta_tilde.matrix.shape[0] != second.shape[0]:
+        raise ValueError(
+            f"theta_tilde is for p = {theta_tilde.matrix.shape[0]} vertices, "
+            f"data has p = {second.shape[0]}"
+        )
     tt = _regression_row(theta_tilde, r)
-    second = exact_enumerate(graph).second_moment()
     b, qt = second[:, r], second @ tt
-    return ZStatistics(
+    if isinstance(data, ExactMoments):
+        max_abs = 1.0 + np.abs(tt).sum()
+    else:
+        coef = -tt
+        coef[r] = 1.0
+        cols = np.flatnonzero(coef)
+        max_abs = np.abs(data.data[:, cols] @ coef[cols]).max()
+    return NoiseVector(
         node=r,
         means=np.delete(b - qt, r),
         second_moment=float(1.0 - 2.0 * b @ tt + tt @ qt),
-        max_abs=float(1.0 + np.abs(tt).sum()),
+        max_abs=float(max_abs),
     )
+
+
+def enumerate_z_statistics(
+    graph: SignedGraph, r: int, theta_tilde: RescaledParams
+) -> NoiseVector:
+    """compute_noise_vector on the exact moments of the 2^p enumeration,
+    the record exact_enumerate stores on the graph: one pass serves every
+    node of a graph whose couplings do not change."""
+    return compute_noise_vector(exact_enumerate(graph), r, theta_tilde)
 
 
 @dataclass(frozen=True)
@@ -306,7 +293,6 @@ class ConditionCheck:
     incoherence_target: float
     incoherence_margin: float
     incoherence_pass: bool
-    delta: float
 
 
 _CHECK_SLACK = 1e-12
@@ -316,25 +302,22 @@ def check_conditions(
     report: CovarianceReport,
     c_min_target: float,
     alpha_target: float,
-    delta: float = 0.0,
 ) -> ConditionCheck:
-    """Evaluate eig_min(Q_SS) >= c_min - delta and
+    """Evaluate eig_min(Q_SS) >= c_min and
     incoherence <= 1 - alpha/2 on a covariance report.
 
     Pass/fail comparisons carry a 1e-12 slack so that population inputs
     hitting their targets exactly do not flip on eigensolver rounding;
     the reported margins stay raw.
     """
-    eig_target = c_min_target - delta
     inc_target = 1.0 - alpha_target / 2.0
     return ConditionCheck(
         eig_min=report.eig_min_ss,
-        eig_target=eig_target,
-        eig_margin=report.eig_min_ss - eig_target,
-        eig_pass=report.eig_min_ss >= eig_target - _CHECK_SLACK,
+        eig_target=c_min_target,
+        eig_margin=report.eig_min_ss - c_min_target,
+        eig_pass=report.eig_min_ss >= c_min_target - _CHECK_SLACK,
         incoherence=report.incoherence,
         incoherence_target=inc_target,
         incoherence_margin=inc_target - report.incoherence,
         incoherence_pass=report.incoherence <= inc_target + _CHECK_SLACK,
-        delta=delta,
     )

@@ -205,6 +205,27 @@ def gibbs_reference(graph, n, config):
     return SampleMatrix(data=out)
 
 
+def random_regular_reference(p, d, seed):
+    """The random-regular draw with its pairing tested pair by pair: the
+    same shuffle stream and acceptance rule as generate_random_regular,
+    whose degree checks it leaves out, returning the sorted edge tuple."""
+    dense = 2 * d > p - 1
+    rng = np.random.default_rng(seed)
+    stubs = np.repeat(np.arange(p, dtype=np.int64), p - 1 - d if dense else d)
+    while True:
+        rng.shuffle(stubs)
+        edges = set()
+        for i in range(0, stubs.size, 2):
+            u, v = sorted((int(stubs[i]), int(stubs[i + 1])))
+            if u == v or (u, v) in edges:
+                break
+            edges.add((u, v))
+        else:
+            if dense:
+                edges = set(itertools.combinations(range(p), 2)) - edges
+            return tuple(sorted(edges))
+
+
 def _state_probabilities(graph):
     """Every state of {-1,+1}^p with its probability, one state at a time.
     Energies are shifted by their maximum before exponentiating so large
@@ -343,8 +364,7 @@ def _probe_sup_noise(graph, theta_tilde, node, n, config):
     from isinglasso.sampler import gibbs_sample
     from isinglasso.witness import compute_noise_vector
 
-    w = compute_noise_vector(gibbs_sample(graph, n, config), node, theta_tilde).w
-    return float(np.abs(w).max())
+    return compute_noise_vector(gibbs_sample(graph, n, config), node, theta_tilde).inf_norm
 
 
 def tail_rate_probe(graph, theta_tilde, n_grid, trials, c, workers, sampler=None, seed=0):

@@ -65,6 +65,14 @@ class TestGraphCommand:
             main(["graph"])  # missing required --family
         assert exc.value.code == 2
 
+    def test_missing_p_is_a_usage_error(self, capsys):
+        """No family is drawn at a default p: argparse names -p and exits 2."""
+        for family in ("rr", "grid", "star", "tree", "bethe_tree"):
+            with pytest.raises(SystemExit) as exc:
+                main(["graph", "--family", family, "-d", "3"])
+            assert exc.value.code == 2
+            assert "required: -p" in capsys.readouterr().err
+
 
 class TestSampleAndSolve:
     @pytest.fixture

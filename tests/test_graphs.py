@@ -23,6 +23,7 @@ from isinglasso.graphs import (
     support_vertices,
 )
 from conftest import value_kinds
+from oracles import random_regular_reference
 
 
 def recount_degrees(graph: SignedGraph) -> np.ndarray:
@@ -130,6 +131,17 @@ class TestRandomRegular:
         for seed in range(20):
             g = generate_random_regular(128, 6, seed=seed)
             assert (recount_degrees(g) == 6).all() and len(g.edges) == 384
+
+    @pytest.mark.parametrize("p, d", [
+        (6, 3), (6, 5), (8, 7), (9, 6), (10, 7), (12, 8), (12, 9), (16, 4), (20, 3),
+        (20, 15), (32, 3), (32, 5), (32, 6), (32, 26), (64, 4),
+    ])
+    def test_same_edges_as_pair_by_pair_loop(self, p, d):
+        """The whole-pairing test accepts the same shuffles as the loop that
+        checks one pair at a time, so every seed gives the same edges, dense
+        complements included."""
+        for seed in range(3):
+            assert generate_random_regular(p, d, seed).edges == random_regular_reference(p, d, seed)
 
     def test_deterministic(self):
         a = generate_random_regular(16, 3, seed=5)

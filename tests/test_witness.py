@@ -13,6 +13,7 @@ from isinglasso.bethe import (
     rescaled_theta,
     rr_constants,
     support_conditions,
+    tree_covariance,
     tree_moments,
 )
 from isinglasso.graphs import (
@@ -22,7 +23,7 @@ from isinglasso.graphs import (
     generate_bethe_tree,
     support_vertices,
 )
-from isinglasso.sampler import SampleMatrix, SamplerConfig, gibbs_sample
+from isinglasso.sampler import SampleMatrix, SamplerConfig, exact_enumerate, gibbs_sample
 from isinglasso.solvers import SolverConfig, extract_signed_neighborhood, lambda_from_kappa, solve_lasso
 from isinglasso.witness import (
     check_conditions,
@@ -31,7 +32,7 @@ from isinglasso.witness import (
     enumerate_z_statistics,
     sample_covariance,
 )
-from conftest import random_paramagnetic_tree
+from conftest import random_forest, random_paramagnetic_tree
 from oracles import (
     noise_reference,
     support_conditions_reference,
@@ -79,6 +80,20 @@ class TestSampleCovariance:
         emp = float((b[:, r] * b[:, t]).mean())
         assert abs(emp - target) < 0.05
 
+    def test_exact_moments_read_as_samples_are(self):
+        """sample_covariance reads any data's second moment: on a forest's
+        closed-form moments it is support_conditions on tree_covariance,
+        bit for bit."""
+        rng = np.random.default_rng(31)
+        for _ in range(6):
+            g = random_forest(rng, p_min=2, p_max=12)
+            moments, cov = tree_moments(g), tree_covariance(g)
+            for r in range(g.p):
+                if g.neighbors[r]:
+                    report = sample_covariance(moments, r, g.neighbors[r])
+                    assert (report.eig_min_ss, report.incoherence) == \
+                        support_conditions(cov, r, g.neighbors[r])
+
 
 class TestNoiseVector:
     def test_free_graph_noise(self):
@@ -89,15 +104,15 @@ class TestNoiseVector:
         noise = compute_noise_vector(samples, 0, params)
         assert noise.inf_norm <= 1.0
         assert noise.inf_norm < 0.2
-        assert (noise.max_abs_z <= 1.0).all()
+        assert noise.max_abs <= 1.0
 
     def test_z_bounded_by_degree_on_data(self, tree_fixture, tree_samples):
         g, params = tree_fixture
         d = g.max_degree
         for r in range(g.p):
             noise = compute_noise_vector(tree_samples, r, params)
-            assert (noise.max_abs_z <= d + 1e-12).all()
-            assert (noise.z_variance <= 1.0 + 1e-12).all()
+            assert noise.max_abs <= d + 1e-12
+            assert (noise.second_moment - noise.means**2 <= 1.0 + 1e-12).all()
 
     def test_fields_match_explicit_z(self, tree_fixture):
         g, params = tree_fixture
@@ -107,10 +122,10 @@ class TestNoiseVector:
             xs = np.delete(x, r, axis=1)
             z = xs * (x[:, r] - xs @ np.delete(params.matrix[r], r))[:, None]
             noise = compute_noise_vector(samples, r, params)
-            assert np.abs(noise.w - z.mean(axis=0)).max() < 1e-12
-            assert np.abs(noise.max_abs_z - np.abs(z).max(axis=0)).max() < 1e-12
-            assert np.abs(noise.z_variance - z.var(axis=0)).max() < 1e-12
-            assert noise.inf_norm == float(np.abs(noise.w).max())
+            assert np.abs(noise.means - z.mean(axis=0)).max() < 1e-12
+            assert np.abs(noise.max_abs - np.abs(z).max(axis=0)).max() < 1e-12
+            assert np.abs(noise.second_moment - noise.means**2 - z.var(axis=0)).max() < 1e-12
+            assert noise.inf_norm == float(np.abs(noise.means).max())
 
     def test_noise_shrinks_with_n(self, tree_fixture):
         g, params = tree_fixture
@@ -124,8 +139,9 @@ class TestNoiseVector:
     def test_dimension_mismatch(self, tree_fixture):
         _, params = tree_fixture
         samples = SampleMatrix(np.ones((3, 5), dtype=np.int8))
-        with pytest.raises(ValueError, match="p ="):
-            compute_noise_vector(samples, 0, params)
+        for data in (samples, tree_moments(SignedGraph(p=5, edges=()))):
+            with pytest.raises(ValueError, match="data has p = 5"):
+                compute_noise_vector(data, 0, params)
 
 
 class TestZEnumeration:
@@ -155,6 +171,32 @@ class TestZEnumeration:
                 assert np.abs(stats.means - means).max() < 1e-13
                 assert np.abs(stats.second_moment - second).max() < 1e-13 * second.max()
                 assert np.abs(stats.max_abs - max_abs).max() < 1e-13 * max_abs.max()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), normal_row=st.booleans())
+    def test_one_noise_path_on_forests(self, seed, normal_row):
+        """compute_noise_vector on a random forest's closed-form moments and
+        on its 2^p enumeration, with theta_tilde from rescaled_theta or an
+        arbitrary normal row: one function on two kinds of exact data, and
+        both give the state-by-state oracle's statistics."""
+        rng = np.random.default_rng(seed)
+        g = random_forest(rng, p_min=2, p_max=10)
+        params = rescaled_theta(g)
+        if normal_row:
+            params = RescaledParams(matrix=rng.normal(size=(g.p, g.p)))
+        r = int(rng.integers(g.p))
+        closed = compute_noise_vector(tree_moments(g), r, params)
+        enumerated = compute_noise_vector(exact_enumerate(g), r, params)
+        means, second, max_abs = z_statistics_oracle(g, r, np.delete(params.matrix[r], r))
+        scale = max(1.0, second.max())
+        assert np.abs(closed.means - enumerated.means).max() < 1e-13 * scale
+        assert abs(closed.second_moment - enumerated.second_moment) < 1e-13 * scale
+        assert closed.max_abs == enumerated.max_abs
+        for noise in (closed, enumerated):
+            assert noise.node == r
+            assert np.abs(noise.means - means).max() < 1e-13 * scale
+            assert np.abs(noise.second_moment - second).max() < 1e-13 * scale
+            assert np.abs(noise.max_abs - max_abs).max() < 1e-13 * max_abs.max()
 
 
 class TestWitnessConstruction:
@@ -360,10 +402,11 @@ def test_vertex_labels_match_reduced_coordinates(seed, n, lam, diagonal):
         for name, value in witness_reference(second, r, support, row, lam, cfg).items():
             assert np.abs(np.subtract(getattr(cert, name), value)).max(initial=0.0) <= 1e-12, name
     noise = compute_noise_vector(samples, r, params)
-    for got, want in zip((noise.w, noise.max_abs_z, noise.z_variance),
-                         noise_reference(samples.as_float(), r, row)):
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-12
+    means, max_abs, variance = noise_reference(samples.as_float(), r, row)
+    assert noise.means.shape == means.shape
+    assert np.abs(noise.means - means).max() <= 1e-12
+    assert np.abs(noise.max_abs - max_abs).max() <= 1e-12
+    assert np.abs(noise.second_moment - noise.means**2 - variance).max() <= 1e-12
 
 
 _NODE_CALLS = {
@@ -372,6 +415,8 @@ _NODE_CALLS = {
     "sample_covariance": lambda g, params, x, r: sample_covariance(x, r, [1]),
     "construct_witness": lambda g, params, x, r: construct_witness(x, r, [1], params, lam=0.1),
     "compute_noise_vector": lambda g, params, x, r: compute_noise_vector(x, r, params),
+    "compute_noise_vector_exact": lambda g, params, x, r: compute_noise_vector(
+        tree_moments(g), r, params),
     "enumerate_z_statistics": lambda g, params, x, r: enumerate_z_statistics(g, r, params),
 }
 
@@ -434,7 +479,6 @@ class TestConditionChecks:
     def test_failure_rate_non_increasing_in_n(self, tree_fixture):
         g, _ = tree_fixture
         consts = rr_constants(3, 0.4)
-        delta = 0.25
         rates = []
         for idx, n in enumerate((60, 400, 2500)):
             fails = 0
@@ -443,7 +487,7 @@ class TestConditionChecks:
                 seed = int(np.random.SeedSequence(entropy=(9, idx, t)).generate_state(1)[0])
                 s = gibbs_sample(g, n, SamplerConfig(burn_in_sweeps=150, thinning_sweeps=2, seed=seed))
                 report = sample_covariance(s, 0, g.neighbors[0])
-                res = check_conditions(report, consts.c_min, consts.alpha, delta=delta)
+                res = check_conditions(report, consts.c_min - 0.25, consts.alpha)
                 fails += not (res.eig_pass and res.incoherence_pass)
             rates.append(fails / trials)
         assert rates[0] >= rates[1] >= rates[2]
