@@ -18,11 +18,11 @@ once, each node on its own working set W (its nonzeros and the coordinates
 whose |gradient| exceeds lambda), with its own step 1 / lambda_max of the
 block M[W, W] of the second moment, and its gradient summed over the
 2^|W| sign patterns of its columns, weighted by how many samples show each
-(the products over all columns stand in where 2^|W| is too many); a dense
-gradient every few iterations decides convergence over all coordinates and
-rebuilds the sets. Both report the optimality-system residual and a
-reconstructed subgradient, so downstream certificate checks can consume
-either one interchangeably.
+(the products over all columns stand in where 2^|W| is too many); a
+gradient over all coordinates every few iterations, its margins read from
+the same patterns, decides convergence and rebuilds the sets. Both report
+the optimality-system residual and a reconstructed subgradient, so
+downstream certificate checks can consume either one interchangeably.
 
 Because spins are +/-1 the Gram diagonal is exactly 1, which makes the
 coordinate update a bare soft-threshold with no denominator.
@@ -125,20 +125,28 @@ def _quadratic_loss(gram, linear, theta) -> float:
 
 
 def _finalize(theta, grad, loss, lam, iterations, kkt):
-    """Solution record from the final iterate, the gradient of its smooth
-    loss and its residual, shared by the Lasso and the logistic solver."""
+    """Solution records for the rows of theta (K x m), from the gradient of
+    each row's smooth loss, its loss, iteration count and residual: the one
+    finish of the Lasso and the logistic solver."""
     if lam > 0:
         subgrad = np.where(theta != 0.0, np.sign(theta), -grad / lam)
     else:
         subgrad = np.zeros_like(theta)
-    return LassoSolution(
-        coefficients=theta,
-        subgradient=subgrad,
-        kkt_residual=float(kkt),
-        iterations=iterations,
-        objective=loss + lam * float(np.abs(theta).sum()),
-        lam=lam,
-    )
+    objective = loss + lam * np.abs(theta).sum(axis=1)
+    return [
+        LassoSolution(coefficients=theta[k], subgradient=subgrad[k], kkt_residual=float(kkt[k]),
+                      iterations=int(iterations[k]), objective=float(objective[k]), lam=lam)
+        for k in range(theta.shape[0])
+    ]
+
+
+def _cut(solution, r):
+    """solution with entry r, its pinned response, sliced out of its
+    coefficients and subgradient."""
+    coef, subgrad = solution.coefficients, solution.subgradient
+    solution.coefficients = np.concatenate((coef[:r], coef[r + 1:]))
+    solution.subgradient = np.concatenate((subgrad[:r], subgrad[r + 1:]))
+    return solution
 
 
 def lasso_cd_gram(
@@ -207,7 +215,8 @@ def lasso_cd_gram(
                 f"(residual {kkt:.3e})",
                 kkt_residual=kkt,
             )
-    return _finalize(theta, grad, _quadratic_loss(gram, linear, theta), lam, iterations, kkt)
+    loss = _quadratic_loss(gram, linear, theta)
+    return _finalize(theta[None], grad[None], [loss], lam, [iterations], [kkt])[0]
 
 
 def solve_lasso(
@@ -220,18 +229,15 @@ def solve_lasso(
     check_node(r, samples.p)
     second = samples.second_moment()
     sol = lasso_cd_gram(second, second[:, r], lam, predictor_vertices(samples.p, r), config)
-    sol.coefficients = np.delete(sol.coefficients, r)
-    sol.subgradient = np.delete(sol.subgradient, r)
-    return sol
+    return _cut(sol, r)
 
 
-def _logistic_grad(xt, theta, linear, pinned):
+def _logistic_grad(xt, s, linear, pinned):
     """Gradient of the mean log-loss (1/n) sum_i log(1 + exp(-2 y_ik <theta_k, x_i>))
-    at every row k of theta (K x p), zeroed at the pinned entries. For y = +/-1,
-    y sigmoid(-2 y u) = (y - tanh u) / 2, so it is (1/n) X'tanh(X theta) - (1/n) X'y,
-    where xt is X' and linear holds the rows (1/n) X'y of the second moment."""
-    s = theta @ xt
-    np.tanh(s, out=s)
+    at every row k, zeroed at the pinned entries, from row k of s holding
+    tanh(X theta_k) over the n samples. For y = +/-1, y sigmoid(-2 y u) =
+    (y - tanh u) / 2, so it is (1/n) X's_k - (1/n) X'y, where xt is X' and
+    linear holds the rows (1/n) X'y of the second moment."""
     grad = s @ xt.T
     grad /= xt.shape[1]
     grad -= linear
@@ -251,8 +257,11 @@ def _pattern_groups(bits, work, widths, n):
     > p n), take those products; they are a prefix, and its length comes
     first. For each width w of the others, its rows a:b, the w x 2^w table
     of +-1 sign patterns (column c holds the bits of c, bit j for set
-    position j) and each row's counts of the samples that show each pattern
-    on its set, from bits, the p x n uint8 indicator of x = +1."""
+    position j), each row's counts of the samples that show each pattern
+    on its set, and each sample's pattern on each row's set as a code into
+    the group's flattened rows x 2^w tables (row k's offset by k 2^w, so one
+    np.bincount counts them all), from bits, the p x n uint8 indicator of
+    x = +1."""
     p = bits.shape[0]
     dense = int(np.count_nonzero(
         (widths >= (n - 1).bit_length()) | (_PATTERN_COST * widths * np.exp2(widths) > p * n)))
@@ -266,9 +275,10 @@ def _pattern_groups(bits, work, widths, n):
             for j in range(w - 2, -1, -1):
                 codes <<= 1
                 codes |= bits[work[a:b, j]]
-            counts = np.array([np.bincount(row, minlength=1 << w) for row in codes], dtype=float)
+            codes += np.arange(0, (b - a) << w, 1 << w, dtype=np.int32)[:, None]
+            counts = np.bincount(codes.ravel(), minlength=(b - a) << w).reshape(b - a, 1 << w)
             table = ((np.arange(1 << w) >> np.arange(w)[:, None]) & 1) * 2.0 - 1.0
-            groups.append((a, b, table, counts))
+            groups.append((a, b, table, counts.astype(float), codes))
         a = b
     return dense, groups
 
@@ -294,7 +304,7 @@ def _working_grad(xt, dense, groups, work, theta, linear_w):
         full[:, :p] = s @ xt.T
         full[:, p] = 0.0
         grad[:dense] = full[at]
-    for a, b, table, counts in groups:
+    for a, b, table, counts, _ in groups:
         w = table.shape[0]
         s = np.einsum("kw,wm->km", theta[a:b, :w], table)
         np.tanh(s, out=s)
@@ -303,6 +313,39 @@ def _working_grad(xt, dense, groups, work, theta, linear_w):
     grad /= n
     grad -= linear_w
     return grad
+
+
+def _check_tanh(xt, dense, groups, theta, theta_w, out):
+    """tanh(X theta_k) over the n samples for every row k of theta (K x p),
+    whose entries on the row's working set are theta_w's, written to out
+    (K x n). The dense rows take the BLAS product over all p columns of
+    xt = X'. A pattern row takes its 2^w margins from its table as
+    _working_grad does, the same floats as every sample with that pattern
+    has, and each sample the tanh of its pattern's margin, gathered by its
+    code. The rows after the last group have empty sets: every margin 0."""
+    np.tanh(theta[:dense] @ xt, out=out[:dense])
+    for a, b, table, _, codes in groups:
+        m = np.einsum("kw,wm->km", theta_w[a:b, :table.shape[0]], table)
+        np.take(np.tanh(m), codes, out=out[a:b], mode="clip")  # every code is in range
+    out[groups[-1][1] if groups else dense:] = 0.0
+    return out
+
+
+def _mean_log_cosh(xt, dense, groups, theta, theta_w, rows):
+    """(1/n) sum_i log 2cosh(X theta_k) for the rows k listed in rows, with
+    the margins of _check_tanh: over the n samples for a dense row, over the
+    2^w patterns weighted by their counts for the others, and exactly log 2
+    for an empty set."""
+    n = xt.shape[1]
+    out = np.full(rows.size, math.log(2.0))
+    at = rows < dense
+    u = theta[rows[at]] @ xt
+    out[at] = np.logaddexp(u, -u).mean(axis=1)
+    for a, b, table, counts, _ in groups:
+        at = (rows >= a) & (rows < b)
+        m = np.einsum("kw,wm->km", theta_w[rows[at], :table.shape[0]], table)
+        out[at] = np.einsum("km,km->k", counts[rows[at] - a], np.logaddexp(m, -m)) / n
+    return out
 
 
 def _block_steps(second, work, widths):
@@ -357,7 +400,15 @@ def solve_logistic_l1_batch(
     Between checks the iterate, momentum and gradient live on W, and the
     gradient sums over the 2^|W| patterns instead of the n samples, or
     takes the products over all columns where that costs less
-    (_pattern_groups, _working_grad).
+    (_pattern_groups, _working_grad). At a check such a row reads its
+    margins from the same table, each sample taking the tanh of its
+    pattern's margin, so the check's one sample-sized product is the
+    gradient's with X' (_check_tanh); the dense rows take both products.
+    A node's objective is taken at its converging check from the same
+    margins, as log(1 + exp(-2yu)) = log 2cosh(u) - yu for y = +-1 gives
+    (1/n) sum_i log 2cosh(u_i) - theta . M[r] + lambda l1_norm(theta):
+    exactly log 2 on an empty set. The converged rows finish at once
+    (_finalize), and entry r is cut from each.
     Each sample's curvature 4 sigma (1 - sigma) = sech^2 is at most 1, so
     the Hessian restricted to W is bounded by M[W, W], a principal block of
     the second moment M: each node steps by 1 / lambda_max of its own block.
@@ -385,7 +436,7 @@ def solve_logistic_l1_batch(
     nodes = np.array([r for r in nodes if r not in errors], dtype=np.int64)
     second = samples.second_moment()
     theta_final, grad_final = np.zeros((nodes.size, p)), np.zeros((nodes.size, p))
-    iterations = np.zeros(nodes.size, dtype=np.int64)
+    loss_final, iterations = np.zeros(nodes.size), np.zeros(nodes.size, dtype=np.int64)
     kkt = np.full(nodes.size, np.inf)
     # the active rows only, widest working set first and compacted when a
     # node leaves: row k is node act[k]
@@ -401,7 +452,8 @@ def solve_logistic_l1_batch(
     t_acc = np.ones(act.size)
     step = _block_steps(second, work, widths)
     linear_w = np.take_along_axis(linear, work, axis=1)
-    dense_rows, groups = 0, []  # at theta = 0 the margins are 0: no row reads its samples
+    dense_rows, groups = _pattern_groups(bits, work, widths, samples.n)
+    tanh_buf = np.empty((nodes.size, samples.n))  # each check's tanh(X theta), row by row
     for it in range(1, _MAX_ITERS + 1):
         if act.size == 0:
             break
@@ -429,12 +481,18 @@ def solve_logistic_l1_batch(
             # the full gradient decides convergence and rebuilds the sets
             dense = np.zeros((act.size, p + 1))
             np.put_along_axis(dense, work, new, axis=1)
-            grad = _logistic_grad(xt, dense[:, :p], linear[:, :p], pinned)
+            s = _check_tanh(xt, dense_rows, groups, dense[:, :p], new, tanh_buf[:act.size])
+            grad = _logistic_grad(xt, s, linear[:, :p], pinned)
             kkt[act] = _kkt_residual(dense[:, :p].T, grad.T, lam)
             converged = (kkt[act] <= cfg.tol) & ~done
-            theta_final[act[converged]] = dense[converged, :p]
-            grad_final[act[converged]] = grad[converged]
-            iterations[act[converged]] = it
+            # a converged row keeps its iterate, gradient and residual, and its
+            # loss there: log(1 + exp(-2yu)) = log 2cosh(u) - yu for y = +-1, so
+            # (1/n) sum_i log 2cosh(u_i) - theta . M[r]
+            k = np.flatnonzero(converged)
+            j = act[k]
+            theta_final[j], grad_final[j], iterations[j] = dense[k, :p], grad[k], it
+            loss_final[j] = (_mean_log_cosh(xt, dense_rows, groups, dense[:, :p], new, k)
+                             - np.einsum("kp,kp->k", dense[k, :p], linear[k, :p]))
             mask = (dense[:, :p] != 0.0) | (np.abs(grad) > lam)
             keep = np.flatnonzero(~(done | converged))
             keep = keep[np.argsort(-mask[keep].sum(axis=1), kind="stable")]
@@ -461,20 +519,11 @@ def solve_logistic_l1_batch(
         errors[int(nodes[j])] = ConvergenceError(
             f"proximal gradient did not converge in {_MAX_ITERS} iterations "
             f"(residual {kkt[j]:.3e})", kkt_residual=float(kkt[j]))
-
+    # each residual is that of the node's converging check: the pinned entry
+    # adds |0| - lam < 0
     ok = np.flatnonzero(iterations)
-    terms = theta_final[ok] @ xt
-    terms *= samples.data.T[nodes[ok]]
-    terms *= -2.0
-    loss = np.logaddexp(0.0, terms, out=terms).mean(axis=1)
-    solutions = {}
-    for j, loss_j in zip(ok, loss):
-        keep = predictor_vertices(p, nodes[j])
-        # the residual of its converging check: the pinned entry adds |0| - lam < 0
-        solutions[int(nodes[j])] = _finalize(
-            theta_final[j, keep], grad_final[j, keep], float(loss_j), lam,
-            int(iterations[j]), kkt[j])
-    return solutions, errors
+    sols = _finalize(theta_final[ok], grad_final[ok], loss_final[ok], lam, iterations[ok], kkt[ok])
+    return {int(nodes[j]): _cut(sol, nodes[j]) for j, sol in zip(ok, sols)}, errors
 
 
 def solve_logistic_l1(

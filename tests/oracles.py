@@ -89,6 +89,15 @@ def logistic_grad_oracle(x, y, theta, pinned):
     return grad
 
 
+def logistic_objective_oracle(x, r, theta, lam):
+    """Node r's L1-logistic objective at theta, its coefficients on the p-1
+    predictors, sample by sample: (1/n) sum_i log(1 + exp(-2 x_ir <theta, x_i>))
+    + lam l1_norm(theta), each margin and each sum taken by math.fsum."""
+    xs = np.delete(x, r, axis=1)
+    terms = [np.logaddexp(0.0, -2.0 * x[i, r] * math.fsum(xs[i] * theta)) for i in range(len(x))]
+    return math.fsum(terms) / len(terms) + lam * math.fsum(np.abs(theta))
+
+
 def logistic_l1_oracle(yx, lam, gtol=1e-8):
     """Minimum of (1/n) sum_i log(1 + exp(-2 yx_i . theta)) + lam l1(theta)
     by L-BFGS-B on the smooth split theta = theta_plus - theta_minus with

@@ -43,6 +43,7 @@ from oracles import (
     logistic_fista_reference,
     logistic_grad_oracle,
     logistic_l1_oracle,
+    logistic_objective_oracle,
     node_moments,
 )
 
@@ -252,8 +253,9 @@ def assert_same_solution(got, want):
 
 
 def test_logistic_grad_matches_expit_form():
-    """The batch's gradient, one row per node with X'y/n read from the
-    second moment, equals the term-by-term expit form."""
+    """The check's gradient, one row per node from that node's
+    tanh(X theta) with X'y/n read from the second moment, equals the
+    term-by-term expit form."""
     rng = np.random.default_rng(25)
     for _ in range(20):
         n, p = int(rng.integers(5, 60)), int(rng.integers(2, 9))
@@ -268,7 +270,8 @@ def test_logistic_grad_matches_expit_form():
         theta[pinned] = 0.0
         linear = samples.second_moment()[nodes]
         rows = (np.arange(nodes.size), nodes)
-        grad = _logistic_grad(np.ascontiguousarray(x.T), theta.T.copy(), linear, rows)
+        xt = np.ascontiguousarray(x.T)
+        grad = _logistic_grad(xt, np.tanh(theta.T @ xt), linear, rows)
         assert np.abs(grad.T - logistic_grad_oracle(x, y, theta, pinned)).max() <= 1e-14
 
 
@@ -540,10 +543,11 @@ def test_logistic_pattern_rows_independent_of_company(seed, p, extra, lam):
 @example(seed=11, p=10, n=9, lam=0.0234375)
 def test_logistic_batch_independent_of_chunking(cost, seed, p, n, lam):
     """With every width group of _pattern_groups split into groups of one
-    row, every node's coefficients, iterations and residual are
-    bit-identical to those with one einsum per width. _PATTERN_COST = 0
-    puts every row with 2^w < n on the pattern path; 3 sends the rows with
-    3 w 2^w > p n to the dense products, so one batch takes both paths.
+    row, each with its own codes, every node's coefficients, iterations,
+    residual and objective are bit-identical to those with one einsum per
+    width. _PATTERN_COST = 0 puts every row with 2^w < n on the pattern
+    path; 3 sends the rows with 3 w 2^w > p n to the dense products, so one
+    batch takes both paths.
     The example has n < p, columns that repeat up to sign and a small
     lambda: node 5 converges only because a node whose set is unchanged
     keeps its momentum at a check (restarted at every check, it stalls
@@ -555,8 +559,9 @@ def test_logistic_batch_independent_of_chunking(cost, seed, p, n, lam):
 
     def one_row_groups(bits, work, widths, n_samples):
         dense, groups = _pattern_groups(bits, work, widths, n_samples)
-        return dense, [(a + i, a + i + 1, table, counts[i : i + 1])
-                       for a, b, table, counts in groups for i in range(b - a)]
+        return dense, [(a + i, a + i + 1, table, counts[i : i + 1],
+                        codes[i : i + 1] - (i << table.shape[0]))
+                       for a, b, table, counts, codes in groups for i in range(b - a)]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "_PATTERN_COST", cost)
@@ -568,6 +573,7 @@ def test_logistic_batch_independent_of_chunking(cost, seed, p, n, lam):
         a, b = default[r], one_row[r]
         assert a.iterations == b.iterations and a.kkt_residual == b.kkt_residual
         assert a.coefficients.tobytes() == b.coefficients.tobytes()
+        assert np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -622,19 +628,61 @@ def test_pattern_grad_matches_oracle(seed, p, n, scale):
         assert not got[k, w:].any()
 
 
+@pytest.mark.parametrize("cost", [0, 3])
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 12),
+    n=st.integers(4, 80),
+    lam=st.one_of(st.floats(0.02, 0.5), st.floats(1.01, 5.0)),
+)
+@example(seed=0, p=6, n=50, lam=5.0)
+def test_logistic_objective_matches_oracle(cost, seed, p, n, lam):
+    """Every record's objective, taken at its converging check as
+    (1/n) sum over patterns of count log 2cosh(margin) - theta . M[r]
+    + lambda l1_norm(theta), equals logistic_objective_oracle at its
+    coefficients. _PATTERN_COST = 3 puts the rows with 3 w 2^w > p n on the
+    dense products, so one batch has both kinds of row. With E the machine
+    epsilon and l1 = l1_norm(theta): each margin errs by at most p E l1,
+    which log 2cosh passes on with Lipschitz constant 1; its terms are at
+    most l1 + log 2 and their count-weighted sum over at most n patterns
+    errs by at most n E (l1 + 1) after the scaling by 1/n; theta . M[r] errs
+    by at most p E l1, and the oracle, summed exactly, by a few ulp. So the
+    two differ by at most E (2 n + 4 p + 8) (1 + l1). With lambda above every
+    |M_rj| every set is empty, theta is 0 and the objective is log 2 exactly."""
+    rng = np.random.default_rng(seed)
+    samples = random_samples(rng, p, n)
+    nodes = [int(v) for v in rng.permutation(p)[: int(rng.integers(1, p + 1))]]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_PATTERN_COST", cost)
+        solutions, errors = solve_logistic_l1_batch(samples, nodes, lam, SolverConfig(tol=1e-9))
+    assert not errors and solutions.keys() == set(nodes)
+    x, second = samples.as_float(), samples.second_moment()
+    eps = np.finfo(float).eps
+    for r, sol in solutions.items():
+        if lam > np.abs(np.delete(second[r], r)).max():
+            assert not sol.coefficients.any() and sol.objective == math.log(2.0)
+        l1 = float(np.abs(sol.coefficients).sum())
+        want = logistic_objective_oracle(x, r, sol.coefficients, lam)
+        assert abs(sol.objective - want) <= eps * (2 * n + 4 * p + 8) * (1.0 + l1)
+
+
 def test_logistic_batch_finishes_as_per_node_finalize(monkeypatch):
-    """Each node's record, built with the residual stored at its converging
-    check, equals finalize_reference's, which takes the residual again from
-    the node's final iterate and gradient, bit for bit: the pinned entry
-    the check also sees adds |0| - lambda < 0, below the floor of 0."""
+    """The finaliser takes the converged rows at once, each with the
+    residual stored at its converging check. Each row's record, before
+    entry r is cut, equals finalize_reference's, which builds it node by
+    node and takes the residual again from the row's iterate and gradient,
+    bit for bit: the pinned entry the check also sees adds |0| - lambda < 0,
+    below the floor of 0."""
     calls = []
     finalize = solvers._finalize
 
     def spy(theta, grad, loss, lam, iterations, kkt):
         got = finalize(theta, grad, loss, lam, iterations, kkt)
-        want = finalize_reference(theta.copy(), grad.copy(), loss, lam, iterations,
-                                  np.arange(theta.size))
-        calls.append((got, want))
+        for k, sol in enumerate(got):
+            want = finalize_reference(theta[k].copy(), grad[k].copy(), loss[k], lam,
+                                      int(iterations[k]), np.arange(theta.shape[1]))
+            calls.append((dataclasses.replace(sol), want))  # a copy the cut leaves alone
         return got
 
     monkeypatch.setattr(solvers, "_finalize", spy)
