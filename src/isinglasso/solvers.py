@@ -125,19 +125,21 @@ def _quadratic_loss(gram, linear, theta) -> float:
 
 
 def _finalize(theta, grad, loss, lam, iterations, kkt):
-    """Solution records for the rows of theta (K x m), from the gradient of
-    each row's smooth loss, its loss, iteration count and residual: the one
-    finish of the Lasso and the logistic solver."""
+    """Solution record from the final iterate, the gradient of its smooth
+    loss, its loss and its residual, shared by the Lasso and the logistic
+    solver."""
     if lam > 0:
         subgrad = np.where(theta != 0.0, np.sign(theta), -grad / lam)
     else:
         subgrad = np.zeros_like(theta)
-    objective = loss + lam * np.abs(theta).sum(axis=1)
-    return [
-        LassoSolution(coefficients=theta[k], subgradient=subgrad[k], kkt_residual=float(kkt[k]),
-                      iterations=int(iterations[k]), objective=float(objective[k]), lam=lam)
-        for k in range(theta.shape[0])
-    ]
+    return LassoSolution(
+        coefficients=theta,
+        subgradient=subgrad,
+        kkt_residual=float(kkt),
+        iterations=iterations,
+        objective=loss + lam * float(np.abs(theta).sum()),
+        lam=lam,
+    )
 
 
 def _cut(solution, r):
@@ -216,7 +218,7 @@ def lasso_cd_gram(
                 kkt_residual=kkt,
             )
     loss = _quadratic_loss(gram, linear, theta)
-    return _finalize(theta[None], grad[None], [loss], lam, [iterations], [kkt])[0]
+    return _finalize(theta, grad, loss, lam, iterations, kkt)
 
 
 def solve_lasso(
@@ -283,16 +285,23 @@ def _pattern_groups(bits, work, widths, n):
     return dense, groups
 
 
+def _pattern_margins(theta_w, table):
+    """The margins theta_W . t of each row of theta_w, its entries on the
+    row's working set, at each of the 2^w sign patterns t, the columns of
+    table. The sum runs over the set's positions in order, as a sum over
+    X_W's rows would, so each margin is the float every sample with that
+    pattern would get, and it depends on the row's own set only."""
+    return np.einsum("kw,wm->km", theta_w[:, :table.shape[0]], table)
+
+
 def _working_grad(xt, dense, groups, work, theta, linear_w):
     """Each row's log-loss gradient on its working set, (1/n) X_W'tanh(X_W theta_W)
     - M[r, W], zero at the padding, with dense and groups from
     _pattern_groups. The dense rows take the BLAS products over all p
     columns of xt = X'. For the others the samples enter only through their
-    sign patterns on W: the forward sum runs over the set's positions in
-    order, as a sum over X_W's rows would, so each of the 2^w margins is the
-    float each sample with that pattern would get, and the backward sum adds
-    each pattern's count times its tanh once. Both sums run in a fixed
-    order, so a pattern row's result depends on its own set only."""
+    sign patterns on W: the backward sum adds each pattern's count times
+    the tanh of its margin (_pattern_margins) once, in a fixed order, so a
+    pattern row's result depends on its own set only."""
     p, n = xt.shape
     grad = np.zeros(work.shape)
     if dense:
@@ -305,11 +314,10 @@ def _working_grad(xt, dense, groups, work, theta, linear_w):
         full[:, p] = 0.0
         grad[:dense] = full[at]
     for a, b, table, counts, _ in groups:
-        w = table.shape[0]
-        s = np.einsum("kw,wm->km", theta[a:b, :w], table)
+        s = _pattern_margins(theta[a:b], table)
         np.tanh(s, out=s)
         s *= counts
-        grad[a:b, :w] = np.einsum("km,wm->kw", s, table)
+        grad[a:b, :table.shape[0]] = np.einsum("km,wm->kw", s, table)
     grad /= n
     grad -= linear_w
     return grad
@@ -319,13 +327,12 @@ def _check_tanh(xt, dense, groups, theta, theta_w, out):
     """tanh(X theta_k) over the n samples for every row k of theta (K x p),
     whose entries on the row's working set are theta_w's, written to out
     (K x n). The dense rows take the BLAS product over all p columns of
-    xt = X'. A pattern row takes its 2^w margins from its table as
-    _working_grad does, the same floats as every sample with that pattern
-    has, and each sample the tanh of its pattern's margin, gathered by its
-    code. The rows after the last group have empty sets: every margin 0."""
+    xt = X'. A pattern row takes its 2^w margins (_pattern_margins), and
+    each sample the tanh of its pattern's margin, gathered by its code. The
+    rows after the last group have empty sets: every margin 0."""
     np.tanh(theta[:dense] @ xt, out=out[:dense])
     for a, b, table, _, codes in groups:
-        m = np.einsum("kw,wm->km", theta_w[a:b, :table.shape[0]], table)
+        m = _pattern_margins(theta_w[a:b], table)
         np.take(np.tanh(m), codes, out=out[a:b], mode="clip")  # every code is in range
     out[groups[-1][1] if groups else dense:] = 0.0
     return out
@@ -335,7 +342,10 @@ def _mean_log_cosh(xt, dense, groups, theta, theta_w, rows):
     """(1/n) sum_i log 2cosh(X theta_k) for the rows k listed in rows, with
     the margins of _check_tanh: over the n samples for a dense row, over the
     2^w patterns weighted by their counts for the others, and exactly log 2
-    for an empty set."""
+    for an empty set. The margins are taken again for these rows, not kept
+    from the check: holding every row's margins through the check's
+    product with X' raised the process's peak resident memory in all-node
+    solves at p = 128."""
     n = xt.shape[1]
     out = np.full(rows.size, math.log(2.0))
     at = rows < dense
@@ -343,7 +353,7 @@ def _mean_log_cosh(xt, dense, groups, theta, theta_w, rows):
     out[at] = np.logaddexp(u, -u).mean(axis=1)
     for a, b, table, counts, _ in groups:
         at = (rows >= a) & (rows < b)
-        m = np.einsum("kw,wm->km", theta_w[rows[at], :table.shape[0]], table)
+        m = _pattern_margins(theta_w[rows[at]], table)
         out[at] = np.einsum("km,km->k", counts[rows[at] - a], np.logaddexp(m, -m)) / n
     return out
 
@@ -407,8 +417,9 @@ def solve_logistic_l1_batch(
     A node's objective is taken at its converging check from the same
     margins, as log(1 + exp(-2yu)) = log 2cosh(u) - yu for y = +-1 gives
     (1/n) sum_i log 2cosh(u_i) - theta . M[r] + lambda l1_norm(theta):
-    exactly log 2 on an empty set. The converged rows finish at once
-    (_finalize), and entry r is cut from each.
+    exactly log 2 on an empty set. Each converged node's record is built
+    after the loop from what its converging check stored (_finalize), and
+    entry r is cut from it.
     Each sample's curvature 4 sigma (1 - sigma) = sech^2 is at most 1, so
     the Hessian restricted to W is bounded by M[W, W], a principal block of
     the second moment M: each node steps by 1 / lambda_max of its own block.
@@ -521,9 +532,9 @@ def solve_logistic_l1_batch(
             f"(residual {kkt[j]:.3e})", kkt_residual=float(kkt[j]))
     # each residual is that of the node's converging check: the pinned entry
     # adds |0| - lam < 0
-    ok = np.flatnonzero(iterations)
-    sols = _finalize(theta_final[ok], grad_final[ok], loss_final[ok], lam, iterations[ok], kkt[ok])
-    return {int(nodes[j]): _cut(sol, nodes[j]) for j, sol in zip(ok, sols)}, errors
+    return {int(nodes[j]): _cut(_finalize(theta_final[j], grad_final[j], float(loss_final[j]),
+                                          lam, int(iterations[j]), kkt[j]), nodes[j])
+            for j in np.flatnonzero(iterations)}, errors
 
 
 def solve_logistic_l1(

@@ -668,21 +668,21 @@ def test_logistic_objective_matches_oracle(cost, seed, p, n, lam):
 
 
 def test_logistic_batch_finishes_as_per_node_finalize(monkeypatch):
-    """The finaliser takes the converged rows at once, each with the
-    residual stored at its converging check. Each row's record, before
-    entry r is cut, equals finalize_reference's, which builds it node by
-    node and takes the residual again from the row's iterate and gradient,
-    bit for bit: the pinned entry the check also sees adds |0| - lambda < 0,
-    below the floor of 0."""
+    """Each node's record, built before entry r is cut with the residual
+    stored at its converging check, equals finalize_reference's, which
+    takes the residual again from the node's final iterate and gradient
+    over the predictors alone, bit for bit: the pinned entry the check also
+    sees adds |0| - lambda < 0, below the floor of 0. The cut record is the
+    full one without entry r."""
     calls = []
     finalize = solvers._finalize
 
     def spy(theta, grad, loss, lam, iterations, kkt):
         got = finalize(theta, grad, loss, lam, iterations, kkt)
-        for k, sol in enumerate(got):
-            want = finalize_reference(theta[k].copy(), grad[k].copy(), loss[k], lam,
-                                      int(iterations[k]), np.arange(theta.shape[1]))
-            calls.append((dataclasses.replace(sol), want))  # a copy the cut leaves alone
+        r = len(calls)  # every node converges, in order: the k-th record is node k's
+        want = finalize_reference(theta.copy(), grad.copy(), loss, lam, iterations,
+                                  np.delete(np.arange(theta.size), r))
+        calls.append((dataclasses.replace(got), want))  # a copy the cut leaves alone
         return got
 
     monkeypatch.setattr(solvers, "_finalize", spy)
@@ -694,8 +694,11 @@ def test_logistic_batch_finishes_as_per_node_finalize(monkeypatch):
         solutions, errors = solve_logistic_l1_batch(samples, range(samples.p), lam)
         assert not errors and len(solutions) == samples.p
         assert len(calls) == samples.p
-        for got, want in calls:
+        for r, (got, want) in enumerate(calls):
             assert_same_solution(got, want)
+            cut = solutions[r]
+            assert cut.coefficients.tobytes() == np.delete(got.coefficients, r).tobytes()
+            assert cut.subgradient.tobytes() == np.delete(got.subgradient, r).tobytes()
         calls.clear()
 
 
