@@ -262,8 +262,9 @@ def theorem_thresholds(graph: SignedGraph, lam: float) -> ThresholdReport:
     graph, with c_min taken as the minimum over vertices of the smallest
     support-block eigenvalue of the population covariance, and report the
     largest incoherence norm from the same eigensolves. Raises
-    SingularMatrixError when a support block is singular."""
-    if lam < 0:
+    SingularMatrixError when a support block is singular, and ValueError
+    for a lambda that is not a finite number >= 0."""
+    if require_number("lambda", lam) < 0:
         raise ValueError("lambda must be >= 0")
     params = rescaled_theta(graph)
     cov = tree_covariance(graph)

@@ -7,7 +7,8 @@ For each vertex r the Lasso solves
 
 by cyclic coordinate descent on the Gram form of the problem, read in place
 from the shared second moment with node r pinned at zero; each cycle visits
-only a working set, which a drift-free full gradient confirms or grows. The
+only a working set, which a drift-free full gradient confirms or grows, and
+a narrow set cycles in Python floats on its own block of the Gram. The
 logistic baseline replaces the square loss with the conditional log-loss
 (1/n) sum_i log(1 + exp(-2 x_r_i <theta, x_i>)), whose gradient for +/-1
 spins is (1/n) X'tanh(X theta) - (1/n) X'x_r: the residual against the
@@ -40,6 +41,7 @@ from .sampler import SampleMatrix
 
 ACTIVE_TOL = 1e-8
 _GRAM_REFRESH_CYCLES = 50
+_FLOAT_CYCLE_WIDTH = 24  # a Lasso working set this narrow cycles in Python floats
 _KKT_CHECK_EVERY = 10  # logistic only; CD checks every cycle
 _PATTERN_COST = 8  # a logistic set W takes dense products when 8 |W| 2^|W| > p n
 _MAX_COEF = 1e3  # divergence guard (logistic, lambda = 0)
@@ -107,13 +109,12 @@ def _kkt_residual(theta: np.ndarray, grad: np.ndarray, lam: float, idx=slice(Non
     return np.maximum(res.max(axis=0, initial=0.0), 0.0)
 
 
-def _work_residual(theta, grad, lam: float, work: list[int]) -> float:
-    """_kkt_residual(theta, grad, lam, work) in Python floats, for a list of
-    a few indices: the same IEEE operations, as lam * sign(theta_j) is +-lam
-    exactly, without numpy's per-call cost."""
+def _work_residual(theta, grad, lam: float) -> float:
+    """_kkt_residual over a working set from its coefficients and gradient
+    as two lists of Python floats: the same IEEE operations, as
+    lam * sign(theta_j) is +-lam exactly, without numpy's per-call cost."""
     worst = 0.0
-    for j in work:
-        th, g = theta.item(j), grad.item(j)
+    for th, g in zip(theta, grad):
         res = abs(g + lam) if th > 0.0 else (abs(g - lam) if th < 0.0 else abs(g) - lam)
         if res > worst:
             worst = res
@@ -151,6 +152,72 @@ def _cut(solution, r):
     return solution
 
 
+def _array_cycles(gram, theta, grad, lam, work, first, tol):
+    """Coordinate-descent cycles first, first + 1, ... over the working set
+    work (a list of indices into G), one numpy update of the whole gradient
+    grad per moving coordinate. Stops after the cycle that solves the set
+    (no coordinate moves, or its residual is <= tol), after a cycle that is
+    a multiple of _GRAM_REFRESH_CYCLES (the caller refreshes the gradient
+    and tests the set itself) or after cycle _MAX_ITERS. Updates theta in
+    place; the caller reads grad only through its next full product.
+    Returns (last cycle, its largest |delta|, solved)."""
+    idx = np.array(work, dtype=np.int64)
+    solved = False
+    for cycle in range(first, _MAX_ITERS + 1):
+        max_delta = 0.0
+        for j in work:
+            old = theta[j]
+            z = old - grad[j]
+            new = z - lam if z > lam else (z + lam if z < -lam else 0.0)  # soft-threshold
+            delta = new - old
+            if delta != 0.0:
+                grad += gram[j] * delta
+                theta[j] = new
+                if abs(delta) > max_delta:
+                    max_delta = abs(delta)
+        if cycle % _GRAM_REFRESH_CYCLES == 0:
+            break
+        if max_delta == 0.0 or _work_residual(theta[idx].tolist(), grad[idx].tolist(), lam) <= tol:
+            solved = True
+            break
+    return cycle, max_delta, solved
+
+
+def _float_cycles(gram, theta, grad, lam, work, first, tol):
+    """_array_cycles in Python floats on the |W| x |W| block G[W, W]: the
+    coefficients and gradient on W are lists, and each update adds
+    G[j, W] delta to the gradient entry by entry, the same multiply and
+    add as the array form makes on W. Writes the set's coefficients back
+    to theta and leaves grad as it came: the caller reads the gradient
+    only through its next full product."""
+    idx = np.array(work, dtype=np.int64)
+    block = gram[idx[:, None], idx].tolist()
+    th, g = theta[idx].tolist(), grad[idx].tolist()
+    span = range(idx.size)
+    solved = False
+    for cycle in range(first, _MAX_ITERS + 1):
+        max_delta = 0.0
+        for a in span:
+            old = th[a]
+            z = old - g[a]
+            new = z - lam if z > lam else (z + lam if z < -lam else 0.0)  # soft-threshold
+            delta = new - old
+            if delta != 0.0:
+                row = block[a]
+                for b in span:
+                    g[b] += row[b] * delta
+                th[a] = new
+                if abs(delta) > max_delta:
+                    max_delta = abs(delta)
+        if cycle % _GRAM_REFRESH_CYCLES == 0:
+            break
+        if max_delta == 0.0 or _work_residual(th, g, lam) <= tol:
+            solved = True
+            break
+    theta[idx] = th
+    return cycle, max_delta, solved
+
+
 def lasso_cd_gram(
     gram: np.ndarray,
     linear: np.ndarray,
@@ -168,10 +235,17 @@ def lasso_cd_gram(
     residual covers the support coordinates. Cycles visit a working set:
     the support coordinates that are nonzero or have |gradient| > lambda,
     at the start and at each drift-free confirmation, which decides
-    convergence over the whole support. Raises ConvergenceError past
-    _MAX_ITERS cycles.
+    convergence over the whole support. A set of at most
+    _FLOAT_CYCLE_WIDTH coordinates cycles in Python floats on its block of
+    G (_float_cycles), a wider one with numpy updates of the whole
+    gradient (_array_cycles); both give the same bits, so the width
+    decides only the speed. The refresh every _GRAM_REFRESH_CYCLES cycles
+    and the confirmation take the full product G theta. Raises ValueError
+    for a lambda that is not a finite number >= 0, and ConvergenceError
+    past _MAX_ITERS cycles.
     """
     cfg = config or SolverConfig()
+    lam = require_number("lambda", lam)
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     m = gram.shape[0]
@@ -182,22 +256,15 @@ def lasso_cd_gram(
     theta = np.zeros(m)
     grad = -linear
     work = support_idx[np.abs(grad[support_idx]) > lam].tolist()
-
-    for iterations in range(1, _MAX_ITERS + 1):
-        max_delta = 0.0
-        for j in work:
-            old = theta[j]
-            z = old - grad[j]
-            new = z - lam if z > lam else (z + lam if z < -lam else 0.0)  # soft-threshold
-            delta = new - old
-            if delta != 0.0:
-                grad += gram[j] * delta
-                theta[j] = new
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
+    iterations = 0
+    while iterations < _MAX_ITERS:
+        cycles = _float_cycles if len(work) <= _FLOAT_CYCLE_WIDTH else _array_cycles
+        iterations, max_delta, solved = cycles(
+            gram, theta, grad, lam, work, iterations + 1, cfg.tol)
         if iterations % _GRAM_REFRESH_CYCLES == 0:
             grad = gram @ theta - linear  # shed accumulated float drift
-        if max_delta == 0.0 or _work_residual(theta, grad, lam, work) <= cfg.tol:
+            solved = max_delta == 0.0 or _kkt_residual(theta, grad, lam, work) <= cfg.tol
+        if solved:
             # the working set is solved: confirm over the whole support on a
             # drift-free gradient, and let violators join the set
             grad = gram @ theta - linear
@@ -221,14 +288,23 @@ def lasso_cd_gram(
     return _finalize(theta, grad, loss, lam, iterations, kkt)
 
 
+def _require_spins(samples: SampleMatrix) -> int:
+    """samples.p, or ValueError below two spins: a node's regression needs
+    one other spin to regress on."""
+    if samples.p < 2:
+        raise ValueError(f"regression needs samples of at least two spins, got p = {samples.p}")
+    return samples.p
+
+
 def solve_lasso(
     samples: SampleMatrix, r: int, lam: float, config: SolverConfig | None = None
 ) -> LassoSolution:
     """Neighborhood Lasso of spin r on the other p-1 spins by cyclic
     coordinate descent, read in place from the cached second moment with r
     pinned out by the support and then cut from the result. Raises
-    ValueError for r outside 0..p-1 or lambda < 0."""
-    check_node(r, samples.p)
+    ValueError for samples of fewer than two spins, r outside 0..p-1 or a
+    lambda that is not a finite number >= 0."""
+    check_node(r, _require_spins(samples))
     second = samples.second_moment()
     sol = lasso_cd_gram(second, second[:, r], lam, predictor_vertices(samples.p, r), config)
     return _cut(sol, r)
@@ -406,7 +482,10 @@ def solve_logistic_l1_batch(
     convergence and rebuilds the sets; a node whose set changed restarts
     its momentum from its iterate on the new set (one whose set is the same
     keeps it, or small-lambda problems with repeated columns stall), and
-    each node's samples are counted by their sign pattern on its set.
+    each node's samples are counted by their sign pattern on its set. A
+    check that changes no set and sees no node leave keeps the pattern
+    tables, steps and linear terms as they are, since they depend on the
+    sets alone.
     Between checks the iterate, momentum and gradient live on W, and the
     gradient sums over the 2^|W| patterns instead of the n samples, or
     takes the products over all columns where that costs less
@@ -427,12 +506,14 @@ def solve_logistic_l1_batch(
     (O'Donoghue & Candes 2015), KKT test, divergence guard and iteration
     count, and leaves the batch once converged or diverged: the loop holds
     the rows of the nodes still running, compacted when one leaves. Raises
-    ValueError for a node outside 0..p-1 or lambda < 0.
+    ValueError for samples of fewer than two spins, a node outside 0..p-1
+    or a lambda that is not a finite number >= 0.
     """
     cfg = config or SolverConfig()
-    p = samples.p
+    p = _require_spins(samples)
     for r in nodes:
         check_node(r, p)
+    lam = require_number("lambda", lam)
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     xt = np.array(samples.data.T, dtype=np.float64, order="C")
@@ -505,7 +586,15 @@ def solve_logistic_l1_batch(
             loss_final[j] = (_mean_log_cosh(xt, dense_rows, groups, dense[:, :p], new, k)
                              - np.einsum("kp,kp->k", dense[k, :p], linear[k, :p]))
             mask = (dense[:, :p] != 0.0) | (np.abs(grad) > lam)
+            was = np.zeros((act.size, p + 1), dtype=bool)
+            np.put_along_axis(was, work, True, axis=1)
+            same = (was[:, :p] == mask).all(axis=1)
             keep = np.flatnonzero(~(done | converged))
+            if keep.size == act.size and same.all():
+                # no set changed and no row left: the rows keep their order,
+                # and the pattern tables, steps and linear terms hold as
+                # they are, since they depend on the sets alone
+                continue
             keep = keep[np.argsort(-mask[keep].sum(axis=1), kind="stable")]
         act, theta, momentum, t_acc, step, linear, linear_w, work, widths = (
             v[keep] for v in (act, theta, momentum, t_acc, step, linear, linear_w, work, widths)
@@ -514,9 +603,7 @@ def solve_logistic_l1_batch(
         if check and act.size:
             # a node whose set is unchanged keeps its momentum; the others
             # restart from their iterate on the new set
-            was = np.zeros((act.size, p + 1), dtype=bool)
-            np.put_along_axis(was, work, True, axis=1)
-            same = (was[:, :p] == mask[keep]).all(axis=1)
+            same = same[keep]
             kept = np.zeros((act.size, p + 1))
             np.put_along_axis(kept, work, momentum, axis=1)
             work, widths = _padded_sets(mask[keep])
@@ -541,8 +628,9 @@ def solve_logistic_l1(
     samples: SampleMatrix, r: int, lam: float, config: SolverConfig | None = None
 ) -> LassoSolution:
     """L1-penalized logistic regression of spin r on the rest: the
-    one-column call of solve_logistic_l1_batch. Raises ValueError for r
-    outside 0..p-1 or lambda < 0, and ConvergenceError when coefficients
+    one-column call of solve_logistic_l1_batch. Raises ValueError for
+    samples of fewer than two spins, r outside 0..p-1 or a lambda that is
+    not a finite number >= 0, and ConvergenceError when coefficients
     diverge, which with lambda = 0 signals separable data.
     """
     solutions, errors = solve_logistic_l1_batch(samples, [r], lam, config)

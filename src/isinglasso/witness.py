@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bethe import RescaledParams, SingularMatrixError, support_conditions
-from .graphs import SignedGraph, check_node, support_vertices
+from .graphs import SignedGraph, check_node, require_number, support_vertices
 from .sampler import ExactMoments, SampleMatrix, exact_enumerate
 from .solvers import SolverConfig, lasso_cd_gram
 
@@ -236,10 +236,11 @@ def construct_witness(
 
     c_min and alpha are measured on the supplied data; check_conditions
     compares them with closed-form targets. Raises SingularMatrixError
-    when the support block is singular and ValueError for lambda <= 0, an
-    empty support (support_conditions' rule) or r outside 0..p-1.
+    when the support block is singular and ValueError for a lambda that is
+    not a finite number > 0, an empty support (support_conditions' rule) or
+    r outside 0..p-1.
     """
-    if lam <= 0:
+    if require_number("lambda", lam) <= 0:
         raise ValueError("witness construction needs lambda > 0")
     tt = _regression_row(theta_tilde, r)
     s = support_vertices(support, tt.size, r)

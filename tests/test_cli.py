@@ -175,6 +175,29 @@ class TestSampleAndSolve:
         assert payload["error"] == "ValueError"
         assert "tol" in payload["message"]
 
+    @pytest.mark.parametrize("solver", ["lasso", "logistic"])
+    def test_nan_lambda_json_error(self, tmp_path, capsys, graph_file, solver):
+        """argparse reads "nan" as a float; the solver refuses it with exit
+        1 and one JSON error, where it used to print a NaN residual."""
+        samples = tmp_path / "s.txt"
+        run_cli(capsys, "sample", "--graph", str(graph_file), "-n", "50",
+                "--burn-in", "20", "--thinning", "1", "--seed", "3", "-o", str(samples))
+        code, out, err = run_cli(capsys, "solve", "--samples", str(samples), "--node", "0",
+                                 "--lambda", "nan", "--solver", solver)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "lambda must be a finite number, got nan",
+        }
+
+    def test_one_spin_json_error(self, tmp_path, capsys):
+        samples = tmp_path / "s.txt"
+        samples.write_text("p=1 n=3\n1\n-1\n1\n")
+        code, out, err = run_cli(
+            capsys, "solve", "--samples", str(samples), "--node", "0", "--kappa", "2"
+        )
+        assert code == 1 and out == ""
+        assert "at least two spins" in json.loads(err)["message"]
+
     def test_header_without_sizes_json_error(self, tmp_path, capsys):
         samples = tmp_path / "s.txt"
         samples.write_text("p=3\n1 -1 1\n-1 1 1\n")

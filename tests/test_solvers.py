@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isinglasso import solvers
-from isinglasso.bethe import RescaledParams
+from isinglasso.bethe import RescaledParams, theorem_thresholds
 from isinglasso.graphs import (
     CouplingScheme,
+    SignedGraph,
     assign_couplings,
     generate_bethe_tree,
     generate_random_regular,
@@ -166,6 +167,45 @@ class TestNodeCheck:
             solve(samples, 1, -0.1)
 
 
+@pytest.mark.parametrize("solver", ["lasso", "logistic"])
+def test_one_spin_refused(solver):
+    """Below two spins a node has nothing to regress on, and both solvers
+    refuse the samples alike, also through recover_graph: there kappa = 2
+    gives lambda = kappa sqrt(log 1 / n) = 0, where the logistic solver
+    would start its separability check on an empty design. Samples and
+    chains of one spin stay legal."""
+    samples = gibbs_sample(SignedGraph(p=1, edges=()), 5, SamplerConfig(seed=0))
+    assert samples.p == 1
+    solve = solve_lasso if solver == "lasso" else solve_logistic_l1
+    for call in (lambda: solve(samples, 0, 0.1),
+                 lambda: recover_graph(samples, kappa=2.0, solver=solver)):
+        with pytest.raises(ValueError, match="at least two spins, got p = 1"):
+            call()
+
+
+def _penalty_entries():
+    samples = random_samples(np.random.default_rng(19), 4, 20)
+    tree = assign_couplings(generate_bethe_tree(7, 3), CouplingScheme.mixed(0.4), seed=1)
+    gram, linear = gram_of(samples, 0)
+    return {
+        "lasso_cd_gram": lambda lam: lasso_cd_gram(gram, linear, lam),
+        "solve_logistic_l1_batch": lambda lam: solve_logistic_l1_batch(samples, range(4), lam),
+        "construct_witness": lambda lam: construct_witness(
+            samples, 0, [1, 2], RescaledParams(matrix=np.zeros((4, 4))), lam),
+        "theorem_thresholds": lambda lam: theorem_thresholds(tree, lam),
+    }
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, True, "0.1"])
+@pytest.mark.parametrize("entry", sorted(_penalty_entries()))
+def test_penalty_must_be_a_finite_number(entry, lam):
+    """Every entry that takes a penalty applies the number rule before its
+    sign test: NaN passes every comparison, so it gave an empty graph or
+    a NaN residual, True counted as 1 and a string raised TypeError."""
+    with pytest.raises(ValueError, match="lambda must be a finite number"):
+        _penalty_entries()[entry](lam)
+
+
 @pytest.mark.parametrize("r", [-1, 5])
 def test_batch_node_out_of_range_rejected(r):
     """The logistic batch checks every node it is given, not only the one
@@ -237,7 +277,7 @@ def test_work_residual_equals_kkt_residual(data, m, lam):
     grad = np.array(data.draw(st.lists(
         st.one_of(st.sampled_from([lam, -lam, 0.0, -0.0]), values), min_size=m, max_size=m)))
     work = data.draw(st.lists(st.integers(0, m - 1), unique=True))
-    got = _work_residual(theta, grad, lam, work)
+    got = _work_residual(theta[work].tolist(), grad[work].tolist(), lam)
     assert isinstance(got, float)
     assert got == _kkt_residual(theta, grad, lam, np.array(work, dtype=np.int64))
 
@@ -250,6 +290,57 @@ def assert_same_solution(got, want):
     assert got.iterations == want.iterations
     assert got.objective == want.objective
     assert got.lam == want.lam
+
+
+def both_cycle_forms(gram, linear, lam, support=None, config=None):
+    """lasso_cd_gram with every working set cycled by numpy updates
+    (_FLOAT_CYCLE_WIDTH = 0) and with every set cycled in Python floats."""
+    solutions = []
+    for width in (0, gram.shape[0] + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_FLOAT_CYCLE_WIDTH", width)
+            solutions.append(lasso_cd_gram(gram, linear, lam, support, config))
+    return solutions
+
+
+def random_spin_gram(seed, m, n):
+    """The Gram form of one spin's regression on m others over n random
+    +-1 samples; n < m makes the Gram singular."""
+    x = np.random.default_rng(seed).choice(np.array([-1.0, 1.0]), size=(n, m + 1))
+    return (x[:, 1:].T @ x[:, 1:]) / n, (x[:, 1:].T @ x[:, 0]) / n
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 40),
+    n=st.integers(2, 80),
+    lam=st.floats(0.005, 0.6),
+    share=st.floats(0.2, 1.0),
+    tol=st.sampled_from([1e-8, 1e-10]),
+)
+def test_float_and_array_cycles_agree(seed, m, n, lam, share, tol):
+    """A working set cycled in Python floats on its block of G gives the
+    record the numpy updates of the whole gradient give, bit for bit:
+    each update is the same multiply and add on the entries of W, and
+    nothing reads the entries off W before the next full product. Random
+    supports; many draws run past a gradient refresh."""
+    gram, linear = random_spin_gram(seed, m, n)
+    support = np.flatnonzero(np.random.default_rng(seed + 1).random(m) < share)
+    if support.size == 0:
+        support = np.array([m - 1])
+    array, floats = both_cycle_forms(gram, linear, lam, support, SolverConfig(tol=tol))
+    assert_same_solution(floats, array)
+
+
+def test_float_and_array_cycles_agree_past_refreshes():
+    """A problem whose working set needs hundreds of cycles, so the float
+    form hands its set back for several refreshes of the gradient, and
+    still gives the array form's record bit for bit."""
+    gram, linear = random_spin_gram(4, 13, 15)
+    array, floats = both_cycle_forms(gram, linear, 0.005, config=SolverConfig(tol=1e-10))
+    assert floats.iterations > 5 * solvers._GRAM_REFRESH_CYCLES
+    assert_same_solution(floats, array)
 
 
 def test_logistic_grad_matches_expit_form():
@@ -665,6 +756,36 @@ def test_logistic_objective_matches_oracle(cost, seed, p, n, lam):
         l1 = float(np.abs(sol.coefficients).sum())
         want = logistic_objective_oracle(x, r, sol.coefficients, lam)
         assert abs(sol.objective - want) <= eps * (2 * n + 4 * p + 8) * (1.0 + l1)
+
+
+def test_unchanged_check_rebuilds_nothing(monkeypatch):
+    """A logistic check that changes no working set and sees no row leave
+    calls neither _pattern_groups nor _block_steps: no call of either
+    gets the sets the call before it got (a row that leaves shrinks the
+    array), and the all-node solve on rr samples has such checks (the
+    first check, after one iteration, changes no set)."""
+    calls = {"_pattern_groups": [], "_block_steps": []}
+    for name, sets in calls.items():
+        def spy(second_or_bits, work, widths, *rest, _fn=getattr(solvers, name), _sets=sets):
+            _sets.append(work.copy())
+            return _fn(second_or_bits, work, widths, *rest)
+        monkeypatch.setattr(solvers, name, spy)
+    checks = []
+    check_tanh = solvers._check_tanh
+
+    def count_checks(*args):
+        checks.append(1)
+        return check_tanh(*args)
+
+    monkeypatch.setattr(solvers, "_check_tanh", count_checks)
+    g = assign_couplings(generate_random_regular(64, 3, 5), CouplingScheme.mixed(0.4), seed=6)
+    samples = gibbs_sample(g, 700, SamplerConfig(seed=7))
+    solutions, errors = solve_logistic_l1_batch(samples, range(64), 0.1)
+    assert not errors and len(solutions) == 64
+    for sets in calls.values():
+        assert all(a.shape != b.shape or not np.array_equal(a, b) for a, b in zip(sets, sets[1:]))
+    # one build at entry and one per rebuilding check: fewer than the checks
+    assert len(calls["_block_steps"]) < len(checks) + 1
 
 
 def test_logistic_batch_finishes_as_per_node_finalize(monkeypatch):
