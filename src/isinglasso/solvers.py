@@ -7,8 +7,8 @@ For each vertex r the Lasso solves
 
 by cyclic coordinate descent on the Gram form of the problem, read in place
 from the shared second moment with node r pinned at zero; each cycle visits
-only a working set, which a drift-free full gradient confirms or grows, and
-a narrow set cycles in Python floats on its own block of the Gram. The
+only a working set, in Python floats on the set's own block of the Gram,
+and a drift-free full gradient confirms or grows the set. The
 logistic baseline replaces the square loss with the conditional log-loss
 (1/n) sum_i log(1 + exp(-2 x_r_i <theta, x_i>)), whose gradient for +/-1
 spins is (1/n) X'tanh(X theta) - (1/n) X'x_r: the residual against the
@@ -41,7 +41,6 @@ from .sampler import SampleMatrix
 
 ACTIVE_TOL = 1e-8
 _GRAM_REFRESH_CYCLES = 50
-_FLOAT_CYCLE_WIDTH = 24  # a Lasso working set this narrow cycles in Python floats
 _KKT_CHECK_EVERY = 10  # logistic only; CD checks every cycle
 _PATTERN_COST = 8  # a logistic set W takes dense products when 8 |W| 2^|W| > p n
 _MAX_COEF = 1e3  # divergence guard (logistic, lambda = 0)
@@ -152,70 +151,27 @@ def _cut(solution, r):
     return solution
 
 
-def _array_cycles(gram, theta, grad, lam, work, first, tol):
-    """Coordinate-descent cycles first, first + 1, ... over the working set
-    work (a list of indices into G), one numpy update of the whole gradient
-    grad per moving coordinate. Stops after the cycle that solves the set
-    (no coordinate moves, or its residual is <= tol), after a cycle that is
-    a multiple of _GRAM_REFRESH_CYCLES (the caller refreshes the gradient
-    and tests the set itself) or after cycle _MAX_ITERS. Updates theta in
-    place; the caller reads grad only through its next full product.
-    Returns (last cycle, its largest |delta|, solved)."""
-    idx = np.array(work, dtype=np.int64)
-    solved = False
-    for cycle in range(first, _MAX_ITERS + 1):
-        max_delta = 0.0
-        for j in work:
-            old = theta[j]
-            z = old - grad[j]
-            new = z - lam if z > lam else (z + lam if z < -lam else 0.0)  # soft-threshold
-            delta = new - old
-            if delta != 0.0:
-                grad += gram[j] * delta
-                theta[j] = new
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
-        if cycle % _GRAM_REFRESH_CYCLES == 0:
-            break
-        if max_delta == 0.0 or _work_residual(theta[idx].tolist(), grad[idx].tolist(), lam) <= tol:
-            solved = True
-            break
-    return cycle, max_delta, solved
-
-
-def _float_cycles(gram, theta, grad, lam, work, first, tol):
-    """_array_cycles in Python floats on the |W| x |W| block G[W, W]: the
-    coefficients and gradient on W are lists, and each update adds
-    G[j, W] delta to the gradient entry by entry, the same multiply and
-    add as the array form makes on W. Writes the set's coefficients back
-    to theta and leaves grad as it came: the caller reads the gradient
-    only through its next full product."""
-    idx = np.array(work, dtype=np.int64)
-    block = gram[idx[:, None], idx].tolist()
-    th, g = theta[idx].tolist(), grad[idx].tolist()
-    span = range(idx.size)
-    solved = False
-    for cycle in range(first, _MAX_ITERS + 1):
-        max_delta = 0.0
-        for a in span:
-            old = th[a]
-            z = old - g[a]
-            new = z - lam if z > lam else (z + lam if z < -lam else 0.0)  # soft-threshold
-            delta = new - old
-            if delta != 0.0:
-                row = block[a]
-                for b in span:
-                    g[b] += row[b] * delta
-                th[a] = new
-                if abs(delta) > max_delta:
-                    max_delta = abs(delta)
-        if cycle % _GRAM_REFRESH_CYCLES == 0:
-            break
-        if max_delta == 0.0 or _work_residual(th, g, lam) <= tol:
-            solved = True
-            break
-    theta[idx] = th
-    return cycle, max_delta, solved
+def _cd_cycle(block, theta, grad, lam: float) -> float:
+    """One coordinate-descent pass over a working set, from its block of G
+    and its coefficients and gradient as lists of Python floats, updated in
+    place; returns the largest |delta|. Each moving coordinate adds
+    G[j, W] delta to the gradient entry by entry: the multiply and add that
+    numpy's update of the whole gradient makes on the entries of W."""
+    max_delta = 0.0
+    span = range(len(theta))
+    for a in span:
+        old = theta[a]
+        z = old - grad[a]
+        new = z - lam if z > lam else (z + lam if z < -lam else 0.0)  # soft-threshold
+        delta = new - old
+        if delta != 0.0:
+            row = block[a]
+            for b in span:
+                grad[b] += row[b] * delta
+            theta[a] = new
+            if abs(delta) > max_delta:
+                max_delta = abs(delta)
+    return max_delta
 
 
 def lasso_cd_gram(
@@ -235,14 +191,14 @@ def lasso_cd_gram(
     residual covers the support coordinates. Cycles visit a working set:
     the support coordinates that are nonzero or have |gradient| > lambda,
     at the start and at each drift-free confirmation, which decides
-    convergence over the whole support. A set of at most
-    _FLOAT_CYCLE_WIDTH coordinates cycles in Python floats on its block of
-    G (_float_cycles), a wider one with numpy updates of the whole
-    gradient (_array_cycles); both give the same bits, so the width
-    decides only the speed. The refresh every _GRAM_REFRESH_CYCLES cycles
-    and the confirmation take the full product G theta. Raises ValueError
-    for a lambda that is not a finite number >= 0, and ConvergenceError
-    past _MAX_ITERS cycles.
+    convergence over the whole support. A set cycles in Python floats on
+    its block of G (_cd_cycle), which gives the bits of numpy updates of
+    the whole gradient at a cost of O(|W|) per update instead of a fixed
+    cost per call: less on the narrow sets of the callers' penalties,
+    more on sets of a few dozen coordinates and up (docs/decisions.md).
+    The refresh every _GRAM_REFRESH_CYCLES cycles and the confirmation
+    take the full product G theta. Raises ValueError for a lambda that is
+    not a finite number >= 0, and ConvergenceError past _MAX_ITERS cycles.
     """
     cfg = config or SolverConfig()
     lam = require_number("lambda", lam)
@@ -258,12 +214,21 @@ def lasso_cd_gram(
     work = support_idx[np.abs(grad[support_idx]) > lam].tolist()
     iterations = 0
     while iterations < _MAX_ITERS:
-        cycles = _float_cycles if len(work) <= _FLOAT_CYCLE_WIDTH else _array_cycles
-        iterations, max_delta, solved = cycles(
-            gram, theta, grad, lam, work, iterations + 1, cfg.tol)
-        if iterations % _GRAM_REFRESH_CYCLES == 0:
-            grad = gram @ theta - linear  # shed accumulated float drift
-            solved = max_delta == 0.0 or _kkt_residual(theta, grad, lam, work) <= cfg.tol
+        # the set cycles on its block of G; nothing reads the gradient off
+        # the set before the next full product
+        idx = np.array(work, dtype=np.int64)
+        block = gram[idx[:, None], idx].tolist()
+        th, g = theta[idx].tolist(), grad[idx].tolist()
+        solved = False
+        while not solved and iterations < _MAX_ITERS:
+            iterations += 1
+            max_delta = _cd_cycle(block, th, g, lam)
+            if iterations % _GRAM_REFRESH_CYCLES == 0:
+                theta[idx] = th
+                grad = gram @ theta - linear  # shed accumulated float drift
+                g = grad[idx].tolist()
+            solved = max_delta == 0.0 or _work_residual(th, g, lam) <= cfg.tol
+        theta[idx] = th
         if solved:
             # the working set is solved: confirm over the whole support on a
             # drift-free gradient, and let violators join the set
@@ -659,7 +624,11 @@ def resolve_penalty(lam: float | None, kappa: float | None, n: int, p: int) -> f
     lambda_from_kappa rule: the one rule of recover_graph and the CLI."""
     if (lam is None) == (kappa is None):
         raise ValueError("give exactly one of lambda or kappa")
-    return lam if kappa is None else lambda_from_kappa(kappa, n, p)
+    if kappa is None:
+        return lam
+    if require_number("kappa", kappa) < 0:
+        raise ValueError("kappa must be >= 0")
+    return lambda_from_kappa(kappa, n, p)
 
 
 @dataclass

@@ -175,18 +175,20 @@ class TestSampleAndSolve:
         assert payload["error"] == "ValueError"
         assert "tol" in payload["message"]
 
+    @pytest.mark.parametrize("penalty", ["lambda", "kappa"])
     @pytest.mark.parametrize("solver", ["lasso", "logistic"])
-    def test_nan_lambda_json_error(self, tmp_path, capsys, graph_file, solver):
-        """argparse reads "nan" as a float; the solver refuses it with exit
-        1 and one JSON error, where it used to print a NaN residual."""
+    def test_nan_penalty_json_error(self, tmp_path, capsys, graph_file, solver, penalty):
+        """argparse reads "nan" as a float; the penalty rule refuses it by
+        the name of the flag with exit 1 and one JSON error, where it used
+        to print a NaN residual or an empty neighbourhood."""
         samples = tmp_path / "s.txt"
         run_cli(capsys, "sample", "--graph", str(graph_file), "-n", "50",
                 "--burn-in", "20", "--thinning", "1", "--seed", "3", "-o", str(samples))
         code, out, err = run_cli(capsys, "solve", "--samples", str(samples), "--node", "0",
-                                 "--lambda", "nan", "--solver", solver)
+                                 f"--{penalty}", "nan", "--solver", solver)
         assert code == 1 and out == ""
         assert json.loads(err) == {
-            "error": "ValueError", "message": "lambda must be a finite number, got nan",
+            "error": "ValueError", "message": f"{penalty} must be a finite number, got nan",
         }
 
     def test_one_spin_json_error(self, tmp_path, capsys):

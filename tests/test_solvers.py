@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -292,15 +293,42 @@ def assert_same_solution(got, want):
     assert got.lam == want.lam
 
 
-def both_cycle_forms(gram, linear, lam, support=None, config=None):
-    """lasso_cd_gram with every working set cycled by numpy updates
-    (_FLOAT_CYCLE_WIDTH = 0) and with every set cycled in Python floats."""
-    solutions = []
-    for width in (0, gram.shape[0] + 1):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solvers, "_FLOAT_CYCLE_WIDTH", width)
-            solutions.append(lasso_cd_gram(gram, linear, lam, support, config))
-    return solutions
+def numpy_update_reference(gram, linear, lam, support=None, config=None):
+    """lasso_cd_gram's algorithm with each coordinate update made by numpy
+    on the whole gradient, grad += G[j] * delta, and the set's residual
+    by _kkt_residual: the form the Python-float cycles replace."""
+    tol = (config or SolverConfig()).tol
+    m = gram.shape[0]
+    support_idx = np.arange(m) if support is None else np.asarray(support, dtype=np.int64)
+    theta = np.zeros(m)
+    grad = -linear
+    work = support_idx[np.abs(grad[support_idx]) > lam].tolist()
+    for iterations in range(1, solvers._MAX_ITERS + 1):
+        max_delta = 0.0
+        for j in work:
+            old = theta[j]
+            z = old - grad[j]
+            new = z - lam if z > lam else (z + lam if z < -lam else 0.0)
+            delta = new - old
+            if delta != 0.0:
+                grad += gram[j] * delta
+                theta[j] = new
+                max_delta = max(max_delta, abs(delta))
+        if iterations % solvers._GRAM_REFRESH_CYCLES == 0:
+            grad = gram @ theta - linear
+        if max_delta == 0.0 or _kkt_residual(theta, grad, lam, np.array(work, dtype=np.int64)) <= tol:
+            grad = gram @ theta - linear
+            kkt = _kkt_residual(theta, grad, lam, support_idx)
+            if kkt <= tol:
+                break
+            grown = np.union1d(work, support_idx[np.abs(grad[support_idx]) > lam])
+            if max_delta == 0.0 and grown.size == len(work):
+                break
+            work = grown.tolist()
+    else:
+        raise AssertionError("reference did not converge")
+    loss = solvers._quadratic_loss(gram, linear, theta)
+    return solvers._finalize(theta, grad, loss, lam, iterations, kkt)
 
 
 def random_spin_gram(seed, m, n):
@@ -319,28 +347,31 @@ def random_spin_gram(seed, m, n):
     share=st.floats(0.2, 1.0),
     tol=st.sampled_from([1e-8, 1e-10]),
 )
-def test_float_and_array_cycles_agree(seed, m, n, lam, share, tol):
+def test_float_cycles_match_numpy_updates(seed, m, n, lam, share, tol):
     """A working set cycled in Python floats on its block of G gives the
     record the numpy updates of the whole gradient give, bit for bit:
     each update is the same multiply and add on the entries of W, and
     nothing reads the entries off W before the next full product. Random
-    supports; many draws run past a gradient refresh."""
+    supports, narrow and wide sets; many draws run past a gradient
+    refresh."""
     gram, linear = random_spin_gram(seed, m, n)
     support = np.flatnonzero(np.random.default_rng(seed + 1).random(m) < share)
     if support.size == 0:
         support = np.array([m - 1])
-    array, floats = both_cycle_forms(gram, linear, lam, support, SolverConfig(tol=tol))
-    assert_same_solution(floats, array)
+    cfg = SolverConfig(tol=tol)
+    assert_same_solution(lasso_cd_gram(gram, linear, lam, support, cfg),
+                         numpy_update_reference(gram, linear, lam, support, cfg))
 
 
-def test_float_and_array_cycles_agree_past_refreshes():
-    """A problem whose working set needs hundreds of cycles, so the float
-    form hands its set back for several refreshes of the gradient, and
-    still gives the array form's record bit for bit."""
+def test_float_cycles_match_numpy_updates_past_refreshes():
+    """A problem whose working set needs hundreds of cycles, so its
+    gradient is refreshed several times mid-set, gives the numpy updates'
+    record bit for bit."""
     gram, linear = random_spin_gram(4, 13, 15)
-    array, floats = both_cycle_forms(gram, linear, 0.005, config=SolverConfig(tol=1e-10))
-    assert floats.iterations > 5 * solvers._GRAM_REFRESH_CYCLES
-    assert_same_solution(floats, array)
+    cfg = SolverConfig(tol=1e-10)
+    got = lasso_cd_gram(gram, linear, 0.005, config=cfg)
+    assert got.iterations > 5 * solvers._GRAM_REFRESH_CYCLES
+    assert_same_solution(got, numpy_update_reference(gram, linear, 0.005, config=cfg))
 
 
 def test_logistic_grad_matches_expit_form():
@@ -911,6 +942,19 @@ class TestRecoverGraph:
             np.array([-1, 1], dtype=np.int8), size=(30, 5)))
         estimate = recover_graph(samples, kappa=2.0, solver="lasso")
         assert abs(estimate.lam - 2.0 * math.sqrt(math.log(5) / 30)) < 1e-15
+
+    @pytest.mark.parametrize("kappa, message", [
+        (math.nan, "kappa must be a finite number, got nan"),
+        (True, "kappa must be a finite number, got True"),
+        (-1.0, "kappa must be >= 0"),
+    ])
+    def test_kappa_refused_by_its_own_name(self, kappa, message):
+        """kappa takes the number rule and a sign test before it becomes a
+        lambda, so the error names the value the caller gave."""
+        samples = SampleMatrix(np.random.default_rng(1).choice(
+            np.array([-1, 1], dtype=np.int8), size=(30, 5)))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            recover_graph(samples, kappa=kappa)
 
     def test_node_failures_recorded(self):
         # a single sample is separable, so logistic at lambda ~ 0 diverges
