@@ -208,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sample", help="Gibbs-sample spin snapshots from a graph")
     s.add_argument("--graph", required=True)
     s.add_argument("-n", type=int, required=True)
-    s.add_argument("--burn-in", type=int, default=1000)
-    s.add_argument("--thinning", type=int, default=10)
+    s.add_argument("--burn-in", type=int, default=sampler.SamplerConfig.burn_in_sweeps)
+    s.add_argument("--thinning", type=int, default=sampler.SamplerConfig.thinning_sweeps)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--format", choices=["text", "binary"], default="text")
     s.add_argument("-o", "--output", required=True)
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--lambda", dest="lam", type=float)
     so.add_argument("--kappa", type=float)
     so.add_argument("--solver", choices=["lasso", "logistic"], default="lasso")
-    so.add_argument("--tol", type=float, default=1e-8)
+    so.add_argument("--tol", type=float, default=solvers.SolverConfig.tol)
     so.add_argument("-o", "--output")
     so.set_defaults(func=_cmd_solve)
 

@@ -67,8 +67,8 @@ class ExperimentConfig:
     coupling_value: float | None = None
     d: int = 3
     master_seed: int = 0
-    burn_in_sweeps: int = 1000
-    thinning_sweeps: int = 10
+    burn_in_sweeps: int = SamplerConfig.burn_in_sweeps
+    thinning_sweeps: int = SamplerConfig.thinning_sweeps
     solver_tol: float = 1e-7
 
     def __post_init__(self):

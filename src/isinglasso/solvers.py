@@ -42,8 +42,7 @@ from .sampler import SampleMatrix
 ACTIVE_TOL = 1e-8
 _GRAM_REFRESH_CYCLES = 50
 _KKT_CHECK_EVERY = 10  # logistic only; CD checks every cycle
-_PATTERN_COST = 8  # a logistic set W takes dense products when 8 |W| 2^|W| > p n
-_MAX_COEF = 1e3  # divergence guard (logistic, lambda = 0)
+_MAX_COEF = 1e3  # divergence guard (logistic, lambda = 0), taken at each check
 _MAX_ITERS = 100_000  # CD cycles or FISTA iterations before ConvergenceError
 
 
@@ -120,10 +119,6 @@ def _work_residual(theta, grad, lam: float) -> float:
     return worst
 
 
-def _quadratic_loss(gram, linear, theta) -> float:
-    return 0.5 * float(theta @ (gram @ theta)) - float(linear @ theta) + 0.5
-
-
 def _finalize(theta, grad, loss, lam, iterations, kkt):
     """Solution record from the final iterate, the gradient of its smooth
     loss, its loss and its residual, shared by the Lasso and the logistic
@@ -190,15 +185,19 @@ def lasso_cd_gram(
     into G, as the callers pass them) are pinned at zero; the reported
     residual covers the support coordinates. Cycles visit a working set:
     the support coordinates that are nonzero or have |gradient| > lambda,
-    at the start and at each drift-free confirmation, which decides
-    convergence over the whole support. A set cycles in Python floats on
+    at the start and at each confirmation. A set cycles in Python floats on
     its block of G (_cd_cycle), which gives the bits of numpy updates of
     the whole gradient at a cost of O(|W|) per update instead of a fixed
     cost per call: less on the narrow sets of the callers' penalties,
     more on sets of a few dozen coordinates and up (docs/decisions.md).
-    The refresh every _GRAM_REFRESH_CYCLES cycles and the confirmation
-    take the full product G theta. Raises ValueError for a lambda that is
-    not a finite number >= 0, and ConvergenceError past _MAX_ITERS cycles.
+    The refresh every _GRAM_REFRESH_CYCLES cycles takes the full product
+    G theta, and so does the confirmation, which follows each solved set
+    and the last of the _MAX_ITERS cycles and is the one exit: on a
+    drift-free gradient over the whole support it returns at convergence
+    or at an exact fixed point, grows the set, or raises ConvergenceError
+    when the cycles ran out. The objective is read from its gradient
+    G theta - b as 0.5 theta . (G theta - 2 b) + 0.5. Raises ValueError
+    for a lambda that is not a finite number >= 0.
     """
     cfg = config or SolverConfig()
     lam = require_number("lambda", lam)
@@ -213,43 +212,39 @@ def lasso_cd_gram(
     grad = -linear
     work = support_idx[np.abs(grad[support_idx]) > lam].tolist()
     iterations = 0
-    while iterations < _MAX_ITERS:
+    while True:
         # the set cycles on its block of G; nothing reads the gradient off
         # the set before the next full product
         idx = np.array(work, dtype=np.int64)
         block = gram[idx[:, None], idx].tolist()
         th, g = theta[idx].tolist(), grad[idx].tolist()
-        solved = False
-        while not solved and iterations < _MAX_ITERS:
+        while iterations < _MAX_ITERS:
             iterations += 1
             max_delta = _cd_cycle(block, th, g, lam)
             if iterations % _GRAM_REFRESH_CYCLES == 0:
                 theta[idx] = th
                 grad = gram @ theta - linear  # shed accumulated float drift
                 g = grad[idx].tolist()
-            solved = max_delta == 0.0 or _work_residual(th, g, lam) <= cfg.tol
+            if max_delta == 0.0 or _work_residual(th, g, lam) <= cfg.tol:
+                break  # the set is solved
         theta[idx] = th
-        if solved:
-            # the working set is solved: confirm over the whole support on a
-            # drift-free gradient, and let violators join the set
-            grad = gram @ theta - linear
-            kkt = _kkt_residual(theta, grad, lam, support_idx)
-            if kkt <= cfg.tol:
-                break
-            grown = np.union1d(work, support_idx[np.abs(grad[support_idx]) > lam])
-            if max_delta == 0.0 and grown.size == len(work):
-                break  # exact fixed point of every coordinate update: optimal
-            work = grown.tolist()
-    else:
+        # the set is solved or the cycles ran out: confirm over the whole
+        # support on a drift-free gradient, and let violators join the set
         grad = gram @ theta - linear
         kkt = _kkt_residual(theta, grad, lam, support_idx)
-        if kkt > cfg.tol:
+        if kkt <= cfg.tol:
+            break
+        grown = np.union1d(work, support_idx[np.abs(grad[support_idx]) > lam])
+        if max_delta == 0.0 and grown.size == len(work):
+            break  # exact fixed point of every coordinate update: optimal
+        if iterations == _MAX_ITERS:
             raise ConvergenceError(
                 f"coordinate descent did not converge in {_MAX_ITERS} cycles "
                 f"(residual {kkt:.3e})",
                 kkt_residual=kkt,
             )
-    loss = _quadratic_loss(gram, linear, theta)
+        work = grown.tolist()
+    loss = 0.5 * float(theta @ (grad - linear)) + 0.5  # 0.5 theta' G theta - b' theta + 0.5
     return _finalize(theta, grad, loss, lam, iterations, kkt)
 
 
@@ -295,19 +290,17 @@ def _soft_threshold(z, tau):
 
 def _pattern_groups(bits, work, widths, n):
     """How each row's working-set gradient is taken, rows widest first.
-    The rows whose set W has 2^|W| >= n sign patterns, or costs more on
-    them than on the products over all p columns (_PATTERN_COST |W| 2^|W|
-    > p n), take those products; they are a prefix, and its length comes
-    first. For each width w of the others, its rows a:b, the w x 2^w table
-    of +-1 sign patterns (column c holds the bits of c, bit j for set
-    position j), each row's counts of the samples that show each pattern
-    on its set, and each sample's pattern on each row's set as a code into
-    the group's flattened rows x 2^w tables (row k's offset by k 2^w, so one
-    np.bincount counts them all), from bits, the p x n uint8 indicator of
-    x = +1."""
-    p = bits.shape[0]
-    dense = int(np.count_nonzero(
-        (widths >= (n - 1).bit_length()) | (_PATTERN_COST * widths * np.exp2(widths) > p * n)))
+    A row whose set W has 2^|W| >= n sign patterns, no fewer than its
+    samples, takes the products over all p columns: its table would not
+    shorten the sum over the samples. Those rows are a prefix, and its
+    length comes first. For each width w of the others, its rows a:b, the
+    w x 2^w table of +-1 sign patterns (column c holds the bits of c, bit j
+    for set position j), each row's counts of the samples that show each
+    pattern on its set, and each sample's pattern on each row's set as a
+    code into the group's flattened rows x 2^w tables (row k's offset by
+    k 2^w, so one np.bincount counts them all), from bits, the p x n uint8
+    indicator of x = +1."""
+    dense = int(np.count_nonzero(widths >= (n - 1).bit_length()))
     groups = []
     a = dense
     while a < widths.size:
@@ -442,22 +435,25 @@ def solve_logistic_l1_batch(
     edge-coupling convention, so the population minimizer is the coupling
     row itself. Each node iterates on a working set W: its nonzero
     coefficients and every coordinate whose |gradient| exceeds lambda, as
-    of the last full check. Every _KKT_CHECK_EVERY iterations (and after
-    the first) the dense gradient over all p - 1 coordinates decides
-    convergence and rebuilds the sets; a node whose set changed restarts
-    its momentum from its iterate on the new set (one whose set is the same
-    keeps it, or small-lambda problems with repeated columns stall), and
-    each node's samples are counted by their sign pattern on its set. A
-    check that changes no set and sees no node leave keeps the pattern
-    tables, steps and linear terms as they are, since they depend on the
-    sets alone.
+    of the last full check. Every decision is taken at a check, every
+    _KKT_CHECK_EVERY iterations and after the first: the dense gradient
+    over all p - 1 coordinates decides convergence and the guard _MAX_COEF
+    divergence, a node that converged or diverged leaves the batch there,
+    and the rows that stay are compacted and their sets rebuilt from the
+    check's iterate. A node whose set changed restarts its momentum from
+    its iterate on the new set (one whose set is the same keeps it, or
+    small-lambda problems with repeated columns stall), and each node's
+    samples are counted by their sign pattern on its set. A check that
+    changes no set and sees no node leave keeps the pattern tables, steps
+    and linear terms as they are, since they depend on the sets alone.
     Between checks the iterate, momentum and gradient live on W, and the
     gradient sums over the 2^|W| patterns instead of the n samples, or
-    takes the products over all columns where that costs less
-    (_pattern_groups, _working_grad). At a check such a row reads its
-    margins from the same table, each sample taking the tanh of its
-    pattern's margin, so the check's one sample-sized product is the
-    gradient's with X' (_check_tanh); the dense rows take both products.
+    takes the products over all columns where the patterns are no fewer
+    than the samples (_pattern_groups, _working_grad). At a check a
+    pattern row reads its margins from the same table, each sample taking
+    the tanh of its pattern's margin, so the check's one sample-sized
+    product is the gradient's with X' (_check_tanh); the dense rows take
+    both products.
     A node's objective is taken at its converging check from the same
     margins, as log(1 + exp(-2yu)) = log 2cosh(u) - yu for y = +-1 gives
     (1/n) sum_i log 2cosh(u_i) - theta . M[r] + lambda l1_norm(theta):
@@ -469,8 +465,7 @@ def solve_logistic_l1_batch(
     the second moment M: each node steps by 1 / lambda_max of its own block.
     Each node keeps its own momentum and gradient-based restart
     (O'Donoghue & Candes 2015), KKT test, divergence guard and iteration
-    count, and leaves the batch once converged or diverged: the loop holds
-    the rows of the nodes still running, compacted when one leaves. Raises
+    count; the loop holds the rows of the nodes still running. Raises
     ValueError for samples of fewer than two spins, a node outside 0..p-1
     or a lambda that is not a finite number >= 0.
     """
@@ -495,8 +490,8 @@ def solve_logistic_l1_batch(
     theta_final, grad_final = np.zeros((nodes.size, p)), np.zeros((nodes.size, p))
     loss_final, iterations = np.zeros(nodes.size), np.zeros(nodes.size, dtype=np.int64)
     kkt = np.full(nodes.size, np.inf)
-    # the active rows only, widest working set first and compacted when a
-    # node leaves: row k is node act[k]
+    # the active rows only, widest working set first and compacted at the
+    # check where a node leaves: row k is node act[k]
     linear = np.zeros((nodes.size, p + 1))
     linear[:, :p] = second[nodes]
     mask = np.abs(linear[:, :p]) > lam  # at theta = 0 the gradient is -M[r]
@@ -525,58 +520,53 @@ def solve_logistic_l1_batch(
         momentum = new + beta[:, None] * progress
         theta = new
         t_acc = np.where(restart, 1.0, t_next)
-        done = np.abs(new).max(axis=1) > _MAX_COEF
-        for j in act[done]:
+        if not (it % _KKT_CHECK_EVERY == 0 or it == 1):
+            continue
+        # the check: the full gradient decides convergence, the guard
+        # divergence, and both which rows leave; the rest get new sets
+        dense = np.zeros((act.size, p + 1))
+        np.put_along_axis(dense, work, new, axis=1)
+        s = _check_tanh(xt, dense_rows, groups, dense[:, :p], new, tanh_buf[:act.size])
+        grad = _logistic_grad(xt, s, linear[:, :p], pinned)
+        kkt[act] = _kkt_residual(dense[:, :p].T, grad.T, lam)
+        diverged = np.abs(new).max(axis=1) > _MAX_COEF
+        for j in act[diverged]:
             errors[int(nodes[j])] = ConvergenceError(
                 "logistic coefficients diverged (with lambda = 0 this means the "
                 "data are separable and no minimizer exists)", kkt_residual=float("inf"))
-        check = it % _KKT_CHECK_EVERY == 0 or it == 1
-        if not (check or done.any()):
+        converged = (kkt[act] <= cfg.tol) & ~diverged
+        # a converged row keeps its iterate, gradient and residual, and its
+        # loss there: log(1 + exp(-2yu)) = log 2cosh(u) - yu for y = +-1, so
+        # (1/n) sum_i log 2cosh(u_i) - theta . M[r]
+        k = np.flatnonzero(converged)
+        j = act[k]
+        theta_final[j], grad_final[j], iterations[j] = dense[k, :p], grad[k], it
+        loss_final[j] = (_mean_log_cosh(xt, dense_rows, groups, dense[:, :p], new, k)
+                         - np.einsum("kp,kp->k", dense[k, :p], linear[k, :p]))
+        mask = (dense[:, :p] != 0.0) | (np.abs(grad) > lam)
+        was = np.zeros((act.size, p + 1), dtype=bool)
+        np.put_along_axis(was, work, True, axis=1)
+        same = (was[:, :p] == mask).all(axis=1)
+        keep = np.flatnonzero(~(diverged | converged))
+        if keep.size == act.size and same.all():
+            # no set changed and no row left: the rows keep their order,
+            # and the pattern tables, steps and linear terms hold as they
+            # are, since they depend on the sets alone
             continue
-        keep = np.flatnonzero(~done)
-        if check:
-            # the full gradient decides convergence and rebuilds the sets
-            dense = np.zeros((act.size, p + 1))
-            np.put_along_axis(dense, work, new, axis=1)
-            s = _check_tanh(xt, dense_rows, groups, dense[:, :p], new, tanh_buf[:act.size])
-            grad = _logistic_grad(xt, s, linear[:, :p], pinned)
-            kkt[act] = _kkt_residual(dense[:, :p].T, grad.T, lam)
-            converged = (kkt[act] <= cfg.tol) & ~done
-            # a converged row keeps its iterate, gradient and residual, and its
-            # loss there: log(1 + exp(-2yu)) = log 2cosh(u) - yu for y = +-1, so
-            # (1/n) sum_i log 2cosh(u_i) - theta . M[r]
-            k = np.flatnonzero(converged)
-            j = act[k]
-            theta_final[j], grad_final[j], iterations[j] = dense[k, :p], grad[k], it
-            loss_final[j] = (_mean_log_cosh(xt, dense_rows, groups, dense[:, :p], new, k)
-                             - np.einsum("kp,kp->k", dense[k, :p], linear[k, :p]))
-            mask = (dense[:, :p] != 0.0) | (np.abs(grad) > lam)
-            was = np.zeros((act.size, p + 1), dtype=bool)
-            np.put_along_axis(was, work, True, axis=1)
-            same = (was[:, :p] == mask).all(axis=1)
-            keep = np.flatnonzero(~(done | converged))
-            if keep.size == act.size and same.all():
-                # no set changed and no row left: the rows keep their order,
-                # and the pattern tables, steps and linear terms hold as
-                # they are, since they depend on the sets alone
-                continue
-            keep = keep[np.argsort(-mask[keep].sum(axis=1), kind="stable")]
-        act, theta, momentum, t_acc, step, linear, linear_w, work, widths = (
-            v[keep] for v in (act, theta, momentum, t_acc, step, linear, linear_w, work, widths)
-        )
+        # the rows that stay, widest set first, regathered from the check's
+        # iterate; a row whose set is unchanged keeps its momentum, the
+        # others restart from their iterate on the new set
+        keep = keep[np.argsort(-mask[keep].sum(axis=1), kind="stable")]
+        kept = np.zeros((keep.size, p + 1))
+        np.put_along_axis(kept, work[keep], momentum[keep], axis=1)
+        act, linear, same = act[keep], linear[keep], same[keep]
         pinned = (np.arange(act.size), nodes[act])
-        if check and act.size:
-            # a node whose set is unchanged keeps its momentum; the others
-            # restart from their iterate on the new set
-            same = same[keep]
-            kept = np.zeros((act.size, p + 1))
-            np.put_along_axis(kept, work, momentum, axis=1)
-            work, widths = _padded_sets(mask[keep])
-            theta = np.take_along_axis(dense[keep], work, axis=1)
-            momentum = np.where(same[:, None], np.take_along_axis(kept, work, axis=1), theta)
-            t_acc = np.where(same, t_acc, 1.0)
-            step = _block_steps(second, work, widths)
-            linear_w = np.take_along_axis(linear, work, axis=1)
+        work, widths = _padded_sets(mask[keep])
+        theta = np.take_along_axis(dense[keep], work, axis=1)
+        momentum = np.where(same[:, None], np.take_along_axis(kept, work, axis=1), theta)
+        t_acc = np.where(same, t_acc[keep], 1.0)
+        step = _block_steps(second, work, widths)
+        linear_w = np.take_along_axis(linear, work, axis=1)
         dense_rows, groups = _pattern_groups(bits, work, widths, samples.n)
     for j in act:
         errors[int(nodes[j])] = ConvergenceError(

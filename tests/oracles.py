@@ -173,13 +173,12 @@ def logistic_fista_reference(samples, nodes, lam, tol):
         momentum[:, act] = new + beta * (new - old)
         theta[:, act] = new
         t_acc[act] = np.where(restart, 1.0, t_next)
-        done = np.abs(new).max(axis=0) > _MAX_COEF
         if it % _KKT_CHECK_EVERY == 0 or it == 1:
             kkt[act] = residual(new, grad_of(y[:, act], new, pinned))
-            converged = (kkt[act] <= tol) & ~done
+            diverged = np.abs(new).max(axis=0) > _MAX_COEF
+            converged = (kkt[act] <= tol) & ~diverged
             iterations[act[converged]] = it
-            done |= converged
-        act = act[~done]
+            act = act[~(diverged | converged)]
     return {
         int(r): (np.delete(theta[:, j], r), int(iterations[j]), float(kkt[j]))
         for j, r in enumerate(nodes) if iterations[j]

@@ -296,7 +296,9 @@ def assert_same_solution(got, want):
 def numpy_update_reference(gram, linear, lam, support=None, config=None):
     """lasso_cd_gram's algorithm with each coordinate update made by numpy
     on the whole gradient, grad += G[j] * delta, and the set's residual
-    by _kkt_residual: the form the Python-float cycles replace."""
+    by _kkt_residual: the form the Python-float cycles replace. The
+    objective is read from the confirming gradient by the kernel's
+    formula, 0.5 theta . (grad - b) + 0.5."""
     tol = (config or SolverConfig()).tol
     m = gram.shape[0]
     support_idx = np.arange(m) if support is None else np.asarray(support, dtype=np.int64)
@@ -327,7 +329,7 @@ def numpy_update_reference(gram, linear, lam, support=None, config=None):
             work = grown.tolist()
     else:
         raise AssertionError("reference did not converge")
-    loss = solvers._quadratic_loss(gram, linear, theta)
+    loss = 0.5 * float(theta @ (grad - linear)) + 0.5  # from its confirming gradient
     return solvers._finalize(theta, grad, loss, lam, iterations, kkt)
 
 
@@ -372,6 +374,26 @@ def test_float_cycles_match_numpy_updates_past_refreshes():
     got = lasso_cd_gram(gram, linear, 0.005, config=cfg)
     assert got.iterations > 5 * solvers._GRAM_REFRESH_CYCLES
     assert_same_solution(got, numpy_update_reference(gram, linear, 0.005, config=cfg))
+
+
+def test_cap_at_convergence_returns_the_record():
+    """With _MAX_ITERS at exactly the cycles a solve needs, the last cycle's
+    confirmation is the one that converges, and the solve returns the
+    record it returns uncapped; one cycle fewer raises ConvergenceError
+    with the confirmation's residual. The problems need one working set,
+    several sets, and a set long enough for gradient refreshes."""
+    for seed, m, n, lam, tol in [(3, 6, 30, 0.05, 1e-8), (7, 20, 25, 0.02, 1e-10),
+                                 (4, 13, 15, 0.005, 1e-10), (9, 30, 60, 0.01, 1e-8)]:
+        gram, linear = random_spin_gram(seed, m, n)
+        cfg = SolverConfig(tol=tol)
+        want = lasso_cd_gram(gram, linear, lam, config=cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_MAX_ITERS", want.iterations)
+            assert_same_solution(lasso_cd_gram(gram, linear, lam, config=cfg), want)
+            mp.setattr(solvers, "_MAX_ITERS", want.iterations - 1)
+            with pytest.raises(ConvergenceError) as err:
+                lasso_cd_gram(gram, linear, lam, config=cfg)
+        assert err.value.kkt_residual > tol
 
 
 def test_logistic_grad_matches_expit_form():
@@ -523,6 +545,32 @@ class TestLogistic:
             assert np.abs(theta_k - theta_o).max() <= math.sqrt(m) * (tol + eps_o) / mu + gtol
 
 
+def random_batch(seed, p, n):
+    """n random samples of p spins and a random subset of nodes in random
+    order."""
+    rng = np.random.default_rng(seed)
+    samples = random_samples(rng, p, n)
+    return samples, [int(v) for v in rng.permutation(p)[: int(rng.integers(1, p + 1))]]
+
+
+def company_batch(seed, p, n):
+    """n random samples of p spins, a sorted batch of nodes and the node r
+    in it whose company the batch is."""
+    rng = np.random.default_rng(seed)
+    samples = random_samples(rng, p, n)
+    r = int(rng.integers(p))
+    company = [v for v in range(p) if v != r and rng.random() < 0.5]
+    return samples, sorted(company + [r]), r
+
+
+# Examples whose batch mixes rows with 2^|W| >= n, which take the dense
+# products, with pattern rows (test_mixed_examples_hold_both_row_kinds)
+MIXED_COMPANY = dict(seed=0, p=6, n=6, lam=0.05)
+MIXED_FISTA = dict(seed=1, p=7, n=8, lam=0.05)
+MIXED_WIDE = dict(seed=0, p=10, n=9, lam=0.1)
+MIXED_REPEATS = dict(seed=11, p=10, n=9, lam=0.0234375)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -530,27 +578,19 @@ class TestLogistic:
     n=st.integers(4, 40),
     lam=st.floats(0.02, 0.5),
 )
+@example(**MIXED_COMPANY)
 def test_logistic_batch_independent_of_company(seed, p, n, lam):
     """A node's supports and KKT residual do not depend on which other
-    nodes share its batch, once with every row whose set has 2^w < n sign
-    patterns on the pattern path (_PATTERN_COST = 0) and once with the
-    shipped crossover, which sends some rows to the dense products."""
-    rng = np.random.default_rng(seed)
-    samples = SampleMatrix(rng.choice(np.array([-1, 1], dtype=np.int8), size=(n, p)))
+    nodes share its batch."""
+    samples, batch, r = company_batch(seed, p, n)
     cfg = SolverConfig(tol=1e-9)
-    r = int(rng.integers(p))
-    company = [v for v in range(p) if v != r and rng.random() < 0.5]
-    batch = sorted(company + [r])
-    for cost in (0, solvers._PATTERN_COST):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solvers, "_PATTERN_COST", cost)
-            alone, errors_alone = solve_logistic_l1_batch(samples, [r], lam, cfg)
-            shared, errors_shared = solve_logistic_l1_batch(samples, batch, lam, cfg)
-        assert not errors_alone and not errors_shared
-        assert alone[r].kkt_residual <= cfg.tol and shared[r].kkt_residual <= cfg.tol
-        assert alone[r].iterations == shared[r].iterations
-        hood = extract_signed_neighborhood(alone[r], r)
-        assert hood == extract_signed_neighborhood(shared[r], r)
+    alone, errors_alone = solve_logistic_l1_batch(samples, [r], lam, cfg)
+    shared, errors_shared = solve_logistic_l1_batch(samples, batch, lam, cfg)
+    assert not errors_alone and not errors_shared
+    assert alone[r].kkt_residual <= cfg.tol and shared[r].kkt_residual <= cfg.tol
+    assert alone[r].iterations == shared[r].iterations
+    hood = extract_signed_neighborhood(alone[r], r)
+    assert hood == extract_signed_neighborhood(shared[r], r)
 
 
 def assert_matches_fista_reference(samples, nodes, lam, tol):
@@ -600,17 +640,10 @@ def assert_matches_fista_reference(samples, nodes, lam, tol):
     lam=st.floats(0.02, 0.5),
     tol=st.sampled_from([1e-6, 1e-9]),
 )
+@example(tol=1e-9, **MIXED_FISTA)
 def test_logistic_batch_matches_fista_reference(seed, p, n, lam, tol):
-    """On a random problem and a random subset of nodes in random order,
-    once with every row whose set has 2^w < n sign patterns on the pattern
-    path (_PATTERN_COST = 0) and once with the shipped crossover."""
-    rng = np.random.default_rng(seed)
-    samples = random_samples(rng, p, n)
-    nodes = [int(v) for v in rng.permutation(p)[: int(rng.integers(1, p + 1))]]
-    for cost in (0, solvers._PATTERN_COST):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solvers, "_PATTERN_COST", cost)
-            assert_matches_fista_reference(samples, nodes, lam, tol)
+    """On a random problem and a random subset of nodes in random order."""
+    assert_matches_fista_reference(*random_batch(seed, p, n), lam, tol)
 
 
 def test_logistic_batch_matches_fista_reference_rr64():
@@ -634,49 +667,45 @@ def test_logistic_batch_matches_fista_reference_rr64():
     lam=st.floats(0.02, 0.5),
 )
 def test_logistic_pattern_rows_independent_of_company(seed, p, extra, lam):
-    """With n > 2^(p-1) samples and _PATTERN_COST = 0 every row takes the
-    pattern path, and a node's coefficients and iterations are bit-identical
-    alone and inside the batch of all nodes, whose rows have other widths.
-    The residual comes from the dense check gradient, a BLAS product whose
-    last bits depend on how many rows it holds, so it is held to tol."""
+    """With n > 2^(p-1) samples every set has 2^|W| < n sign patterns, so
+    every row takes the pattern path, and a node's coefficients and
+    iterations are bit-identical alone and inside the batch of all nodes,
+    whose rows have other widths. The residual comes from the dense check
+    gradient, a BLAS product whose last bits depend on how many rows it
+    holds, so it is held to tol."""
     rng = np.random.default_rng(seed)
     samples = random_samples(rng, p, 2 ** (p - 1) + extra)
     nodes = [int(v) for v in rng.permutation(p)]
     cfg = SolverConfig(tol=1e-9)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_PATTERN_COST", 0)
-        batch, errors = solve_logistic_l1_batch(samples, nodes, lam, cfg)
-        assert not errors
-        for r in nodes:
-            alone = solve_logistic_l1(samples, r, lam, cfg)
-            assert alone.coefficients.tobytes() == batch[r].coefficients.tobytes()
-            assert alone.iterations == batch[r].iterations
-            assert alone.kkt_residual <= cfg.tol and batch[r].kkt_residual <= cfg.tol
+    batch, errors = solve_logistic_l1_batch(samples, nodes, lam, cfg)
+    assert not errors
+    for r in nodes:
+        alone = solve_logistic_l1(samples, r, lam, cfg)
+        assert alone.coefficients.tobytes() == batch[r].coefficients.tobytes()
+        assert alone.iterations == batch[r].iterations
+        assert alone.kkt_residual <= cfg.tol and batch[r].kkt_residual <= cfg.tol
 
 
-@pytest.mark.parametrize("cost", [0, 3])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     p=st.integers(2, 12),
     n=st.integers(4, 80),
     lam=st.floats(0.02, 0.5),
 )
-@example(seed=11, p=10, n=9, lam=0.0234375)
-def test_logistic_batch_independent_of_chunking(cost, seed, p, n, lam):
+@example(**MIXED_REPEATS)
+@example(**MIXED_WIDE)
+def test_logistic_batch_independent_of_chunking(seed, p, n, lam):
     """With every width group of _pattern_groups split into groups of one
     row, each with its own codes, every node's coefficients, iterations,
     residual and objective are bit-identical to those with one einsum per
-    width. _PATTERN_COST = 0 puts every row with 2^w < n on the pattern
-    path; 3 sends the rows with 3 w 2^w > p n to the dense products, so one
-    batch takes both paths.
-    The example has n < p, columns that repeat up to sign and a small
+    width. The examples' batches also hold rows with 2^|W| >= n, which
+    take the dense products.
+    MIXED_REPEATS has n < p, columns that repeat up to sign and a small
     lambda: node 5 converges only because a node whose set is unchanged
     keeps its momentum at a check (restarted at every check, it stalls
     near residual 2e-6)."""
-    rng = np.random.default_rng(seed)
-    samples = random_samples(rng, p, n)
-    nodes = [int(v) for v in rng.permutation(p)[: int(rng.integers(1, p + 1))]]
+    samples, nodes = random_batch(seed, p, n)
     cfg = SolverConfig(tol=1e-9)
 
     def one_row_groups(bits, work, widths, n_samples):
@@ -685,9 +714,8 @@ def test_logistic_batch_independent_of_chunking(cost, seed, p, n, lam):
                         codes[i : i + 1] - (i << table.shape[0]))
                        for a, b, table, counts, codes in groups for i in range(b - a)]
 
+    default, errors_default = solve_logistic_l1_batch(samples, nodes, lam, cfg)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_PATTERN_COST", cost)
-        default, errors_default = solve_logistic_l1_batch(samples, nodes, lam, cfg)
         mp.setattr(solvers, "_pattern_groups", one_row_groups)
         one_row, errors_one_row = solve_logistic_l1_batch(samples, nodes, lam, cfg)
     assert not errors_default and not errors_one_row
@@ -730,9 +758,7 @@ def test_pattern_grad_matches_oracle(seed, p, n, scale):
     order = np.argsort(-mask.sum(axis=1), kind="stable")
     nodes, mask = nodes[order], mask[order]
     work, widths = _padded_sets(mask)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_PATTERN_COST", 0)
-        dense, groups = _pattern_groups((xt > 0).view(np.uint8), work, widths, n)
+    dense, groups = _pattern_groups((xt > 0).view(np.uint8), work, widths, n)
     assert dense == 0
     on_set = np.arange(work.shape[1]) < widths[:, None]
     theta_w = rng.normal(scale=scale, size=work.shape) * on_set
@@ -750,8 +776,7 @@ def test_pattern_grad_matches_oracle(seed, p, n, scale):
         assert not got[k, w:].any()
 
 
-@pytest.mark.parametrize("cost", [0, 3])
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     p=st.integers(2, 12),
@@ -759,12 +784,13 @@ def test_pattern_grad_matches_oracle(seed, p, n, scale):
     lam=st.one_of(st.floats(0.02, 0.5), st.floats(1.01, 5.0)),
 )
 @example(seed=0, p=6, n=50, lam=5.0)
-def test_logistic_objective_matches_oracle(cost, seed, p, n, lam):
+@example(**MIXED_WIDE)
+def test_logistic_objective_matches_oracle(seed, p, n, lam):
     """Every record's objective, taken at its converging check as
     (1/n) sum over patterns of count log 2cosh(margin) - theta . M[r]
     + lambda l1_norm(theta), equals logistic_objective_oracle at its
-    coefficients. _PATTERN_COST = 3 puts the rows with 3 w 2^w > p n on the
-    dense products, so one batch has both kinds of row. With E the machine
+    coefficients. The MIXED_WIDE example's batch has rows with 2^|W| >= n
+    on the dense products beside pattern rows. With E the machine
     epsilon and l1 = l1_norm(theta): each margin errs by at most p E l1,
     which log 2cosh passes on with Lipschitz constant 1; its terms are at
     most l1 + log 2 and their count-weighted sum over at most n patterns
@@ -772,12 +798,8 @@ def test_logistic_objective_matches_oracle(cost, seed, p, n, lam):
     by at most p E l1, and the oracle, summed exactly, by a few ulp. So the
     two differ by at most E (2 n + 4 p + 8) (1 + l1). With lambda above every
     |M_rj| every set is empty, theta is 0 and the objective is log 2 exactly."""
-    rng = np.random.default_rng(seed)
-    samples = random_samples(rng, p, n)
-    nodes = [int(v) for v in rng.permutation(p)[: int(rng.integers(1, p + 1))]]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_PATTERN_COST", cost)
-        solutions, errors = solve_logistic_l1_batch(samples, nodes, lam, SolverConfig(tol=1e-9))
+    samples, nodes = random_batch(seed, p, n)
+    solutions, errors = solve_logistic_l1_batch(samples, nodes, lam, SolverConfig(tol=1e-9))
     assert not errors and solutions.keys() == set(nodes)
     x, second = samples.as_float(), samples.second_moment()
     eps = np.finfo(float).eps
@@ -787,6 +809,58 @@ def test_logistic_objective_matches_oracle(cost, seed, p, n, lam):
         l1 = float(np.abs(sol.coefficients).sum())
         want = logistic_objective_oracle(x, r, sol.coefficients, lam)
         assert abs(sol.objective - want) <= eps * (2 * n + 4 * p + 8) * (1.0 + l1)
+
+
+@pytest.mark.parametrize("build, case", [
+    (company_batch, MIXED_COMPANY), (random_batch, MIXED_FISTA),
+    (random_batch, MIXED_WIDE), (random_batch, MIXED_REPEATS),
+])
+def test_mixed_examples_hold_both_row_kinds(monkeypatch, build, case):
+    """Each example batch named MIXED_* really mixes the two row kinds: some
+    call of _pattern_groups sends rows whose set has 2^|W| >= n sign
+    patterns to the dense products, beside rows on the pattern tables."""
+    mixed = []
+
+    def spy(bits, work, widths, n, _fn=solvers._pattern_groups):
+        dense, groups = _fn(bits, work, widths, n)
+        assert np.array_equal(np.exp2(widths) >= n, np.arange(widths.size) < dense)
+        mixed.append(dense > 0 and len(groups) > 0)
+        return dense, groups
+
+    monkeypatch.setattr(solvers, "_pattern_groups", spy)
+    samples, nodes = build(case["seed"], case["p"], case["n"])[:2]
+    solutions, errors = solve_logistic_l1_batch(samples, nodes, case["lam"], SolverConfig(tol=1e-9))
+    assert not errors and solutions.keys() == set(nodes)
+    assert any(mixed)
+
+
+def test_divergence_guard_at_checks(monkeypatch):
+    """With _MAX_COEF below the largest coefficients of a random problem at
+    lambda > 0, every node whose minimizer lies above the guard leaves the
+    batch with the "diverged" error and an infinite residual, and every
+    node that converges does so at or below it, as the guard and the KKT
+    test read the same check. A node whose working set is empty converges
+    at the first check with objective exactly log 2."""
+    rng = np.random.default_rng(47)
+    samples = random_samples(rng, 6, 40)
+    lam, cfg, cap = 0.2, SolverConfig(tol=1e-9), 0.2
+    free, errors = solve_logistic_l1_batch(samples, range(6), lam, cfg)
+    assert not errors
+    big = {r for r, sol in free.items() if np.abs(sol.coefficients).max() > 1.01 * cap}
+    empty = {r for r in range(6) if np.abs(np.delete(samples.second_moment()[r], r)).max() <= lam}
+    assert big and empty and not big & empty
+    monkeypatch.setattr(solvers, "_MAX_COEF", cap)
+    solutions, errors = solve_logistic_l1_batch(samples, range(6), lam, cfg)
+    assert solutions.keys() | errors.keys() == set(range(6))
+    assert not solutions.keys() & errors.keys()
+    assert big <= errors.keys()
+    for err in errors.values():
+        assert "diverged" in str(err) and err.kkt_residual == math.inf
+    for sol in solutions.values():
+        assert np.abs(sol.coefficients).max() <= cap and sol.kkt_residual <= cfg.tol
+    for r in empty:
+        assert not solutions[r].coefficients.any() and solutions[r].iterations == 1
+        assert solutions[r].objective == math.log(2.0)
 
 
 def test_unchanged_check_rebuilds_nothing(monkeypatch):
