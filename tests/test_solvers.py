@@ -571,6 +571,16 @@ MIXED_WIDE = dict(seed=0, p=10, n=9, lam=0.1)
 MIXED_REPEATS = dict(seed=11, p=10, n=9, lam=0.0234375)
 
 
+def dense_shifted(shift, _fn=_pattern_groups):
+    """_pattern_groups with the dense crossover moved down by 2^shift: a
+    row takes the products over all columns once its set has
+    2^|W| >= n >> shift sign patterns (every row once n < 2^shift). The
+    solver's results must not depend on where the crossover lies."""
+    def groups(bits, work, widths, n):
+        return _fn(bits, work, widths, max(1, n >> shift))
+    return groups
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -695,27 +705,32 @@ def test_logistic_pattern_rows_independent_of_company(seed, p, extra, lam):
 )
 @example(**MIXED_REPEATS)
 @example(**MIXED_WIDE)
-def test_logistic_batch_independent_of_chunking(seed, p, n, lam):
+@pytest.mark.parametrize("shift", [0, 3])
+def test_logistic_batch_independent_of_chunking(shift, seed, p, n, lam):
     """With every width group of _pattern_groups split into groups of one
     row, each with its own codes, every node's coefficients, iterations,
     residual and objective are bit-identical to those with one einsum per
     width. The examples' batches also hold rows with 2^|W| >= n, which
-    take the dense products.
+    take the dense products. shift = 3 moves the crossover down
+    (dense_shifted): a row goes dense once 2^|W| >= n >> 3, so the random
+    batches mix the two row kinds too.
     MIXED_REPEATS has n < p, columns that repeat up to sign and a small
     lambda: node 5 converges only because a node whose set is unchanged
     keeps its momentum at a check (restarted at every check, it stalls
     near residual 2e-6)."""
     samples, nodes = random_batch(seed, p, n)
     cfg = SolverConfig(tol=1e-9)
+    shifted = dense_shifted(shift)
 
     def one_row_groups(bits, work, widths, n_samples):
-        dense, groups = _pattern_groups(bits, work, widths, n_samples)
+        dense, groups = shifted(bits, work, widths, n_samples)
         return dense, [(a + i, a + i + 1, table, counts[i : i + 1],
                         codes[i : i + 1] - (i << table.shape[0]))
                        for a, b, table, counts, codes in groups for i in range(b - a)]
 
-    default, errors_default = solve_logistic_l1_batch(samples, nodes, lam, cfg)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_pattern_groups", shifted)
+        default, errors_default = solve_logistic_l1_batch(samples, nodes, lam, cfg)
         mp.setattr(solvers, "_pattern_groups", one_row_groups)
         one_row, errors_one_row = solve_logistic_l1_batch(samples, nodes, lam, cfg)
     assert not errors_default and not errors_one_row
@@ -785,12 +800,15 @@ def test_pattern_grad_matches_oracle(seed, p, n, scale):
 )
 @example(seed=0, p=6, n=50, lam=5.0)
 @example(**MIXED_WIDE)
-def test_logistic_objective_matches_oracle(seed, p, n, lam):
+@pytest.mark.parametrize("shift", [0, 3])
+def test_logistic_objective_matches_oracle(shift, seed, p, n, lam):
     """Every record's objective, taken at its converging check as
     (1/n) sum over patterns of count log 2cosh(margin) - theta . M[r]
     + lambda l1_norm(theta), equals logistic_objective_oracle at its
     coefficients. The MIXED_WIDE example's batch has rows with 2^|W| >= n
-    on the dense products beside pattern rows. With E the machine
+    on the dense products beside pattern rows; shift = 3 sends every row
+    with 2^|W| >= n >> 3 there (dense_shifted), so the random batches mix
+    the two kinds too. With E the machine
     epsilon and l1 = l1_norm(theta): each margin errs by at most p E l1,
     which log 2cosh passes on with Lipschitz constant 1; its terms are at
     most l1 + log 2 and their count-weighted sum over at most n patterns
@@ -799,7 +817,9 @@ def test_logistic_objective_matches_oracle(seed, p, n, lam):
     two differ by at most E (2 n + 4 p + 8) (1 + l1). With lambda above every
     |M_rj| every set is empty, theta is 0 and the objective is log 2 exactly."""
     samples, nodes = random_batch(seed, p, n)
-    solutions, errors = solve_logistic_l1_batch(samples, nodes, lam, SolverConfig(tol=1e-9))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_pattern_groups", dense_shifted(shift))
+        solutions, errors = solve_logistic_l1_batch(samples, nodes, lam, SolverConfig(tol=1e-9))
     assert not errors and solutions.keys() == set(nodes)
     x, second = samples.as_float(), samples.second_moment()
     eps = np.finfo(float).eps
