@@ -128,10 +128,14 @@ def gibbs_sample(graph: SignedGraph, n: int, config: SamplerConfig) -> SampleMat
     """Draw n spin configurations by single-site heat-bath Gibbs sampling.
 
     Each site update sets x_r = +1 with probability 1/(1 + exp(-2 h_r)),
-    h_r = sum_{t in N(r)} J_rt x_t. A sweep visits every site once
-    (grouped by graph coloring, which leaves the kernel unchanged since
-    same-color sites do not interact). It runs as h_r > g with threshold
-    g = log(u / (1 - u)) / 2, u drawn _BLOCK_UNIFORMS // p sweeps at a time:
+    h_r = sum_{t in N(r)} J_rt x_t. A sweep visits every site once, class
+    by class of a graph coloring (same-class sites do not interact). The
+    state is held in class order, so a class is one slice of it and its
+    rows of J one contiguous block; its step is three in-place calls on
+    buffers built once per chain (gemv into h, add the thresholds, copy the
+    signs into the slice), and vertex order is restored once at the end.
+    The update runs as h_r > g with threshold g = log(u / (1 - u)) / 2, u
+    drawn _BLOCK_UNIFORMS // p sweeps at a time and laid out class by class:
     a tie sets -1, as u = 1/2 does at h_r = 0, and u = 0 sets +1. The
     samples depend only on config.seed (with the graph, n and the sweep
     counts), not on the block size, since the generator's stream does not.
@@ -140,28 +144,34 @@ def gibbs_sample(graph: SignedGraph, n: int, config: SamplerConfig) -> SampleMat
     graph._require_couplings()
     p = graph.p
     rng = np.random.default_rng(config.seed)
-    J = graph.coupling_matrix()
     classes = _color_classes(graph)
-    class_rows = [J[c] for c in classes]
-    splits = np.cumsum([c.size for c in classes])[:-1]
+    order = np.concatenate(classes)
+    J = graph.coupling_matrix()[np.ix_(order, order)]
+    bounds = np.cumsum([0] + [c.size for c in classes])
     # The chain holds y = -x, so rows @ y + g = g - h and its sign is y's
     # update, a tie's +0 included. ndarray.dot is @'s gemv at half the cost.
-    y = np.where(rng.random(p) < 0.5, -1.0, 1.0)
+    # A sweep costs numpy's per-call overhead, not flops, so the calls take
+    # their out buffers by position and the ufuncs are bound to local names.
+    y = np.where(rng.random(p) < 0.5, -1.0, 1.0)[order]
+    steps = [(J[a:b], np.empty(b - a), y[a:b], np.ones(b - a)) for a, b in zip(bounds, bounds[1:])]
+    add, copysign = np.add, np.copysign
     total = config.burn_in_sweeps + n * config.thinning_sweeps
     block = max(1, _BLOCK_UNIFORMS // p)
-    out = np.empty((n, p), dtype=np.int8)
+    kept_y = np.empty((n, p), dtype=np.int8)
     for start in range(0, total, block):
         u = rng.random((min(block, total - start), p))
         with np.errstate(divide="ignore"):
             g = 0.5 * np.log(u / (1.0 - u))
-        class_g = np.split(g, splits, axis=1)
+        class_g = np.split(g, bounds[1:-1], axis=1)
         for s in range(len(g)):
-            for c, rows, gc in zip(classes, class_rows, class_g):
-                y[c] = np.copysign(1.0, rows.dot(y) + gc[s])
+            for (rows, h, y_c, ones), gc in zip(steps, class_g):
+                rows.dot(y, h)
+                add(h, gc[s], h)
+                copysign(ones, h, y_c)
             kept = start + s + 1 - config.burn_in_sweeps
             if kept > 0 and kept % config.thinning_sweeps == 0:
-                out[kept // config.thinning_sweeps - 1] = -y
-    return SampleMatrix(data=out)
+                kept_y[kept // config.thinning_sweeps - 1] = y
+    return SampleMatrix(data=-kept_y[:, np.argsort(order)])
 
 
 def _spin_table(bits: int) -> np.ndarray:

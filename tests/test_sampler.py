@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from isinglasso.graphs import (
 from isinglasso import sampler
 from isinglasso.sampler import (
     _BLOCK_UNIFORMS,
+    _color_classes,
     ExactMoments,
     SampleMatrix,
     SamplerConfig,
@@ -31,6 +33,7 @@ from isinglasso.sampler import (
     save_samples_text,
 )
 from isinglasso.bethe import rescaled_theta
+from isinglasso.experiment import ExperimentConfig, build_graph, trial_seed_for
 from isinglasso.witness import enumerate_z_statistics
 from conftest import random_paramagnetic_tree
 from oracles import enumeration_oracle, gibbs_reference
@@ -166,7 +169,12 @@ class TestGibbsMatchesReference:
     """The blocked threshold sampler and the per-class logistic loop of
     tests/oracles.py give bitwise-equal samples from one seed. They could
     differ only where a uniform lands within rounding of its update
-    probability, about 2^-52 per update."""
+    probability, about 2^-52 per update. The sampler holds its state in
+    class order, so its neighbour sum h runs over the columns in class
+    order and the reference's in vertex order. With equal magnitudes every
+    order gives the same double; with mixed magnitudes h may differ from
+    the reference's in its last bit, and a sample differs only if a
+    threshold falls in that gap."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -207,6 +215,47 @@ class TestGibbsMatchesReference:
             s = gibbs_sample(g, 4, cfg)
         assert (s.data == spin).all()
         assert np.array_equal(s.data, gibbs_reference(g, 4, cfg).data)
+
+
+def _sweep_rr32_chain():
+    """The first trial of a p = 32, beta = 5 rr cell at master seed 101, as
+    run_trial splits its seed: the graph and the chain of 520 samples."""
+    config = ExperimentConfig(family="rr", p_list=(32,), beta_grid=(5.0,), trials=1, master_seed=101)
+    ss = np.random.SeedSequence(trial_seed_for(101, 0, 0, 0))
+    graph_seed, coupling_seed, chain_seed = (int(s) for s in ss.generate_state(3))
+    cfg = SamplerConfig(
+        burn_in_sweeps=config.burn_in_sweeps, thinning_sweeps=config.thinning_sweeps, seed=chain_seed
+    )
+    return build_graph(config, 32, graph_seed, coupling_seed), config.sample_size(32, 5.0), cfg
+
+
+def _rr128_chain():
+    """An rr d = 3 graph at p = 128, mixed +/-0.4, whose greedy coloring has 4 classes."""
+    g = assign_couplings(generate_random_regular(128, 3, 0), CouplingScheme("mixed", 0.4), 7)
+    assert len(_color_classes(g)) == 4
+    return g, 100, SamplerConfig(burn_in_sweeps=200, thinning_sweeps=10, seed=11)
+
+
+def _tree40_chain():
+    """A random tree on 40 vertices with couplings of random sign and magnitude."""
+    return chain_graph("tree", 40, 3), 300, SamplerConfig(burn_in_sweeps=100, thinning_sweeps=3, seed=13)
+
+
+class TestGibbsGoldenDigests:
+    """sha256 of gibbs_sample's int8 samples for three fixed chains, recorded
+    from the vertex-ordered kernel before the chain state was held in class
+    order. gibbs_reference imports _color_classes and follows gibbs_sample's
+    uniform layout, so a change to either moves both sides of
+    test_bitwise_equal together; these digests pin the stream itself."""
+
+    @pytest.mark.parametrize("chain, digest", [
+        (_sweep_rr32_chain, "a24ef92ac09048a508095597016ea86d269fa405433a61e1a3b978caeb01ca26"),
+        (_rr128_chain, "b8f674079583383d6de83fd04c51699f8c5c52df703703d76fced01044847768"),
+        (_tree40_chain, "64524215bd239947b2670cca8da2f0e9a959dd78f0b3629e3559aad750842083"),
+    ], ids=["sweep_rr32", "rr128", "tree40"])
+    def test_stream_is_pinned(self, chain, digest):
+        g, n, cfg = chain()
+        assert hashlib.sha256(gibbs_sample(g, n, cfg).data.tobytes()).hexdigest() == digest
 
 
 class TestExactEnumerate:
