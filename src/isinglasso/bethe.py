@@ -164,7 +164,7 @@ def tree_moments(graph: SignedGraph) -> ExactMoments:
     log_z = graph.p * math.log(2.0) + sum(
         math.log(math.cosh(j)) for j in graph.couplings.values()
     )
-    return ExactMoments(mean=np.zeros(graph.p), covariance=cov, log_partition=log_z)
+    return ExactMoments(covariance=cov, log_partition=log_z)
 
 
 def rescaled_theta(graph: SignedGraph) -> RescaledParams:

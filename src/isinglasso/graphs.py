@@ -253,11 +253,10 @@ def generate_random_regular(p: int, d: int, seed: int) -> SignedGraph:
 def generate_grid_periodic(rows: int, cols: int) -> SignedGraph:
     """rows x cols square lattice with periodic boundary (torus, degree 4).
 
-    Both dimensions must be >= 3; shorter wrap-arounds would duplicate
-    edges and break simplicity.
+    Both dimensions must be integers >= 3; shorter wrap-arounds would
+    duplicate edges and break simplicity.
     """
-    if rows < 3 or cols < 3:
-        raise ValueError("periodic grid needs rows >= 3 and cols >= 3")
+    rows, cols = require_int("rows", rows, 3), require_int("cols", cols, 3)
     p = rows * cols
     edges = set()
     for i in range(rows):
@@ -391,9 +390,13 @@ def check_node(r: int, p: int, name: str = "node") -> int:
 
 def support_vertices(support, p: int, r: int) -> np.ndarray:
     """Sorted vertex labels of node r's support. Rejects a label that
-    check_node refuses, for r and every support vertex, and r itself."""
+    check_node refuses, for r and every support vertex, r itself and a
+    repeated vertex."""
     check_node(r, p)
     labels = sorted(check_node(v, p, "support vertex") for v in support)
     if r in labels:
         raise ValueError("support must not contain the regression vertex")
+    for a, b in zip(labels, labels[1:]):
+        if a == b:
+            raise ValueError(f"support vertex {a} is repeated")
     return np.asarray(labels, dtype=np.int64)

@@ -84,31 +84,32 @@ class SampleMatrix:
 
 @dataclass(frozen=True)
 class ExactMoments:
-    """Exact mean vector, covariance matrix and log partition function;
-    immutable once built, as mean and covariance are stored as read-only
-    float64 copies. Construction rejects moments whose E[x_i^2] fails
-    np.allclose(., 1, atol=1e-9), with numpy's default rtol of 1e-5, so
-    off 1 by more than about 1.0001e-5, or NaN: the unit diagonal the
-    Lasso kernel relies on."""
+    """Exact covariance matrix and log partition function; immutable once
+    built, as the covariance is stored as a read-only float64 copy. The
+    model has no external field, so the mean is exactly 0 and the
+    covariance is the second moment E[x x^T]. Construction rejects a
+    diagonal that fails np.allclose(., 1, atol=1e-9), with numpy's default
+    rtol of 1e-5, so off 1 by more than about 1.0001e-5, or NaN: the unit
+    diagonal the Lasso kernel relies on."""
 
-    mean: np.ndarray
     covariance: np.ndarray
     log_partition: float
 
     def __post_init__(self):
-        for name in ("mean", "covariance"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        second = self.covariance + np.outer(self.mean, self.mean)
-        if not np.allclose(np.diag(second), 1.0, atol=1e-9):
+        cov = np.array(self.covariance, dtype=np.float64)
+        cov.setflags(write=False)
+        object.__setattr__(self, "covariance", cov)
+        if not np.allclose(np.diag(cov), 1.0, atol=1e-9):
             raise ValueError("E[x x^T] must have unit diagonal for +/-1 spins")
-        second.setflags(write=False)
-        object.__setattr__(self, "_second_moment", second)
+
+    @property
+    def mean(self) -> np.ndarray:
+        """E[x], exactly 0; derived, not stored (perfbench reads its size)."""
+        return np.zeros(self.covariance.shape[0])
 
     def second_moment(self) -> np.ndarray:
-        """E[x x^T], built once at construction and cached read-only."""
-        return self._second_moment
+        """E[x x^T]: the covariance itself, read-only."""
+        return self.covariance
 
 
 def _color_classes(graph: SignedGraph) -> list[np.ndarray]:
@@ -267,8 +268,7 @@ def _enumeration_pass(graph: SignedGraph) -> ExactMoments:
     sums[lo, low:] = sums[low:, lo].T
     sums[low:p, low:p] = (hs * per_high[:, low:]).T @ hs
     total = sums[p, p]
-    return ExactMoments(mean=np.zeros(p), covariance=sums[:p, :p] / total,
-                        log_partition=top + math.log(2.0 * total))
+    return ExactMoments(covariance=sums[:p, :p] / total, log_partition=top + math.log(2.0 * total))
 
 
 def estimate_magnetization(samples: SampleMatrix) -> np.ndarray:

@@ -40,7 +40,6 @@ from .graphs import SignedGraph, check_node, require_number, signed_neighborhood
 from .sampler import SampleMatrix
 
 ACTIVE_TOL = 1e-8
-_GRAM_REFRESH_CYCLES = 50
 _KKT_CHECK_EVERY = 10  # logistic only; CD checks every cycle
 _MAX_COEF = 1e3  # divergence guard (logistic, lambda = 0), taken at each check
 _MAX_ITERS = 100_000  # CD cycles or FISTA iterations before ConvergenceError
@@ -99,12 +98,12 @@ def predictor_vertices(p: int, r: int) -> np.ndarray:
 
 
 def _kkt_residual(theta: np.ndarray, grad: np.ndarray, lam: float, idx=slice(None)):
-    """LassoSolution's stationarity residual over the rows idx; one value
-    per column for 2-D input."""
+    """LassoSolution's stationarity residual over the entries idx of a
+    vector, or over every entry of each row of a 2-D input."""
     th = theta[idx]
     g = grad[idx]
     res = np.where(th != 0.0, np.abs(g + lam * np.sign(th)), np.abs(g) - lam)
-    return np.maximum(res.max(axis=0, initial=0.0), 0.0)
+    return np.maximum(res.max(axis=-1, initial=0.0), 0.0)
 
 
 def _work_residual(theta, grad, lam: float) -> float:
@@ -190,14 +189,14 @@ def lasso_cd_gram(
     the whole gradient at a cost of O(|W|) per update instead of a fixed
     cost per call: less on the narrow sets of the callers' penalties,
     more on sets of a few dozen coordinates and up (docs/decisions.md).
-    The refresh every _GRAM_REFRESH_CYCLES cycles takes the full product
-    G theta, and so does the confirmation, which follows each solved set
-    and the last of the _MAX_ITERS cycles and is the one exit: on a
-    drift-free gradient over the whole support it returns at convergence
-    or at an exact fixed point, grows the set, or raises ConvergenceError
-    when the cycles ran out. The objective is read from its gradient
-    G theta - b as 0.5 theta . (G theta - 2 b) + 0.5. Raises ValueError
-    for a lambda that is not a finite number >= 0.
+    The confirmation is the one place the full product G theta is formed:
+    it follows each solved set and the last of the _MAX_ITERS cycles and
+    is the one exit, and on that drift-free gradient over the whole
+    support it returns at convergence or at an exact fixed point, grows
+    the set, or raises ConvergenceError when the cycles ran out. The
+    objective is read from its gradient G theta - b as
+    0.5 theta . (G theta - 2 b) + 0.5. Raises ValueError for a lambda that
+    is not a finite number >= 0.
     """
     cfg = config or SolverConfig()
     lam = require_number("lambda", lam)
@@ -221,10 +220,6 @@ def lasso_cd_gram(
         while iterations < _MAX_ITERS:
             iterations += 1
             max_delta = _cd_cycle(block, th, g, lam)
-            if iterations % _GRAM_REFRESH_CYCLES == 0:
-                theta[idx] = th
-                grad = gram @ theta - linear  # shed accumulated float drift
-                g = grad[idx].tolist()
             if max_delta == 0.0 or _work_residual(th, g, lam) <= cfg.tol:
                 break  # the set is solved
         theta[idx] = th
@@ -458,8 +453,9 @@ def solve_logistic_l1_batch(
     margins, as log(1 + exp(-2yu)) = log 2cosh(u) - yu for y = +-1 gives
     (1/n) sum_i log 2cosh(u_i) - theta . M[r] + lambda l1_norm(theta):
     exactly log 2 on an empty set. Each converged node's record is built
-    after the loop from what its converging check stored (_finalize), and
-    entry r is cut from it.
+    at that check from its iterate, gradient, loss and residual there
+    (_finalize), and entry r is cut from it; solutions are keyed in the
+    order the nodes converge.
     Each sample's curvature 4 sigma (1 - sigma) = sech^2 is at most 1, so
     the Hessian restricted to W is bounded by M[W, W], a principal block of
     the second moment M: each node steps by 1 / lambda_max of its own block.
@@ -487,8 +483,7 @@ def solve_logistic_l1_batch(
                     "has no minimizer (coefficients diverge)", kkt_residual=float("inf"))
     nodes = np.array([r for r in nodes if r not in errors], dtype=np.int64)
     second = samples.second_moment()
-    theta_final, grad_final = np.zeros((nodes.size, p)), np.zeros((nodes.size, p))
-    loss_final, iterations = np.zeros(nodes.size), np.zeros(nodes.size, dtype=np.int64)
+    solutions: dict[int, LassoSolution] = {}
     kkt = np.full(nodes.size, np.inf)
     # the active rows only, widest working set first and compacted at the
     # check where a node leaves: row k is node act[k]
@@ -528,21 +523,23 @@ def solve_logistic_l1_batch(
         np.put_along_axis(dense, work, new, axis=1)
         s = _check_tanh(xt, dense_rows, groups, dense[:, :p], new, tanh_buf[:act.size])
         grad = _logistic_grad(xt, s, linear[:, :p], pinned)
-        kkt[act] = _kkt_residual(dense[:, :p].T, grad.T, lam)
+        kkt[act] = _kkt_residual(dense[:, :p], grad, lam)
         diverged = np.abs(new).max(axis=1) > _MAX_COEF
         for j in act[diverged]:
             errors[int(nodes[j])] = ConvergenceError(
                 "logistic coefficients diverged (with lambda = 0 this means the "
                 "data are separable and no minimizer exists)", kkt_residual=float("inf"))
         converged = (kkt[act] <= cfg.tol) & ~diverged
-        # a converged row keeps its iterate, gradient and residual, and its
-        # loss there: log(1 + exp(-2yu)) = log 2cosh(u) - yu for y = +-1, so
+        # a converged row's record, from its iterate, gradient and residual
+        # (the pinned entry adds |0| - lam < 0), and its loss there:
+        # log(1 + exp(-2yu)) = log 2cosh(u) - yu for y = +-1, so
         # (1/n) sum_i log 2cosh(u_i) - theta . M[r]
         k = np.flatnonzero(converged)
-        j = act[k]
-        theta_final[j], grad_final[j], iterations[j] = dense[k, :p], grad[k], it
-        loss_final[j] = (_mean_log_cosh(xt, dense_rows, groups, dense[:, :p], new, k)
-                         - np.einsum("kp,kp->k", dense[k, :p], linear[k, :p]))
+        loss = (_mean_log_cosh(xt, dense_rows, groups, dense[:, :p], new, k)
+                - np.einsum("kp,kp->k", dense[k, :p], linear[k, :p]))
+        for i, j, loss_i in zip(k, act[k], loss.tolist()):
+            r = int(nodes[j])
+            solutions[r] = _cut(_finalize(dense[i, :p], grad[i], loss_i, lam, it, kkt[j]), r)
         mask = (dense[:, :p] != 0.0) | (np.abs(grad) > lam)
         was = np.zeros((act.size, p + 1), dtype=bool)
         np.put_along_axis(was, work, True, axis=1)
@@ -572,11 +569,7 @@ def solve_logistic_l1_batch(
         errors[int(nodes[j])] = ConvergenceError(
             f"proximal gradient did not converge in {_MAX_ITERS} iterations "
             f"(residual {kkt[j]:.3e})", kkt_residual=float(kkt[j]))
-    # each residual is that of the node's converging check: the pinned entry
-    # adds |0| - lam < 0
-    return {int(nodes[j]): _cut(_finalize(theta_final[j], grad_final[j], float(loss_final[j]),
-                                          lam, int(iterations[j]), kkt[j]), nodes[j])
-            for j in np.flatnonzero(iterations)}, errors
+    return solutions, errors
 
 
 def solve_logistic_l1(

@@ -155,7 +155,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("family, p, message", [
         ("grid", 10, "grid family needs a square p, got 10"),
-        ("grid", 4, "periodic grid needs rows >= 3 and cols >= 3"),
+        ("grid", 4, "rows must be an integer >= 3, got 2"),
         ("star_linear", 1, "hub degree must be <= p-1"),
         ("star_log", 1, "hub degree must be an integer >= 1, got 0"),
         ("tree", 1, "p must be an integer >= 2, got 1"),

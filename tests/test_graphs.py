@@ -165,6 +165,17 @@ class TestGridPeriodic:
         with pytest.raises(ValueError):
             generate_grid_periodic(2, 4)
 
+    @pytest.mark.parametrize("rows, cols, name, value", [
+        (3.0, 3, "rows", 3.0), (True, 3, "rows", True), (3, "4", "cols", "4"),
+        (3, np.int64(2), "cols", np.int64(2)),
+    ])
+    def test_dimensions_follow_the_integer_rule(self, rows, cols, name, value):
+        """A float, a bool or a string is refused by the integer rule, not
+        by range() or as a short side, and a short side by the same rule."""
+        message = f"{name} must be an integer >= 3, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_grid_periodic(rows, cols)
+
     def test_rectangular(self):
         g = generate_grid_periodic(3, 5)
         assert len(g.edges) == 2 * 15

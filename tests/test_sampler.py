@@ -583,32 +583,32 @@ class TestSampleFileFuzz:
 
 class TestMomentsType:
     def test_second_moment_identity(self):
-        m = ExactMoments(mean=np.array([0.5]), covariance=np.array([[0.75]]), log_partition=0.0)
-        assert abs(m.second_moment()[0, 0] - 1.0) < 1e-15
+        """With no external field the second moment is the covariance, and
+        the mean is zero."""
+        m = ExactMoments(covariance=np.array([[1.0, 0.3], [0.3, 1.0]]), log_partition=0.0)
+        assert m.second_moment() is m.covariance
+        assert m.mean.tolist() == [0.0, 0.0]
 
     def test_moments_read_only(self):
-        mean, cov = np.array([0.5, 0.0]), np.array([[0.75, 0.1], [0.1, 1.0]])
-        m = ExactMoments(mean=mean, covariance=cov, log_partition=0.0)
-        mean[0] = cov[0, 0] = 0.0  # the record holds copies
-        assert m.mean[0] == 0.5 and m.covariance[0, 0] == 0.75
-        for arr in (m.mean, m.covariance, exact_enumerate(free_graph(3)).covariance):
+        cov = np.array([[1.0, 0.1], [0.1, 1.0]])
+        m = ExactMoments(covariance=cov, log_partition=0.0)
+        cov[0, 1] = 0.0  # the record holds a copy
+        assert m.covariance[0, 1] == 0.1
+        for arr in (m.covariance, exact_enumerate(free_graph(3)).covariance):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] += 1.0
 
     def test_second_moment_cached_read_only(self):
-        m = ExactMoments(mean=np.array([0.5, 0.0]), covariance=np.array([[0.75, 0.1], [0.1, 1.0]]),
-                         log_partition=0.0)
+        m = ExactMoments(covariance=np.array([[1.0, 0.1], [0.1, 1.0]]), log_partition=0.0)
         assert m.second_moment() is m.second_moment()
         assert not m.second_moment().flags.writeable
 
     @pytest.mark.parametrize("off", [2e-5, -2e-5, np.nan])
     def test_diagonal_off_one_rejected(self, off):
         with pytest.raises(ValueError, match="unit diagonal"):
-            ExactMoments(mean=np.array([0.5, 0.0]), covariance=np.diag([0.75, 1.0 + off]),
-                         log_partition=0.0)
+            ExactMoments(covariance=np.diag([1.0, 1.0 + off]), log_partition=0.0)
 
     @pytest.mark.parametrize("off", [1e-6, -1e-6])
     def test_diagonal_within_tolerance_accepted(self, off):
-        m = ExactMoments(mean=np.array([0.5, 0.0]), covariance=np.diag([0.75, 1.0 + off]),
-                         log_partition=0.0)
+        m = ExactMoments(covariance=np.diag([1.0, 1.0 + off]), log_partition=0.0)
         assert m.second_moment()[1, 1] == 1.0 + off

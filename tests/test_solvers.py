@@ -316,8 +316,6 @@ def numpy_update_reference(gram, linear, lam, support=None, config=None):
                 grad += gram[j] * delta
                 theta[j] = new
                 max_delta = max(max_delta, abs(delta))
-        if iterations % solvers._GRAM_REFRESH_CYCLES == 0:
-            grad = gram @ theta - linear
         if max_delta == 0.0 or _kkt_residual(theta, grad, lam, np.array(work, dtype=np.int64)) <= tol:
             grad = gram @ theta - linear
             kkt = _kkt_residual(theta, grad, lam, support_idx)
@@ -354,8 +352,8 @@ def test_float_cycles_match_numpy_updates(seed, m, n, lam, share, tol):
     record the numpy updates of the whole gradient give, bit for bit:
     each update is the same multiply and add on the entries of W, and
     nothing reads the entries off W before the next full product. Random
-    supports, narrow and wide sets; many draws run past a gradient
-    refresh."""
+    supports, narrow and wide sets; some draws cycle one set for dozens of
+    cycles."""
     gram, linear = random_spin_gram(seed, m, n)
     support = np.flatnonzero(np.random.default_rng(seed + 1).random(m) < share)
     if support.size == 0:
@@ -366,13 +364,13 @@ def test_float_cycles_match_numpy_updates(seed, m, n, lam, share, tol):
 
 
 def test_float_cycles_match_numpy_updates_past_refreshes():
-    """A problem whose working set needs hundreds of cycles, so its
-    gradient is refreshed several times mid-set, gives the numpy updates'
-    record bit for bit."""
+    """A problem whose working set needs hundreds of cycles, with no full
+    product G theta between them, gives the numpy updates' record bit for
+    bit."""
     gram, linear = random_spin_gram(4, 13, 15)
     cfg = SolverConfig(tol=1e-10)
     got = lasso_cd_gram(gram, linear, 0.005, config=cfg)
-    assert got.iterations > 5 * solvers._GRAM_REFRESH_CYCLES
+    assert got.iterations > 250
     assert_same_solution(got, numpy_update_reference(gram, linear, 0.005, config=cfg))
 
 
@@ -381,7 +379,7 @@ def test_cap_at_convergence_returns_the_record():
     confirmation is the one that converges, and the solve returns the
     record it returns uncapped; one cycle fewer raises ConvergenceError
     with the confirmation's residual. The problems need one working set,
-    several sets, and a set long enough for gradient refreshes."""
+    several sets, and a set of hundreds of cycles."""
     for seed, m, n, lam, tol in [(3, 6, 30, 0.05, 1e-8), (7, 20, 25, 0.02, 1e-10),
                                  (4, 13, 15, 0.005, 1e-10), (9, 30, 60, 0.01, 1e-8)]:
         gram, linear = random_spin_gram(seed, m, n)
@@ -883,6 +881,29 @@ def test_divergence_guard_at_checks(monkeypatch):
         assert solutions[r].objective == math.log(2.0)
 
 
+def test_logistic_iteration_cap(monkeypatch):
+    """With _MAX_ITERS below the iterations one node needs, that node alone
+    fails with "did not converge" and the residual of its last check,
+    finite and above tol; every node that converged in the same batch
+    keeps the record of the uncapped solve byte for byte, as it was built
+    at its converging check."""
+    samples = random_samples(np.random.default_rng(47), 6, 40)
+    cfg = SolverConfig(tol=1e-9)
+    free, errors = solve_logistic_l1_batch(samples, range(6), 0.2, cfg)
+    assert not errors
+    top = max(sol.iterations for sol in free.values())
+    slow = {r for r, sol in free.items() if sol.iterations == top}
+    assert len(slow) == 1
+    monkeypatch.setattr(solvers, "_MAX_ITERS", top - 1)
+    solutions, errors = solve_logistic_l1_batch(samples, range(6), 0.2, cfg)
+    assert errors.keys() == slow and solutions.keys() == free.keys() - slow
+    for err in errors.values():
+        assert "did not converge" in str(err)
+        assert math.isfinite(err.kkt_residual) and err.kkt_residual > cfg.tol
+    for r, sol in solutions.items():
+        assert_same_solution(sol, free[r])
+
+
 def test_unchanged_check_rebuilds_nothing(monkeypatch):
     """A logistic check that changes no working set and sees no row leave
     calls neither _pattern_groups nor _block_steps: no call of either
@@ -919,19 +940,26 @@ def test_logistic_batch_finishes_as_per_node_finalize(monkeypatch):
     takes the residual again from the node's final iterate and gradient
     over the predictors alone, bit for bit: the pinned entry the check also
     sees adds |0| - lambda < 0, below the floor of 0. The cut record is the
-    full one without entry r."""
-    calls = []
-    finalize = solvers._finalize
+    full one without entry r, which the _cut call names."""
+    calls = {}
+    finalize, cut = solvers._finalize, solvers._cut
+    finalized = []
 
-    def spy(theta, grad, loss, lam, iterations, kkt):
+    def finalize_spy(theta, grad, loss, lam, iterations, kkt):
         got = finalize(theta, grad, loss, lam, iterations, kkt)
-        r = len(calls)  # every node converges, in order: the k-th record is node k's
-        want = finalize_reference(theta.copy(), grad.copy(), loss, lam, iterations,
-                                  np.delete(np.arange(theta.size), r))
-        calls.append((dataclasses.replace(got), want))  # a copy the cut leaves alone
+        finalized.append((theta.copy(), grad.copy(), loss, lam, iterations))
         return got
 
-    monkeypatch.setattr(solvers, "_finalize", spy)
+    def cut_spy(solution, r):
+        assert len(finalized) == 1 and r not in calls  # each cut follows its own finalize
+        theta, grad, loss, lam, iterations = finalized.pop()
+        want = finalize_reference(theta, grad, loss, lam, iterations,
+                                  np.delete(np.arange(theta.size), r))
+        calls[r] = (dataclasses.replace(solution), want)  # a copy the cut leaves alone
+        return cut(solution, r)
+
+    monkeypatch.setattr(solvers, "_finalize", finalize_spy)
+    monkeypatch.setattr(solvers, "_cut", cut_spy)
     rng = np.random.default_rng(27)
     g = assign_couplings(generate_random_regular(64, 3, 5), CouplingScheme.mixed(0.4), seed=6)
     sets = [gibbs_sample(g, 700, SamplerConfig(seed=7)), random_samples(rng, 9, 60),
@@ -939,12 +967,11 @@ def test_logistic_batch_finishes_as_per_node_finalize(monkeypatch):
     for samples, lam in zip(sets, (0.1, 0.05, 0.0)):
         solutions, errors = solve_logistic_l1_batch(samples, range(samples.p), lam)
         assert not errors and len(solutions) == samples.p
-        assert len(calls) == samples.p
-        for r, (got, want) in enumerate(calls):
+        assert calls.keys() == set(range(samples.p))
+        for r, (got, want) in calls.items():
             assert_same_solution(got, want)
-            cut = solutions[r]
-            assert cut.coefficients.tobytes() == np.delete(got.coefficients, r).tobytes()
-            assert cut.subgradient.tobytes() == np.delete(got.subgradient, r).tobytes()
+            assert solutions[r].coefficients.tobytes() == np.delete(got.coefficients, r).tobytes()
+            assert solutions[r].subgradient.tobytes() == np.delete(got.subgradient, r).tobytes()
         calls.clear()
 
 

@@ -443,6 +443,21 @@ class TestNodeRange:
         with pytest.raises(ValueError, match="^support must be nonempty$"):
             entry()
 
+    @pytest.mark.parametrize("call", ["support_conditions", "sample_covariance", "construct_witness"])
+    def test_repeated_support_vertex_rejected(self, tree_fixture, call):
+        """A repeated label is named at entry, not measured as a singular
+        support block (eig_min_ss 0, incoherence inf) or refused by the
+        witness as one."""
+        g, params = tree_fixture
+        moments = tree_moments(g)
+        entry = {
+            "support_conditions": lambda: support_conditions(moments.second_moment(), 0, [2, 1, 2]),
+            "sample_covariance": lambda: sample_covariance(moments, 0, [2, 1, 2]),
+            "construct_witness": lambda: construct_witness(moments, 0, [2, 1, 2], params, lam=0.1),
+        }[call]
+        with pytest.raises(ValueError, match="^support vertex 2 is repeated$"):
+            entry()
+
 
 class TestConditionChecks:
     def test_population_targets_met_exactly(self, tree_fixture):
