@@ -38,7 +38,6 @@ from .sampler import (
     ExactMoments,
     SampleMatrix,
     SamplerConfig,
-    estimate_magnetization,
     exact_enumerate,
     gibbs_sample,
 )

@@ -11,8 +11,10 @@ import itertools
 import json
 import math
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -83,13 +85,16 @@ class CouplingScheme:
 
 @dataclass(frozen=True)
 class SignedGraph:
-    """Undirected simple graph with optional nonzero edge couplings."""
+    """Undirected simple graph with optional nonzero edge couplings, held as
+    a read-only copy: the couplings checked here are the ones every reader
+    sees, whatever the caller later does to the mapping it passed."""
 
     p: int
     edges: tuple[Edge, ...]
-    couplings: dict[Edge, float] = field(default_factory=dict)
+    couplings: Mapping[Edge, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "couplings", MappingProxyType(dict(self.couplings)))
         require_int("vertex count p", self.p, 1)
         seen = set()
         for r, t in self.edges:
@@ -110,6 +115,10 @@ class SignedGraph:
                     raise ValueError(f"zero coupling on edge {e}")
         # canonical storage order for deterministic serialization
         object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle, and spawned workers are sent graphs
+        return SignedGraph, (self.p, self.edges, dict(self.couplings))
 
     @cached_property
     def degrees(self) -> np.ndarray:

@@ -190,11 +190,10 @@ def exact_enumerate(graph: SignedGraph) -> ExactMoments:
     """Exact moments by summing over the 2^p configurations; capped at
     p <= ENUMERATION_CAP.
 
-    The first call makes the pass and stores its record on the graph, with
-    a copy of the couplings it was computed from; a later call returns that
-    record while graph.couplings still equals the copy, so every caller of
-    one graph (enumerate_z_statistics for each node, say) shares one pass,
-    and a changed coupling dict gets a fresh one. The record is read-only.
+    The first call makes the pass and stores its record on the graph, whose
+    couplings are read-only; a later call returns that record, so every
+    caller of one graph (enumerate_z_statistics for each node, say) shares
+    one pass. The record is read-only.
     """
     if graph.p > ENUMERATION_CAP:
         raise ValueError(
@@ -202,10 +201,10 @@ def exact_enumerate(graph: SignedGraph) -> ExactMoments:
         )
     graph._require_couplings()
     stored = graph.__dict__.get("_exact_moments")
-    if stored is None or stored[0] != graph.couplings:
-        stored = (dict(graph.couplings), _enumeration_pass(graph))
+    if stored is None:
+        stored = _enumeration_pass(graph)
         object.__setattr__(graph, "_exact_moments", stored)
-    return stored[1]
+    return stored
 
 
 def _enumeration_pass(graph: SignedGraph) -> ExactMoments:
@@ -269,16 +268,6 @@ def _enumeration_pass(graph: SignedGraph) -> ExactMoments:
     sums[low:p, low:p] = (hs * per_high[:, low:]).T @ hs
     total = sums[p, p]
     return ExactMoments(covariance=sums[:p, :p] / total, log_partition=top + math.log(2.0 * total))
-
-
-def estimate_magnetization(samples: SampleMatrix) -> np.ndarray:
-    """Per-spin empirical means (zero in the paramagnetic phase)."""
-    return samples.as_float().mean(axis=0)
-
-
-def magnetization_warning_threshold(n: int) -> float:
-    """|mean| above this on paramagnetic data suggests a mixing problem."""
-    return 15.0 / np.sqrt(n)
 
 
 def save_samples_text(samples: SampleMatrix, path: str) -> None:

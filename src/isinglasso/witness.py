@@ -33,10 +33,15 @@ from .sampler import ExactMoments, SampleMatrix, exact_enumerate
 from .solvers import SolverConfig, lasso_cd_gram
 
 
-def _regression_row(theta_tilde: RescaledParams, r: int) -> np.ndarray:
+def _regression_row(theta_tilde: RescaledParams, r: int, p: int) -> np.ndarray:
     """theta_tilde for node r's regression by vertex label: row r with entry
-    r, which is no predictor, set to 0."""
-    check_node(r, theta_tilde.matrix.shape[0])
+    r, which is no predictor, set to 0. A theta_tilde for other than the
+    data's p vertices, or an r outside 0..p-1, raises ValueError."""
+    if theta_tilde.matrix.shape[0] != p:
+        raise ValueError(
+            f"theta_tilde is for p = {theta_tilde.matrix.shape[0]} vertices, data has p = {p}"
+        )
+    check_node(r, p)
     row = theta_tilde.matrix[r].copy()
     row[r] = 0.0
     return row
@@ -101,12 +106,7 @@ def compute_noise_vector(
     x_t = -sign(theta_tilde_t) gives 1 + l1_norm(theta_tilde).
     """
     second = data.second_moment()
-    if theta_tilde.matrix.shape[0] != second.shape[0]:
-        raise ValueError(
-            f"theta_tilde is for p = {theta_tilde.matrix.shape[0]} vertices, "
-            f"data has p = {second.shape[0]}"
-        )
-    tt = _regression_row(theta_tilde, r)
+    tt = _regression_row(theta_tilde, r, second.shape[0])
     b, qt = second[:, r], second @ tt
     if isinstance(data, ExactMoments):
         max_abs = 1.0 + np.abs(tt).sum()
@@ -128,7 +128,7 @@ def enumerate_z_statistics(
 ) -> NoiseVector:
     """compute_noise_vector on the exact moments of the 2^p enumeration,
     the record exact_enumerate stores on the graph: one pass serves every
-    node of a graph whose couplings do not change."""
+    node of a graph."""
     return compute_noise_vector(exact_enumerate(graph), r, theta_tilde)
 
 
@@ -237,15 +237,15 @@ def construct_witness(
     c_min and alpha are measured on the supplied data; check_conditions
     compares them with closed-form targets. Raises SingularMatrixError
     when the support block is singular and ValueError for a lambda that is
-    not a finite number > 0, an empty support (support_conditions' rule) or
-    r outside 0..p-1.
+    not a finite number > 0, an empty support (support_conditions' rule),
+    r outside 0..p-1 or a theta_tilde for another p.
     """
     if require_number("lambda", lam) <= 0:
         raise ValueError("witness construction needs lambda > 0")
-    tt = _regression_row(theta_tilde, r)
+    second = data.second_moment()
+    tt = _regression_row(theta_tilde, r, second.shape[0])
     s = support_vertices(support, tt.size, r)
     cfg = config or SolverConfig()
-    second = data.second_moment()
     off = np.ones(tt.size, dtype=bool)
     off[s] = off[r] = False
     off = np.flatnonzero(off)

@@ -11,7 +11,8 @@ removed: no library code, CLI command or benchmark called them.
 `rescaled_theta_rr` was folded into `rr_constants`, whose `theta_tilde_rr`
 field holds the same magnitude. `tail_rate_probe` moved to the tests
 (`tests/oracles.py`), its only callers, with its penalty taken from
-`lambda_from_kappa`.
+`lambda_from_kappa`. `estimate_magnetization` was removed: the sweep's
+mixing check, its only caller, reads the spin means in `run_trial`.
 """
 import types
 
@@ -45,7 +46,6 @@ EXPORTED = {
     "construct_witness",
     "crossing_half",
     "enumerate_z_statistics",
-    "estimate_magnetization",
     "exact_enumerate",
     "extract_signed_neighborhood",
     "generate_bethe_tree",

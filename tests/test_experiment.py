@@ -200,7 +200,6 @@ class TestConfig:
         assert cfg.sample_size(32, 1.0) == round(10 * 3 * math.log(32))
         assert cfg.sample_size(32, 1e-9) == 2  # floor
         grid = tiny_config(family="grid", p_list=(16,))
-        assert grid.factor == 15
         assert grid.sample_size(16, 1.0) == round(15 * 4 * math.log(16))
 
     def test_degree_rules(self):
@@ -300,6 +299,17 @@ class TestRunSweep:
         for chunksize in (experiment.CHUNKSIZE, 1):
             monkeypatch.setattr(experiment, "CHUNKSIZE", chunksize)
             assert outcomes(run_sweep(tiny_config(), workers=2)) == serial
+
+    def test_frozen_chain_is_flagged(self):
+        """At coupling 2.0 on rr d=3 the chain barely moves, so some spin's
+        mean over n = 250 samples stays above 15/sqrt(250) < 1: each trial
+        raises the mixing warning and the manifest counts all three."""
+        cfg = tiny_config(p_list=(16,), beta_grid=(3.0,), trials=3, coupling_value=2.0)
+        seed = trial_seed_for(cfg.master_seed, 0, 0, 0)
+        assert run_trial(cfg, 16, 3.0, seed).magnetization_warning
+        result = run_sweep(cfg)
+        assert result.curves[("lasso", 16)][0].n == 250
+        assert result.manifest["magnetization_warnings"] == 3
 
     def test_pool_bounded_by_tasks(self, monkeypatch):
         """--workers 64 on a 4-trial sweep asks for 4 processes; the

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from isinglasso.sampler import (
     ExactMoments,
     SampleMatrix,
     SamplerConfig,
-    estimate_magnetization,
     exact_enumerate,
     gibbs_sample,
     load_samples_binary,
@@ -85,7 +85,7 @@ class TestGibbs:
 
     def test_free_spins_are_fair_coins(self):
         s = gibbs_sample(free_graph(4), 100_000, SamplerConfig(burn_in_sweeps=0, thinning_sweeps=1, seed=3))
-        means = estimate_magnetization(s)
+        means = s.as_float().mean(axis=0)
         assert np.abs(means).max() < 0.02
         x = s.as_float()
         cov = x.T @ x / s.n - np.outer(means, means)
@@ -326,8 +326,8 @@ class TestExactEnumerate:
 
 class TestOnePassPerGraph:
     """exact_enumerate stores its record on the graph: every later call, and
-    enumerate_z_statistics at every node, reads it while the couplings stay
-    as they were."""
+    enumerate_z_statistics at every node, reads it. The graph's couplings
+    are a read-only copy, so the record cannot go stale."""
 
     @staticmethod
     def _tree():
@@ -350,24 +350,43 @@ class TestOnePassPerGraph:
         assert exact_enumerate(g) is m
         assert len(passes) == 1
 
-    def test_changed_couplings_get_fresh_moments(self):
+    def test_couplings_refuse_writes(self):
+        """A coupling on a non-edge, a flipped sign or a dropped edge would
+        reach the sampler unchecked, and on a tree the closed forms and the
+        enumeration would part ways: each write raises."""
         g = self._tree()
-        before = exact_enumerate(g)
         edge = g.edges[0]
-        g.couplings[edge] = -g.couplings[edge]
-        after = exact_enumerate(g)
-        rebuilt = exact_enumerate(SignedGraph(p=g.p, edges=g.edges, couplings=dict(g.couplings)))
-        assert after is not before
-        assert abs(after.covariance[edge] + before.covariance[edge]) < 1e-15
-        assert np.array_equal(after.covariance, rebuilt.covariance)
-        assert after.log_partition == rebuilt.log_partition
+        with pytest.raises(TypeError):
+            g.couplings[(1, 9)] = 0.9
+        with pytest.raises(TypeError):
+            g.couplings[edge] = -g.couplings[edge]
+        with pytest.raises(TypeError):
+            del g.couplings[edge]
+        assert set(g.couplings) == set(g.edges) and g.is_acyclic()
 
-    def test_checks_run_on_every_call(self):
+    def test_callers_later_edit_leaves_graph_unchanged(self):
         g = self._tree()
-        exact_enumerate(g)
-        g.couplings.clear()
-        with pytest.raises(ValueError, match="no couplings"):
-            exact_enumerate(g)
+        passed = dict(g.couplings)
+        h = SignedGraph(p=g.p, edges=g.edges, couplings=passed)
+        before = exact_enumerate(h)
+        passed[(0, 1)] = math.nan
+        passed[(1, 9)] = 0.9
+        assert h == g and h.couplings == g.couplings
+        assert exact_enumerate(h) is before
+        assert np.array_equal(before.covariance, exact_enumerate(g).covariance)
+
+    def test_pickled_graph_is_the_same_graph(self):
+        """Spawned workers are sent graphs: one that went through pickle
+        equals the original, stays read-only and enumerates to the same
+        moments."""
+        g = self._tree()
+        again = pickle.loads(pickle.dumps(g))
+        assert again == g
+        with pytest.raises(TypeError):
+            again.couplings[(1, 9)] = 0.9
+        m, m_again = exact_enumerate(g), exact_enumerate(again)
+        assert np.array_equal(m.covariance, m_again.covariance)
+        assert m.log_partition == m_again.log_partition
 
 
 class TestEnumerationSplit:
@@ -407,16 +426,6 @@ class TestEnumerationSplit:
             assert np.abs(m.mean - mean).max() < tol
             assert np.abs(m.covariance - cov).max() < tol
             assert abs(m.log_partition - log_z) < max(tol, 1e-12 * abs(log_z))
-
-
-class TestMagnetization:
-    def test_constant_matrix(self):
-        s = SampleMatrix(np.ones((4, 3), dtype=np.int8))
-        assert estimate_magnetization(s).tolist() == [1.0, 1.0, 1.0]
-
-    def test_balanced_matrix(self):
-        s = SampleMatrix(np.array([[1, -1], [-1, 1]], dtype=np.int8))
-        assert estimate_magnetization(s).tolist() == [0.0, 0.0]
 
 
 class TestSampleIO:

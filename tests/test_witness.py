@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isinglasso import witness
 from isinglasso.bethe import (
     EIG_FLOOR,
     RescaledParams,
@@ -430,6 +431,21 @@ class TestNodeRange:
         r = g.p if past_end else -1
         with pytest.raises(ValueError, match=f"node {r} out of range"):
             _NODE_CALLS[call](g, params, tree_samples, r)
+
+    @pytest.mark.parametrize("call", ["construct_witness", "compute_noise_vector"])
+    def test_theta_tilde_of_another_p_rejected(self, tree_fixture, call, monkeypatch):
+        """theta_tilde for p = 12 on moments for p = 10 is refused by one
+        message before any solve, not by numpy's matmul."""
+        g, params = tree_fixture
+        small = tree_moments(SignedGraph(p=10, edges=()))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the size check")
+
+        monkeypatch.setattr(witness, "support_conditions", no_solve)
+        monkeypatch.setattr(witness, "lasso_cd_gram", no_solve)
+        with pytest.raises(ValueError, match="^theta_tilde is for p = 12 vertices, data has p = 10$"):
+            _NODE_CALLS[call](g, params, small, 0)
 
     @pytest.mark.parametrize("call", ["support_conditions", "sample_covariance", "construct_witness"])
     def test_empty_support_rejected(self, tree_fixture, tree_samples, call):
