@@ -92,7 +92,9 @@ class RRConstants:
 def bethe_inverse_covariance(graph: SignedGraph) -> np.ndarray:
     """Inverse covariance of an acyclic model: diagonal
     sum_u 1/(1-tanh^2 J_ru) - d_r + 1, off-diagonal
-    -tanh(J_rt)/(1-tanh^2 J_rt) on edges, zero elsewhere."""
+    -tanh(J_rt)/(1-tanh^2 J_rt) on edges, zero elsewhere. ValueError names
+    an edge whose tanh J is +-1 in float64 (|J| from about 18.99 on), where
+    1 - tanh^2 J is 0."""
     _require_acyclic(graph)
     graph._require_couplings()
     p = graph.p
@@ -101,6 +103,10 @@ def bethe_inverse_covariance(graph: SignedGraph) -> np.ndarray:
     for (r, t), j in graph.couplings.items():
         th = np.tanh(j)
         sech2 = 1.0 - th * th
+        if sech2 == 0.0:
+            raise ValueError(
+                f"coupling {j} on edge ({r},{t}) saturates: tanh J is {th:+.0f} in float64"
+            )
         diag[r] += 1.0 / sech2
         diag[t] += 1.0 / sech2
         out[r, t] = out[t, r] = -th / sech2

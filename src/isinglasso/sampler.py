@@ -20,7 +20,6 @@ from .graphs import SignedGraph, require_int
 
 ENUMERATION_CAP = 20
 _ENUM_BLOCK_BITS = 14  # 2^14 low states
-_ENUM_CHUNK = 16  # high states per chunk: 2 MB of weights at 2^14 low states
 _BLOCK_UNIFORMS = 8192  # per Gibbs generator call: 64 KB of thresholds at any p
 _BINARY_MAGIC = b"ISNG"
 
@@ -217,15 +216,14 @@ def _enumeration_pass(graph: SignedGraph) -> ExactMoments:
     _ENUM_BLOCK_BITS) spins) and its high bits h (spins low..p-1, the last
     pinned), with energy E = E_low(l) + E_high(h) + h.(J_hl l). The low
     states, as columns with a trailing row of ones, and each high state's
-    field [h J_hl, E_high(h)] are built once per pass; one product per chunk
-    of _ENUM_CHUNK high states then gives E_high + cross term for every low
-    state. The weights of a chunk, times the low states, give its per-high-
-    state sums (the ones row gives their totals), from which the low-high
-    and high-high moments come; the low-low moments come once, from the
-    weights summed over high states. States lie on the contiguous axis, so
-    every 2^low-term sum is a BLAS dot product. Weights are taken relative
-    to the largest energy seen so far and the sums are rescaled whenever it
-    grows, so large couplings cannot overflow.
+    field [h J_hl, E_high(h)] are built once; one product of the two, plus
+    E_low, is the energy of every state as a high x low matrix (at most
+    2^5 x 2^14, 4 MB, at the cap). Its weights, taken relative to its
+    largest entry so that large couplings cannot overflow, times the low
+    states give the per-high-state sums (the ones row gives their totals),
+    from which the low-high and high-high moments come; the low-low moments
+    come from the weights summed over high states. States lie on the
+    contiguous axis, so every 2^low-term sum is a BLAS dot product.
     """
     p = graph.p
     low = min(p - 1, _ENUM_BLOCK_BITS)
@@ -240,26 +238,15 @@ def _enumeration_pass(graph: SignedGraph) -> ExactMoments:
     field = np.empty((len(hs), low + 1))
     field[:, :low] = hs @ j[:low, low:].T
     field[:, low] = np.einsum("ij,ij->i", hs @ j[low:, low:], hs)
-    # One chunk buffer serves every chunk: fresh block-sized temporaries were
-    # page-faulted in anew in some processes and not in others, by where the
-    # heap happened to sit, so run times split in two.
-    k = min(_ENUM_CHUNK, len(highs))
-    work = np.empty((k, 1 << low))
-    summed = np.empty(1 << low)
-    low_weight = np.zeros(1 << low)
-    per_high = np.empty((len(highs), low + 1))
-    top = -np.inf
-    for start in range(0, len(highs), k):
-        np.add(np.matmul(field[start:start + k], lows, out=work), e_low, out=work)
-        peak = float(work.max())
-        if peak > top:
-            scale = math.exp(top - peak)
-            low_weight *= scale
-            per_high[:start] *= scale
-            top = peak
-        np.exp(np.subtract(work, top, out=work), out=work)
-        low_weight += np.sum(work, axis=0, out=summed)
-        np.matmul(work, lows.T, out=per_high[start:start + k])
+    energy = field @ lows
+    energy += e_low
+    top = float(energy.max())
+    np.exp(np.subtract(energy, top, out=energy), out=energy)
+    low_weight = energy.sum(axis=0)
+    per_high = energy @ lows.T
+    # freed before the low-low temporary: at an 8 MB peak some processes
+    # gave the heap back after each pass and page-faulted it in again
+    del energy
     sums = np.empty((p + 1, p + 1))
     lo = np.r_[:low, p]
     sums[np.ix_(lo, lo)] = (lows * low_weight) @ lows.T

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import SignedGraph, check_node, require_number, signed_neighborhood_sets
-from .sampler import SampleMatrix
+from .sampler import SampleMatrix, _spin_table
 
 ACTIVE_TOL = 1e-8
 _KKT_CHECK_EVERY = 10  # logistic only; CD checks every cycle
@@ -308,8 +308,7 @@ def _pattern_groups(bits, work, widths, n):
                 codes |= bits[work[a:b, j]]
             codes += np.arange(0, (b - a) << w, 1 << w, dtype=np.int32)[:, None]
             counts = np.bincount(codes.ravel(), minlength=(b - a) << w).reshape(b - a, 1 << w)
-            table = ((np.arange(1 << w) >> np.arange(w)[:, None]) & 1) * 2.0 - 1.0
-            groups.append((a, b, table, counts.astype(float), codes))
+            groups.append((a, b, _spin_table(w), counts.astype(float), codes))
         a = b
     return dense, groups
 

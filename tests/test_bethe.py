@@ -93,6 +93,28 @@ class TestRescaledClosedForm:
         with pytest.raises(ValueError, match="acyclic"):
             rescaled_theta(g)
 
+    @staticmethod
+    def _star(j):
+        return SignedGraph(p=4, edges=((0, 1), (1, 2), (1, 3)),
+                           couplings={(0, 1): j, (1, 2): 0.4, (1, 3): -0.4})
+
+    @pytest.mark.parametrize("j", [20.0, -20.0])
+    def test_saturated_coupling_rejected(self, j):
+        """tanh J is exactly +-1 in float64 from |J| = 18.9903 on, where the
+        inverse covariance would divide by 1 - tanh^2 J = 0 and the rescaled
+        couplings would come back NaN: the edge is refused by name."""
+        with pytest.raises(ValueError, match=r"edge \(0,1\) saturates"):
+            rescaled_theta(self._star(j))
+        with pytest.raises(ValueError, match=r"edge \(0,1\) saturates"):
+            theorem_thresholds(self._star(j), 0.02)
+
+    def test_coupling_below_saturation_is_finite(self):
+        g = self._star(18.0)
+        assert np.isfinite(rescaled_theta(g).matrix).all()
+        report = theorem_thresholds(g, 0.02)
+        assert all(math.isfinite(v) for v in (report.theta_tilde_min, report.c_min,
+                                              report.incoherence, report.threshold))
+
 
 class TestPopulationRegressionOracle:
     def test_population_regression_matches_enumeration(self):

@@ -268,6 +268,22 @@ class TestTheoryCommand:
         assert code == 1
         assert "acyclic" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("command", [
+        ("theory", "--lambda", "0.02"),
+        ("witness", "--population", "--node", "2", "--lambda", "0.02"),
+    ], ids=["theory", "witness"])
+    def test_saturated_coupling_json_error(self, tmp_path, capsys, command):
+        """tanh 20 is 1 in float64: both commands used to print NaN
+        fields and exit 0."""
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"p": 4, "edges": [[0, 1, 20.0], [1, 2, 0.4], [1, 3, -0.4]]}))
+        code, out, err = run_cli(capsys, command[0], "--graph", str(graph), *command[1:])
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "edge (0,1) saturates" in payload["message"]
+
 
 class TestWitnessCommand:
     def test_population_certificate(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from isinglasso.sampler import (
     save_samples_binary,
     save_samples_text,
 )
-from isinglasso.bethe import rescaled_theta
+from isinglasso.bethe import rescaled_theta, tree_moments
 from isinglasso.experiment import ExperimentConfig, build_graph, trial_seed_for
 from isinglasso.witness import enumerate_z_statistics
 from conftest import random_paramagnetic_tree
@@ -310,8 +311,8 @@ class TestExactEnumerate:
                     couplings={(0, 1): 400.0, (0, 2): -400.0, (1, 2): 400.0}),
         # the antiferromagnetic last bond puts the peak energy, 6000, where
         # x14 != x15, and 5200 where they agree: weights near e^-800 of the
-        # peak underflow to 0 and must not turn into NaN (a running maximum
-        # that grows across chunks is TestEnumerationSplit's case)
+        # peak underflow to 0 and must not turn into NaN (TestEnumerationSplit
+        # moves the peak across every low/high split)
         SignedGraph(p=16, edges=tuple((v, v + 1) for v in range(15)),
                     couplings={(v, v + 1): (-400.0 if v == 14 else 400.0) for v in range(15)}),
     ], ids=["frustrated_triangle", "path16_peak_in_block_1"])
@@ -322,6 +323,44 @@ class TestExactEnumerate:
         assert np.abs(m.mean - mean).max() < 1e-13
         assert np.abs(m.covariance - cov).max() < 1e-13
         assert abs(m.log_partition - log_z) < 1e-12 * abs(log_z)
+
+    @staticmethod
+    def _path20(seed):
+        signs = np.random.default_rng(seed).choice([-1.0, 1.0], 19)
+        return SignedGraph(p=20, edges=tuple((v, v + 1) for v in range(19)),
+                           couplings={(v, v + 1): 400.0 * signs[v] for v in range(19)})
+
+    @pytest.mark.parametrize("graph, peak_high", [
+        (assign_couplings(generate_bethe_tree(20, 3), CouplingScheme.mixed(0.4), seed=1), None),
+        (assign_couplings(generate_bethe_tree(20, 3), CouplingScheme.mixed(0.4), seed=2), None),
+        (_path20(2), 12),
+        (_path20(9), 23),
+    ], ids=["bethe20_seed1", "bethe20_seed2", "path20_peak_at_high_12", "path20_peak_at_high_23"])
+    def test_matches_tree_closed_form_at_the_cap(self, graph, peak_high):
+        """p = 20, the largest pass: 2^5 high states (spins 14..18, spin 19
+        pinned at +1) by 2^14 low states. On the +-400 paths every weight
+        but the ground state's underflows to 0, and that state's high bits
+        sit in the first half of the high states on one path and in the
+        second on the other."""
+        if peak_high is not None:
+            j = np.array([graph.couplings[(v, v + 1)] for v in range(19)])
+            ground = np.cumprod(np.sign(j)[::-1])[::-1]  # x_v = x_{v+1} sign(J_v,v+1)
+            assert sum(1 << b for b in range(5) if ground[14 + b] > 0) == peak_high
+        m, closed = exact_enumerate(graph), tree_moments(graph)
+        assert np.abs(m.covariance - closed.covariance).max() <= 1e-13
+        assert abs(m.log_partition - closed.log_partition) <= 1e-12 * abs(closed.log_partition)
+
+    def test_pass_at_the_cap_stays_small(self):
+        """One pass at p = 20 holds a 2^5 x 2^14 weight matrix (4 MB), never
+        a table of all 2^19 half-states (2^19 x 20 floats, 84 MB)."""
+        g = assign_couplings(generate_bethe_tree(20, 3), CouplingScheme.mixed(0.4), seed=1)
+        tracemalloc.start()
+        try:
+            sampler._enumeration_pass(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestOnePassPerGraph:
@@ -392,10 +431,10 @@ class TestOnePassPerGraph:
 class TestEnumerationSplit:
     """exact_enumerate equals the state-by-state oracle however the states
     split into low and high bits: a single block (no high bits but the
-    pinned last spin), no low bits at all, chunks of high states with
-    boundaries between them, and couplings large enough
-    that the peak energy first appears in a later chunk and the running
-    sums must be rescaled. The couplings are mixed +/-scale, so from 4 up
+    pinned last spin), no low bits at all, every split between, and
+    couplings large enough that the peak energy may sit at any high and
+    low state and the weights of most states underflow to 0 relative to
+    it. The couplings are mixed +/-scale, so from 4 up
     every energy is an exact integer, as in
     test_large_couplings_do_not_overflow: with couplings of arbitrary
     magnitude near 400, energies near 6000 carry a rounding of about
