@@ -196,11 +196,14 @@ def rr_constants(d: int, theta0: float) -> RRConstants:
     The incoherence norm equals tanh(theta0), giving alpha = 1 - tanh(theta0).
     A degree-d vertex regressed on the rest has coefficient magnitude
     theta_tilde_rr = tanh(theta0) / (1 + (d-1) tanh^2) on every neighbor.
+    ValueError names a theta0 whose tanh is 1 in float64 (about 19.06 on).
     """
     require_int("d", d, 3)
     if require_number("theta0", theta0) <= 0:
         raise ValueError("theta0 must be positive")
     th = math.tanh(theta0)
+    if th == 1.0:
+        raise ValueError(f"theta0 {theta0} saturates: tanh theta0 is +1 in float64")
     return RRConstants(
         d=d,
         theta0=theta0,

@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemv
 
 from .graphs import SignedGraph, require_int
 
@@ -131,9 +132,9 @@ def gibbs_sample(graph: SignedGraph, n: int, config: SamplerConfig) -> SampleMat
     h_r = sum_{t in N(r)} J_rt x_t. A sweep visits every site once, class
     by class of a graph coloring (same-class sites do not interact). The
     state is held in class order, so a class is one slice of it and its
-    rows of J one contiguous block; its step is three in-place calls on
-    buffers built once per chain (gemv into h, add the thresholds, copy the
-    signs into the slice), and vertex order is restored once at the end.
+    rows of J one contiguous block; its step is two in-place calls (a BLAS
+    gemv adds the block's product into the class's thresholds, whose signs
+    are copied into the slice), and vertex order is restored once at the end.
     The update runs as h_r > g with threshold g = log(u / (1 - u)) / 2, u
     drawn _BLOCK_UNIFORMS // p sweeps at a time and laid out class by class:
     a tie sets -1, as u = 1/2 does at h_r = 0, and u = 0 sets +1. The
@@ -148,13 +149,14 @@ def gibbs_sample(graph: SignedGraph, n: int, config: SamplerConfig) -> SampleMat
     order = np.concatenate(classes)
     J = graph.coupling_matrix()[np.ix_(order, order)]
     bounds = np.cumsum([0] + [c.size for c in classes])
-    # The chain holds y = -x, so rows @ y + g = g - h and its sign is y's
-    # update, a tie's +0 included. ndarray.dot is @'s gemv at half the cost.
-    # A sweep costs numpy's per-call overhead, not flops, so the calls take
-    # their out buffers by position and the ufuncs are bound to local names.
+    # The chain holds y = -x, so g + rows @ y = g - h and its sign is y's
+    # update, a tie's +0 included. dgemv with beta = 1 adds rows @ y into the
+    # class's own slots of the sweep's fresh threshold row, each read once
+    # after, so no copy is needed. A sweep costs per-call overhead, not flops:
+    # dgemv takes its arguments by position (keywords cost ~550 ns a call).
     y = np.where(rng.random(p) < 0.5, -1.0, 1.0)[order]
-    steps = [(J[a:b], np.empty(b - a), y[a:b], np.ones(b - a)) for a, b in zip(bounds, bounds[1:])]
-    add, copysign = np.add, np.copysign
+    steps = [(J[a:b].T, a, b, y[a:b], np.ones(b - a)) for a, b in zip(bounds, bounds[1:])]
+    copysign = np.copysign
     total = config.burn_in_sweeps + n * config.thinning_sweeps
     block = max(1, _BLOCK_UNIFORMS // p)
     kept_y = np.empty((n, p), dtype=np.int8)
@@ -162,13 +164,11 @@ def gibbs_sample(graph: SignedGraph, n: int, config: SamplerConfig) -> SampleMat
         u = rng.random((min(block, total - start), p))
         with np.errstate(divide="ignore"):
             g = 0.5 * np.log(u / (1.0 - u))
-        class_g = np.split(g, bounds[1:-1], axis=1)
-        for s in range(len(g)):
-            for (rows, h, y_c, ones), gc in zip(steps, class_g):
-                rows.dot(y, h)
-                add(h, gc[s], h)
-                copysign(ones, h, y_c)
-            kept = start + s + 1 - config.burn_in_sweeps
+        for sweep, gs in enumerate(g, start + 1):
+            for rows_t, a, b, y_c, ones in steps:
+                dgemv(1.0, rows_t, y, 1.0, gs, 0, 1, a, 1, 1, 1)
+                copysign(ones, gs[a:b], y_c)
+            kept = sweep - config.burn_in_sweeps
             if kept > 0 and kept % config.thinning_sweeps == 0:
                 kept_y[kept // config.thinning_sweeps - 1] = y
     return SampleMatrix(data=-kept_y[:, np.argsort(order)])

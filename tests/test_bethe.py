@@ -244,6 +244,20 @@ class TestRRConstants:
             rr_constants(d, theta0)
         assert str(err.value) == message
 
+    def test_saturated_theta0_rejected(self):
+        """tanh 20 is exactly 1 in float64, so alpha and c_min would be 0:
+        the refusal names theta0, not the derived alpha."""
+        with pytest.raises(ValueError) as err:
+            rr_constants(3, 20.0)
+        assert str(err.value) == "theta0 20.0 saturates: tanh theta0 is +1 in float64"
+
+    def test_theta0_below_saturation_unchanged(self):
+        th = math.tanh(0.4)
+        assert rr_constants(3, 0.4) == RRConstants(
+            d=3, theta0=0.4, c_min=1.0 - th * th, alpha=1.0 - th,
+            lambda_max_qss=1.0 + 2 * th * th, theta_tilde_rr=th / (1.0 + 2 * th * th),
+        )
+
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
             RRConstants(d=3, theta0=0.4, c_min=0.0, alpha=0.5, lambda_max_qss=1.1, theta_tilde_rr=0.2)

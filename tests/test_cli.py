@@ -238,6 +238,15 @@ class TestTheoryCommand:
         assert code == 1
         assert "theta0" in json.loads(err)["message"]
 
+    def test_rr_constants_saturated_theta0(self, capsys):
+        """tanh 20 is 1 in float64: the error names theta0, not the
+        derived alpha."""
+        code, out, err = run_cli(capsys, "theory", "--rr-constants", "d=3", "theta0=20")
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert "theta0" in payload["message"] and "saturates" in payload["message"]
+
     def test_graph_report(self, tmp_path, capsys):
         out = tmp_path / "g.json"
         run_cli(capsys, "graph", "--family", "bethe_tree", "-p", "10", "-d", "3",

@@ -217,6 +217,44 @@ class TestGibbsMatchesReference:
         assert (s.data == spin).all()
         assert np.array_equal(s.data, gibbs_reference(g, 4, cfg).data)
 
+    @pytest.mark.parametrize("kind, graph_seed", [("rr", 4), ("rr", 5), ("tree", 4), ("tree", 6)])
+    def test_zero_uniforms_among_others(self, monkeypatch, kind, graph_seed):
+        """u = 0 at every third draw and 0.3 or 0.7 elsewhere: the gemv adds
+        each class's neighbour sums into its thresholds, so a g = -inf slot
+        stays -inf (it meets a finite sum, never a zero coupling times
+        -inf), sets +1, and leaves the other sites to their own draws."""
+
+        class PatternedUniforms:
+            def __init__(self):
+                self.drawn = 0
+
+            def random(self, size=None):
+                k = self.drawn + np.arange(np.prod(size, dtype=np.int64)).reshape(size)
+                self.drawn += k.size
+                return np.where(k % 3 == 0, 0.0, np.where(k % 5 < 2, 0.3, 0.7))
+
+        g = chain_graph(kind, 32, graph_seed)  # 32 is no multiple of 3: the zeros visit every site
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: PatternedUniforms())
+        cfg = SamplerConfig(burn_in_sweeps=40, thinning_sweeps=2, seed=0)
+        with np.errstate(all="raise"):
+            s = gibbs_sample(g, 30, cfg)
+        ref = gibbs_reference(g, 30, cfg)
+        assert np.array_equal(s.data, ref.data)
+        assert (s.data == -1).any()
+
+    @pytest.mark.parametrize("kind, p", [("rr", 24), ("tree", 31), ("star", 9)])
+    def test_block_size_leaves_samples_unchanged(self, monkeypatch, kind, p):
+        """The kernel overwrites the threshold block it reads, one slot per
+        site and sweep: blocks of one sweep (_BLOCK_UNIFORMS = p), of two
+        (2p + 1) and of the default size give the same samples."""
+        g = chain_graph(kind, p, 8)
+        cfg = SamplerConfig(burn_in_sweeps=37, thinning_sweeps=3, seed=21)
+        samples = [gibbs_sample(g, 60, cfg).data]
+        for size in (p, 2 * p + 1):
+            monkeypatch.setattr(sampler, "_BLOCK_UNIFORMS", size)
+            samples.append(gibbs_sample(g, 60, cfg).data)
+        assert all(np.array_equal(samples[0], other) for other in samples[1:])
+
 
 def _sweep_rr32_chain():
     """The first trial of a p = 32, beta = 5 rr cell at master seed 101, as
