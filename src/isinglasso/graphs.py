@@ -96,8 +96,9 @@ class SignedGraph:
     def __post_init__(self):
         object.__setattr__(self, "couplings", MappingProxyType(dict(self.couplings)))
         require_int("vertex count p", self.p, 1)
+        edges = tuple(self.edges)  # read once: edges may be an iterator
         seen = set()
-        for r, t in self.edges:
+        for r, t in edges:
             require_int("edge label", r, 0)
             require_int("edge label", t, 0)
             if r == t:
@@ -114,7 +115,7 @@ class SignedGraph:
                 if require_number("edge coupling", j) == 0.0:
                     raise ValueError(f"zero coupling on edge {e}")
         # canonical storage order for deterministic serialization
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     def __reduce__(self):
         # a mappingproxy does not pickle, and spawned workers are sent graphs

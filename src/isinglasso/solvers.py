@@ -267,11 +267,14 @@ def solve_lasso(
 
 def _logistic_grad(xt, s, linear, pinned):
     """Gradient of the mean log-loss (1/n) sum_i log(1 + exp(-2 y_ik <theta_k, x_i>))
-    at every row k, zeroed at the pinned entries, from row k of s holding
-    tanh(X theta_k) over the n samples. For y = +/-1, y sigmoid(-2 y u) =
+    at every row k of linear, zeroed at the pinned entries, from row k of s
+    holding tanh(X theta_k) over the n samples. For y = +/-1, y sigmoid(-2 y u) =
     (y - tanh u) / 2, so it is (1/n) X's_k - (1/n) X'y, where xt is X' and
-    linear holds the rows (1/n) X'y of the second moment."""
-    grad = s @ xt.T
+    linear holds the rows (1/n) X'y of the second moment. The rows of linear
+    past the last of s have tanh(X theta_k) = 0 and take 0.0 - linear, the
+    floats the product would give."""
+    grad = np.zeros(linear.shape)
+    grad[:s.shape[0]] = s @ xt.T
     grad /= xt.shape[1]
     grad -= linear
     grad[pinned] = 0.0
@@ -352,18 +355,18 @@ def _working_grad(xt, dense, groups, work, theta, linear_w):
 
 
 def _check_tanh(xt, dense, groups, theta, theta_w, out):
-    """tanh(X theta_k) over the n samples for every row k of theta (K x p),
-    whose entries on the row's working set are theta_w's, written to out
-    (K x n). The dense rows take the BLAS product over all p columns of
-    xt = X'. A pattern row takes its 2^w margins (_pattern_margins), and
-    each sample the tanh of its pattern's margin, gathered by its code. The
-    rows after the last group have empty sets: every margin 0."""
+    """tanh(X theta_k) over the n samples for the rows k of theta (K x p),
+    whose entries on the row's working set are theta_w's, written to the
+    leading rows of out (K x n) and returned as those rows. The dense rows
+    take the BLAS product over all p columns of xt = X'. A pattern row takes
+    its 2^w margins (_pattern_margins), and each sample the tanh of its
+    pattern's margin, gathered by its code. The rows after the last group
+    have empty sets, every margin 0, and are left to _logistic_grad."""
     np.tanh(theta[:dense] @ xt, out=out[:dense])
     for a, b, table, _, codes in groups:
         m = _pattern_margins(theta_w[a:b], table)
         np.take(np.tanh(m), codes, out=out[a:b], mode="clip")  # every code is in range
-    out[groups[-1][1] if groups else dense:] = 0.0
-    return out
+    return out[:groups[-1][1] if groups else dense]
 
 
 def _mean_log_cosh(xt, dense, groups, theta, theta_w, rows):
@@ -429,25 +432,26 @@ def solve_logistic_l1_batch(
     edge-coupling convention, so the population minimizer is the coupling
     row itself. Each node iterates on a working set W: its nonzero
     coefficients and every coordinate whose |gradient| exceeds lambda, as
-    of the last full check. Every decision is taken at a check, every
-    _KKT_CHECK_EVERY iterations and after the first: the dense gradient
-    over all p - 1 coordinates decides convergence and the guard _MAX_COEF
-    divergence, a node that converged or diverged leaves the batch there,
-    and the rows that stay are compacted and their sets rebuilt from the
-    check's iterate. A node whose set changed restarts its momentum from
-    its iterate on the new set (one whose set is the same keeps it, or
+    of the last full check. Every decision is taken at a check, at each
+    iteration that is a multiple of _KKT_CHECK_EVERY, 0 included: the
+    dense gradient over all p - 1 coordinates decides convergence and the
+    guard _MAX_COEF divergence, a node that converged or diverged leaves
+    the batch there, and the rows that stay are compacted and their sets
+    rebuilt from the check's iterate. Every set starts empty at theta = 0,
+    so the check at iteration 0 sees the gradient -M[r], builds the first
+    sets, and lets each node whose set stays empty leave with 0
+    iterations. A node whose set changed restarts its momentum from its
+    iterate on the new set (one whose set is the same keeps it, or
     small-lambda problems with repeated columns stall), and each node's
-    samples are counted by their sign pattern on its set. A check that
-    changes no set and sees no node leave keeps the pattern tables, steps
-    and linear terms as they are, since they depend on the sets alone.
-    Between checks the iterate, momentum and gradient live on W, and the
-    gradient sums over the 2^|W| patterns instead of the n samples, or
-    takes the products over all columns where the patterns are no fewer
-    than the samples (_pattern_groups, _working_grad). At a check a
-    pattern row reads its margins from the same table, each sample taking
-    the tanh of its pattern's margin, so the check's one sample-sized
-    product is the gradient's with X' (_check_tanh); the dense rows take
-    both products.
+    samples are counted by their sign pattern on its set. Between checks
+    the iterate, momentum and gradient live on W, and the gradient sums
+    over the 2^|W| patterns instead of the n samples, or takes the
+    products over all columns where the patterns are no fewer than the
+    samples (_pattern_groups, _working_grad). At a check a pattern row
+    reads its margins from the same table, each sample taking the tanh of
+    its pattern's margin, so the check's one sample-sized product is the
+    gradient's with X' (_check_tanh); the dense rows take both products,
+    and the rows whose set is empty, which only iteration 0 has, neither.
     A node's objective is taken at its converging check from the same
     margins, as log(1 + exp(-2yu)) = log 2cosh(u) - yu for y = +-1 gives
     (1/n) sum_i log 2cosh(u_i) - theta . M[r] + lambda l1_norm(theta):
@@ -466,8 +470,7 @@ def solve_logistic_l1_batch(
     """
     cfg = config or SolverConfig()
     p = _require_spins(samples)
-    for r in nodes:
-        check_node(r, p)
+    nodes = [check_node(r, p) for r in nodes]
     lam = require_number("lambda", lam)
     if lam < 0:
         raise ValueError("lambda must be >= 0")
@@ -485,45 +488,42 @@ def solve_logistic_l1_batch(
     solutions: dict[int, LassoSolution] = {}
     kkt = np.full(nodes.size, np.inf)
     # the active rows only, widest working set first and compacted at the
-    # check where a node leaves: row k is node act[k]
+    # check where a node leaves: row k is node act[k]; every set starts
+    # empty, all padding, and the check at iteration 0 builds them
+    act = np.arange(nodes.size)
     linear = np.zeros((nodes.size, p + 1))
     linear[:, :p] = second[nodes]
-    mask = np.abs(linear[:, :p]) > lam  # at theta = 0 the gradient is -M[r]
-    mask[np.arange(nodes.size), nodes] = False
-    act = np.argsort(-mask.sum(axis=1), kind="stable")
-    linear = linear[act]
-    pinned = (np.arange(act.size), nodes[act])
-    work, widths = _padded_sets(mask[act])
-    theta, momentum = np.zeros(work.shape), np.zeros(work.shape)
-    t_acc = np.ones(act.size)
-    step = _block_steps(second, work, widths)
-    linear_w = np.take_along_axis(linear, work, axis=1)
-    dense_rows, groups = _pattern_groups(bits, work, widths, samples.n)
+    pinned = (act, nodes)
+    work = np.full((nodes.size, 1), p)
+    theta = momentum = np.zeros(work.shape)
+    t_acc = np.ones(nodes.size)
+    dense_rows, groups = 0, []
     tanh_buf = np.empty((nodes.size, samples.n))  # each check's tanh(X theta), row by row
-    for it in range(1, _MAX_ITERS + 1):
+    for it in range(_MAX_ITERS + 1):
         if act.size == 0:
             break
-        grad_w = _working_grad(xt, dense_rows, groups, work, momentum, linear_w)
-        new = _soft_threshold(momentum - step[:, None] * grad_w, (step * lam)[:, None])
-        progress = new - theta
-        # restart where the momentum step points against the progress made;
-        # the running sum adds the padding's zeros last, so they change no bit
-        restart = np.cumsum((momentum - new) * progress, axis=1)[:, -1] > 0.0
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
-        beta = np.where(restart, 0.0, (t_acc - 1.0) / t_next)
-        momentum = new + beta[:, None] * progress
-        theta = new
-        t_acc = np.where(restart, 1.0, t_next)
-        if not (it % _KKT_CHECK_EVERY == 0 or it == 1):
+        if it:  # iteration 0 is the check at theta = 0 alone
+            grad_w = _working_grad(xt, dense_rows, groups, work, momentum, linear_w)
+            new = _soft_threshold(momentum - step[:, None] * grad_w, (step * lam)[:, None])
+            progress = new - theta
+            # restart where the momentum step points against the progress made;
+            # the running sum adds the padding's zeros last, so they change no bit
+            restart = np.cumsum((momentum - new) * progress, axis=1)[:, -1] > 0.0
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc**2))
+            beta = np.where(restart, 0.0, (t_acc - 1.0) / t_next)
+            momentum = new + beta[:, None] * progress
+            theta = new
+            t_acc = np.where(restart, 1.0, t_next)
+        if it % _KKT_CHECK_EVERY:
             continue
         # the check: the full gradient decides convergence, the guard
         # divergence, and both which rows leave; the rest get new sets
         dense = np.zeros((act.size, p + 1))
-        np.put_along_axis(dense, work, new, axis=1)
-        s = _check_tanh(xt, dense_rows, groups, dense[:, :p], new, tanh_buf[:act.size])
+        np.put_along_axis(dense, work, theta, axis=1)
+        s = _check_tanh(xt, dense_rows, groups, dense[:, :p], theta, tanh_buf[:act.size])
         grad = _logistic_grad(xt, s, linear[:, :p], pinned)
         kkt[act] = _kkt_residual(dense[:, :p], grad, lam)
-        diverged = np.abs(new).max(axis=1) > _MAX_COEF
+        diverged = np.abs(theta).max(axis=1) > _MAX_COEF
         for j in act[diverged]:
             errors[int(nodes[j])] = ConvergenceError(
                 "logistic coefficients diverged (with lambda = 0 this means the "
@@ -534,7 +534,7 @@ def solve_logistic_l1_batch(
         # log(1 + exp(-2yu)) = log 2cosh(u) - yu for y = +-1, so
         # (1/n) sum_i log 2cosh(u_i) - theta . M[r]
         k = np.flatnonzero(converged)
-        loss = (_mean_log_cosh(xt, dense_rows, groups, dense[:, :p], new, k)
+        loss = (_mean_log_cosh(xt, dense_rows, groups, dense[:, :p], theta, k)
                 - np.einsum("kp,kp->k", dense[k, :p], linear[k, :p]))
         for i, j, loss_i in zip(k, act[k], loss.tolist()):
             r = int(nodes[j])
@@ -543,15 +543,10 @@ def solve_logistic_l1_batch(
         was = np.zeros((act.size, p + 1), dtype=bool)
         np.put_along_axis(was, work, True, axis=1)
         same = (was[:, :p] == mask).all(axis=1)
-        keep = np.flatnonzero(~(diverged | converged))
-        if keep.size == act.size and same.all():
-            # no set changed and no row left: the rows keep their order,
-            # and the pattern tables, steps and linear terms hold as they
-            # are, since they depend on the sets alone
-            continue
         # the rows that stay, widest set first, regathered from the check's
         # iterate; a row whose set is unchanged keeps its momentum, the
         # others restart from their iterate on the new set
+        keep = np.flatnonzero(~(diverged | converged))
         keep = keep[np.argsort(-mask[keep].sum(axis=1), kind="stable")]
         kept = np.zeros((keep.size, p + 1))
         np.put_along_axis(kept, work[keep], momentum[keep], axis=1)

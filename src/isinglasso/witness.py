@@ -62,6 +62,7 @@ class CovarianceReport:
 def sample_covariance(data: SampleMatrix | ExactMoments, r: int, support) -> CovarianceReport:
     """Recovery conditions of node r's support block on the data's second
     moment: (1/n) sum_i x_i x_i^T for samples, E[x x^T] for exact moments."""
+    support = tuple(support)  # read once: support may be an iterator
     try:
         eig_min_ss, inc = support_conditions(data.second_moment(), r, support)  # validates r
     except SingularMatrixError as exc:

@@ -133,8 +133,10 @@ def logistic_fista_reference(samples, nodes, lam, tol):
     moment: every iteration gathers the active columns of the iterate, the
     momentum and the int8 responses, takes the gradient
     (1/n) X'(tanh(X theta) - y) with dense products, and scatters the
-    results back. The restart, KKT cadence and divergence guard are
-    solve_logistic_l1_batch's; its working sets and per-node steps are not.
+    results back. The restart and divergence guard are
+    solve_logistic_l1_batch's; its working sets and per-node steps are not,
+    nor its KKT cadence: this reference checks after the first iteration
+    and every _KKT_CHECK_EVERY after it, the batch from iteration 0 on.
     Returns {node: (coefficients without entry node, iterations, residual)}
     for the nodes that converged."""
     from isinglasso.solvers import _KKT_CHECK_EVERY, _MAX_COEF, _MAX_ITERS

@@ -406,6 +406,14 @@ class TestGraphType:
         with pytest.raises(ValueError, match=re.escape(message)):
             SignedGraph(p=p, edges=edges, couplings=couplings)
 
+    def test_edges_read_once(self):
+        """An iterator of edges gives the graph the tuple gives: the edges
+        are validated and stored from one read."""
+        edges, couplings = ((0, 1), (1, 2)), {(0, 1): 0.4, (1, 2): -0.4}
+        g = SignedGraph(p=4, edges=iter(edges), couplings=couplings)
+        assert g == SignedGraph(p=4, edges=edges, couplings=couplings)
+        assert g.edges == edges
+
     def test_json_round_trip(self):
         g = assign_couplings(generate_random_regular(10, 3, seed=4), CouplingScheme.mixed(0.3), seed=2)
         again = SignedGraph.from_json(g.to_json())

@@ -852,13 +852,69 @@ def test_mixed_examples_hold_both_row_kinds(monkeypatch, build, case):
     assert any(mixed)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 10),
+    n=st.integers(4, 80),
+    lam=st.one_of(st.floats(0.02, 0.5), st.floats(1.01, 5.0)),
+)
+@example(seed=0, p=6, n=50, lam=5.0)
+def test_logistic_iterations_on_check_cadence(seed, p, n, lam):
+    """Every decision is taken at a check, and the checks fall on the
+    multiples of _KKT_CHECK_EVERY, 0 included: every record's iterations
+    is one of them. In the example lambda is above every |M_rj|, so every
+    node leaves at the check at iteration 0."""
+    samples, nodes = random_batch(seed, p, n)
+    solutions, errors = solve_logistic_l1_batch(samples, nodes, lam, SolverConfig(tol=1e-9))
+    assert not errors and solutions.keys() == set(nodes)
+    for sol in solutions.values():
+        assert sol.iterations % solvers._KKT_CHECK_EVERY == 0
+
+
+def test_empty_sets_leave_before_any_step(monkeypatch):
+    """With lambda above every |M_rj| the check at iteration 0, at
+    theta = 0, sees the gradient -M[r] within lambda everywhere: every node
+    leaves there before its first FISTA step (no _working_grad call), with
+    0 iterations, residual 0, +0.0 coefficients, objective exactly log 2
+    and subgradient M[r, j] / lambda."""
+    calls = []
+
+    def spy(*args, _fn=solvers._working_grad):
+        calls.append(1)
+        return _fn(*args)
+
+    monkeypatch.setattr(solvers, "_working_grad", spy)
+    samples, nodes = random_batch(0, 6, 50)
+    second, lam = samples.second_moment(), 5.0
+    assert np.abs(second).max() < lam
+    solutions, errors = solve_logistic_l1_batch(samples, nodes, lam)
+    assert not errors and solutions.keys() == set(nodes) and not calls
+    for r, sol in solutions.items():
+        assert sol.iterations == 0 and sol.kkt_residual == 0.0
+        assert not sol.coefficients.any() and not np.signbit(sol.coefficients).any()
+        assert sol.objective == math.log(2.0)
+        assert np.array_equal(sol.subgradient, np.delete(second[r], r) / lam)
+
+
+def test_logistic_nodes_read_once():
+    """An iterator of nodes gives the records the list gives: the nodes
+    are validated and solved from one read."""
+    samples, nodes = random_batch(3, 6, 40)
+    want, errors = solve_logistic_l1_batch(samples, tuple(nodes), 0.1)
+    got, errors_iter = solve_logistic_l1_batch(samples, iter(nodes), 0.1)
+    assert not errors and not errors_iter and got.keys() == want.keys() == set(nodes)
+    for r in nodes:
+        assert_same_solution(got[r], want[r])
+
+
 def test_divergence_guard_at_checks(monkeypatch):
     """With _MAX_COEF below the largest coefficients of a random problem at
     lambda > 0, every node whose minimizer lies above the guard leaves the
     batch with the "diverged" error and an infinite residual, and every
     node that converges does so at or below it, as the guard and the KKT
     test read the same check. A node whose working set is empty converges
-    at the first check with objective exactly log 2."""
+    at the check at iteration 0 with objective exactly log 2."""
     rng = np.random.default_rng(47)
     samples = random_samples(rng, 6, 40)
     lam, cfg, cap = 0.2, SolverConfig(tol=1e-9), 0.2
@@ -877,7 +933,7 @@ def test_divergence_guard_at_checks(monkeypatch):
     for sol in solutions.values():
         assert np.abs(sol.coefficients).max() <= cap and sol.kkt_residual <= cfg.tol
     for r in empty:
-        assert not solutions[r].coefficients.any() and solutions[r].iterations == 1
+        assert not solutions[r].coefficients.any() and solutions[r].iterations == 0
         assert solutions[r].objective == math.log(2.0)
 
 
@@ -902,36 +958,6 @@ def test_logistic_iteration_cap(monkeypatch):
         assert math.isfinite(err.kkt_residual) and err.kkt_residual > cfg.tol
     for r, sol in solutions.items():
         assert_same_solution(sol, free[r])
-
-
-def test_unchanged_check_rebuilds_nothing(monkeypatch):
-    """A logistic check that changes no working set and sees no row leave
-    calls neither _pattern_groups nor _block_steps: no call of either
-    gets the sets the call before it got (a row that leaves shrinks the
-    array), and the all-node solve on rr samples has such checks (the
-    first check, after one iteration, changes no set)."""
-    calls = {"_pattern_groups": [], "_block_steps": []}
-    for name, sets in calls.items():
-        def spy(second_or_bits, work, widths, *rest, _fn=getattr(solvers, name), _sets=sets):
-            _sets.append(work.copy())
-            return _fn(second_or_bits, work, widths, *rest)
-        monkeypatch.setattr(solvers, name, spy)
-    checks = []
-    check_tanh = solvers._check_tanh
-
-    def count_checks(*args):
-        checks.append(1)
-        return check_tanh(*args)
-
-    monkeypatch.setattr(solvers, "_check_tanh", count_checks)
-    g = assign_couplings(generate_random_regular(64, 3, 5), CouplingScheme.mixed(0.4), seed=6)
-    samples = gibbs_sample(g, 700, SamplerConfig(seed=7))
-    solutions, errors = solve_logistic_l1_batch(samples, range(64), 0.1)
-    assert not errors and len(solutions) == 64
-    for sets in calls.values():
-        assert all(a.shape != b.shape or not np.array_equal(a, b) for a, b in zip(sets, sets[1:]))
-    # one build at entry and one per rebuilding check: fewer than the checks
-    assert len(calls["_block_steps"]) < len(checks) + 1
 
 
 def test_logistic_batch_finishes_as_per_node_finalize(monkeypatch):

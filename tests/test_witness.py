@@ -95,6 +95,15 @@ class TestSampleCovariance:
                     assert (report.eig_min_ss, report.incoherence) == \
                         support_conditions(cov, r, g.neighbors[r])
 
+    def test_support_read_once(self, tree_fixture):
+        """An iterator of support vertices gives the report the tuple
+        gives: the support is validated and reported from one read."""
+        g, _ = tree_fixture
+        moments = tree_moments(g)
+        want = sample_covariance(moments, 0, tuple(g.neighbors[0]))
+        assert sample_covariance(moments, 0, iter(g.neighbors[0])) == want
+        assert want.support == tuple(sorted(g.neighbors[0]))
+
 
 class TestNoiseVector:
     def test_free_graph_noise(self):
