@@ -46,14 +46,24 @@ def _load_samples(path: str) -> sampler.SampleMatrix:
     return sampler.load_samples_text(path)
 
 
-def _scheme_from_args(args) -> graphs.CouplingScheme:
-    return graphs.CouplingScheme(kind=args.coupling, value=args.coupling_value)
+def _refuse_unread(flags: dict, reason: str) -> None:
+    """ValueError naming each of flags (flag: parsed value, None when
+    absent) that was given: an argument the command would not read is
+    refused, not dropped."""
+    given = [flag for flag, value in flags.items() if value is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)}: not read {reason}")
 
 
 def _cmd_graph(args) -> int:
     g = graphs.generate_graph(args.family, args.p, args.d, args.seed)
-    if args.coupling is not None:
-        g = graphs.assign_couplings(g, _scheme_from_args(args), args.coupling_seed)
+    if args.coupling is None:
+        _refuse_unread({"--coupling-value": args.coupling_value,
+                        "--coupling-seed": args.coupling_seed}, "without --coupling")
+    else:
+        value = 0.4 if args.coupling_value is None else args.coupling_value
+        scheme = graphs.CouplingScheme(kind=args.coupling, value=value)
+        g = graphs.assign_couplings(g, scheme, args.coupling_seed or 0)
     _write(g.to_json(), args.output)
     return 0
 
@@ -86,6 +96,7 @@ def _cmd_witness(args) -> int:
     params = bethe.rescaled_theta(g)
     support = g.neighbors[args.node]
     if args.population:
+        _refuse_unread({"--samples": args.samples}, "with --population")
         if args.lam is None or args.kappa is not None:
             raise ValueError("--population needs --lambda: --kappa scales with a sample size")
         data: sampler.SampleMatrix | sampler.ExactMoments = bethe.tree_moments(g)
@@ -114,6 +125,7 @@ def _parse_kv(pairs: list[str]) -> dict:
 
 def _cmd_theory(args) -> int:
     if args.rr_constants:
+        _refuse_unread({"--graph": args.graph, "--lambda": args.lam}, "with --rr-constants")
         kv = _parse_kv(args.params)
         unknown = set(kv) - {"d", "theta0"}
         if unknown:
@@ -136,12 +148,13 @@ def _cmd_theory(args) -> int:
             args.output,
         )
         return 0
+    _refuse_unread({pair: pair for pair in args.params}, "without --rr-constants")
     if args.graph is None:
         raise ValueError("give --graph or --rr-constants")
     g = _load_graph(args.graph)
     params = bethe.rescaled_theta(g)
     cov = bethe.tree_covariance(g)
-    report = bethe.theorem_thresholds(g, args.lam)
+    report = bethe.theorem_thresholds(g, 0.0 if args.lam is None else args.lam)
     _write(
         json.dumps(
             {
@@ -200,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--coupling", choices=["uniform", "mixed", "degree_scaled"],
                    help="assign couplings with this scheme")
-    g.add_argument("--coupling-value", type=float, default=0.4)
-    g.add_argument("--coupling-seed", type=int, default=0)
+    g.add_argument("--coupling-value", type=float, help="with --coupling (default 0.4)")
+    g.add_argument("--coupling-seed", type=int, help="with --coupling (default 0)")
     g.add_argument("-o", "--output")
     g.set_defaults(func=_cmd_graph)
 
@@ -241,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--rr-constants", action="store_true",
                    help="emit regular-graph constants; pass d=<int> theta0=<float>")
     t.add_argument("params", nargs="*", help="key=value parameters")
-    t.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    t.add_argument("--lambda", dest="lam", type=float, help="with --graph (default 0.0)")
     t.add_argument("-o", "--output")
     t.set_defaults(func=_cmd_theory)
 

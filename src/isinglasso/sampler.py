@@ -51,6 +51,8 @@ class SampleMatrix:
         arr = np.asarray(self.data)
         if arr.ndim != 2 or min(arr.shape) < 1:
             raise ValueError(f"sample data must be 2-D with n, p >= 1, got shape {arr.shape}")
+        if arr.dtype.kind in "bc":  # a bool is no spin, nor a complex number a real one
+            raise ValueError(f"sample entries must be -1 or +1, not of dtype {arr.dtype}")
         # check before the int8 cast, which would turn 257 or 1.7 into +1
         if not np.isin(arr, (-1, 1)).all():
             raise ValueError("sample entries must be -1 or +1")

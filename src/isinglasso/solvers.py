@@ -286,36 +286,6 @@ def _soft_threshold(z, tau):
     return z - np.clip(z, -tau, tau)
 
 
-def _pattern_groups(bits, work, widths, n):
-    """How each row's working-set gradient is taken, rows widest first.
-    A row whose set W has 2^|W| >= n sign patterns, no fewer than its
-    samples, takes the products over all p columns: its table would not
-    shorten the sum over the samples. Those rows are a prefix, and its
-    length comes first. For each width w of the others, its rows a:b, the
-    w x 2^w table of +-1 sign patterns (column c holds the bits of c, bit j
-    for set position j), each row's counts of the samples that show each
-    pattern on its set, and each sample's pattern on each row's set as a
-    code into the group's flattened rows x 2^w tables (row k's offset by
-    k 2^w, so one np.bincount counts them all), from bits, the p x n uint8
-    indicator of x = +1."""
-    dense = int(np.count_nonzero(widths >= (n - 1).bit_length()))
-    groups = []
-    a = dense
-    while a < widths.size:
-        w = int(widths[a])
-        b = a + int(np.count_nonzero(widths[a:] == w))
-        if w:
-            codes = bits[work[a:b, w - 1]].astype(np.int32)
-            for j in range(w - 2, -1, -1):
-                codes <<= 1
-                codes |= bits[work[a:b, j]]
-            codes += np.arange(0, (b - a) << w, 1 << w, dtype=np.int32)[:, None]
-            counts = np.bincount(codes.ravel(), minlength=(b - a) << w).reshape(b - a, 1 << w)
-            groups.append((a, b, _spin_table(w), counts.astype(float), codes))
-        a = b
-    return dense, groups
-
-
 def _pattern_margins(theta_w, table):
     """The margins theta_W . t of each row of theta_w, its entries on the
     row's working set, at each of the 2^w sign patterns t, the columns of
@@ -328,7 +298,7 @@ def _pattern_margins(theta_w, table):
 def _working_grad(xt, dense, groups, work, theta, linear_w):
     """Each row's log-loss gradient on its working set, (1/n) X_W'tanh(X_W theta_W)
     - M[r, W], zero at the padding, with dense and groups from
-    _pattern_groups. The dense rows take the BLAS products over all p
+    _working_sets. The dense rows take the BLAS products over all p
     columns of xt = X'. For the others the samples enter only through their
     sign patterns on W: the backward sum adds each pattern's count times
     the tanh of its margin (_pattern_margins) once, in a fixed order, so a
@@ -389,27 +359,44 @@ def _mean_log_cosh(xt, dense, groups, theta, theta_w, rows):
     return out
 
 
-def _block_steps(second, work, widths):
-    """1 / lambda_max(M[W, W]) for each row's working set W, the blocks of
-    one width in one eigvalsh call so that no block is padded; 1 for an
-    empty set."""
-    steps = np.ones(widths.size)
-    for w in np.unique(widths[widths > 0]):
-        rows = np.flatnonzero(widths == w)
-        idx = work[rows, :w]
-        steps[rows] = 1.0 / np.linalg.eigvalsh(second[idx[:, :, None], idx[:, None, :]])[:, -1]
-    return steps
-
-
-def _padded_sets(mask):
-    """Each row's working set, the columns where mask is True in order,
-    padded to the widest row (at least 1) with index p, the zero column
-    that follows the p columns of the batch's p + 1 wide arrays; with the
-    widths."""
+def _working_sets(mask, second, bits, n):
+    """Each row's padded working set, step and gradient form, from mask
+    (K x p, True on the set) with its rows widest first, so that one walk
+    over the runs a:b of one width w serves all three. work holds each
+    set's columns in order, padded to the widest set (at least 1) with p,
+    the zero column after the p columns of the batch's p + 1 wide arrays.
+    steps holds 1 / lambda_max(M[W, W]), one eigvalsh call per run, and 1
+    for an empty set. The rows with 2^|W| >= n sign patterns, no fewer than
+    the samples, are a prefix of length dense and take the products over
+    all p columns. Each later run of nonempty sets is a group (a, b, table,
+    counts, codes): the w x 2^w +-1 pattern table (column c holds the bits
+    of c, bit j for set position j), each row's count of the samples that
+    show each pattern on its set, and each sample's pattern as a code into
+    the group's flattened rows x 2^w counts (row k's offset by k 2^w, so
+    one np.bincount counts them all), from bits (p x n, 1 where x = +1)."""
     widths = mask.sum(axis=1)
     width = max(int(widths.max(initial=0)), 1)
     order = np.argsort(~mask, axis=1, kind="stable")[:, :width]
-    return np.where(np.arange(width) < widths[:, None], order, mask.shape[1]), widths
+    work = np.where(np.arange(width) < widths[:, None], order, mask.shape[1])
+    steps = np.ones(widths.size)
+    dense = int(np.count_nonzero(widths >= (n - 1).bit_length()))
+    groups = []
+    # the runs of one width among the nonempty sets, which come first
+    runs = np.flatnonzero(np.diff(widths[widths > 0], prepend=0, append=0)).tolist()
+    for a, b in zip(runs, runs[1:]):
+        w = int(widths[a])
+        idx = work[a:b, :w]
+        steps[a:b] = 1.0 / np.linalg.eigvalsh(second[idx[:, :, None], idx[:, None, :]])[:, -1]
+        if a < dense:
+            continue
+        codes = bits[idx[:, -1]].astype(np.int32)
+        for j in range(w - 2, -1, -1):
+            codes <<= 1
+            codes |= bits[idx[:, j]]
+        codes += np.arange(0, (b - a) << w, 1 << w, dtype=np.int32)[:, None]
+        counts = np.bincount(codes.ravel(), minlength=(b - a) << w).reshape(b - a, 1 << w)
+        groups.append((a, b, _spin_table(w), counts.astype(float), codes))
+    return work, steps, dense, groups
 
 
 def _is_separable(yx: np.ndarray) -> bool:
@@ -447,7 +434,7 @@ def solve_logistic_l1_batch(
     the iterate, momentum and gradient live on W, and the gradient sums
     over the 2^|W| patterns instead of the n samples, or takes the
     products over all columns where the patterns are no fewer than the
-    samples (_pattern_groups, _working_grad). At a check a pattern row
+    samples (_working_sets, _working_grad). At a check a pattern row
     reads its margins from the same table, each sample taking the tanh of
     its pattern's margin, so the check's one sample-sized product is the
     gradient's with X' (_check_tanh); the dense rows take both products,
@@ -493,7 +480,6 @@ def solve_logistic_l1_batch(
     act = np.arange(nodes.size)
     linear = np.zeros((nodes.size, p + 1))
     linear[:, :p] = second[nodes]
-    pinned = (act, nodes)
     work = np.full((nodes.size, 1), p)
     theta = momentum = np.zeros(work.shape)
     t_acc = np.ones(nodes.size)
@@ -521,7 +507,7 @@ def solve_logistic_l1_batch(
         dense = np.zeros((act.size, p + 1))
         np.put_along_axis(dense, work, theta, axis=1)
         s = _check_tanh(xt, dense_rows, groups, dense[:, :p], theta, tanh_buf[:act.size])
-        grad = _logistic_grad(xt, s, linear[:, :p], pinned)
+        grad = _logistic_grad(xt, s, linear[:, :p], (np.arange(act.size), nodes[act]))
         kkt[act] = _kkt_residual(dense[:, :p], grad, lam)
         diverged = np.abs(theta).max(axis=1) > _MAX_COEF
         for j in act[diverged]:
@@ -551,14 +537,11 @@ def solve_logistic_l1_batch(
         kept = np.zeros((keep.size, p + 1))
         np.put_along_axis(kept, work[keep], momentum[keep], axis=1)
         act, linear, same = act[keep], linear[keep], same[keep]
-        pinned = (np.arange(act.size), nodes[act])
-        work, widths = _padded_sets(mask[keep])
+        work, step, dense_rows, groups = _working_sets(mask[keep], second, bits, samples.n)
         theta = np.take_along_axis(dense[keep], work, axis=1)
         momentum = np.where(same[:, None], np.take_along_axis(kept, work, axis=1), theta)
         t_acc = np.where(same, t_acc[keep], 1.0)
-        step = _block_steps(second, work, widths)
         linear_w = np.take_along_axis(linear, work, axis=1)
-        dense_rows, groups = _pattern_groups(bits, work, widths, samples.n)
     for j in act:
         errors[int(nodes[j])] = ConvergenceError(
             f"proximal gradient did not converge in {_MAX_ITERS} iterations "

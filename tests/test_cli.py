@@ -65,6 +65,25 @@ class TestGraphCommand:
             main(["graph"])  # missing required --family
         assert exc.value.code == 2
 
+    def test_coupling_flags_need_coupling(self, capsys):
+        """Without --coupling no coupling is drawn: --coupling-value and
+        --coupling-seed used to be dropped, printing null couplings."""
+        code, out, err = run_cli(capsys, "graph", "--family", "rr", "-p", "8", "-d", "3",
+                                 "--coupling-value", "0.8", "--coupling-seed", "5")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError",
+            "message": "--coupling-value, --coupling-seed: not read without --coupling",
+        }
+
+    def test_coupling_defaults(self, capsys):
+        """Absent --coupling-value and --coupling-seed read 0.4 and seed 0."""
+        base = ("graph", "--family", "rr", "-p", "8", "-d", "3", "--coupling", "mixed")
+        _, default, _ = run_cli(capsys, *base)
+        _, given, _ = run_cli(capsys, *base, "--coupling-value", "0.4", "--coupling-seed", "0")
+        assert default == given
+        assert {abs(c) for _, _, c in json.loads(default)["edges"]} == {0.4}
+
     def test_missing_p_is_a_usage_error(self, capsys):
         """No family is drawn at a default p: argparse names -p and exits 2."""
         for family in ("rr", "grid", "star", "tree", "bethe_tree"):
@@ -233,6 +252,25 @@ class TestTheoryCommand:
         assert code == 1 and out == ""
         assert json.loads(err)["message"] == "d must be an integer >= 3, got 3.0"
 
+    def test_rr_constants_refuses_graph_and_lambda(self, tmp_path, capsys):
+        """--rr-constants reads only its key=value parameters: --graph and
+        --lambda used to be dropped."""
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"p": 2, "edges": [[0, 1, 0.4]]}))
+        code, out, err = run_cli(capsys, "theory", "--graph", str(graph), "--rr-constants",
+                                 "d=3", "theta0=0.4", "--lambda", "0.3")
+        assert code == 1 and out == ""
+        assert json.loads(err)["message"] == "--graph, --lambda: not read with --rr-constants"
+
+    def test_graph_report_refuses_params(self, tmp_path, capsys):
+        """Without --rr-constants the key=value parameters used to be
+        dropped from a --graph report."""
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"p": 2, "edges": [[0, 1, 0.4]]}))
+        code, out, err = run_cli(capsys, "theory", "--graph", str(graph), "d=3", "theta0=0.4")
+        assert code == 1 and out == ""
+        assert json.loads(err)["message"] == "d=3, theta0=0.4: not read without --rr-constants"
+
     def test_rr_constants_missing_param(self, capsys):
         code, _, err = run_cli(capsys, "theory", "--rr-constants", "d=3")
         assert code == 1
@@ -258,6 +296,10 @@ class TestTheoryCommand:
         assert obj["alpha"] == 0.6200510377447751  # 1 - tanh(0.4)
         assert obj["thresholds"]["pass"] is True
         assert abs(obj["theta_tilde"]["min_magnitude"] - 0.294826) < 1e-6
+        # an absent --lambda reads 0.0
+        _, absent, _ = run_cli(capsys, "theory", "--graph", str(out))
+        _, zero, _ = run_cli(capsys, "theory", "--graph", str(out), "--lambda", "0.0")
+        assert absent == zero and json.loads(absent)["thresholds"]["lambda"] == 0.0
 
     def test_malformed_graph_json_error(self, tmp_path, capsys):
         graph = tmp_path / "g.json"
@@ -328,6 +370,19 @@ class TestWitnessCommand:
                                "--lambda", "0.1", "--kappa", "2")
         assert code == 1
         assert "--kappa" in json.loads(err)["message"]
+
+    def test_population_refuses_samples(self, tmp_path, capsys):
+        """--population reads the tree's exact moments: --samples used to
+        be dropped, even when its file did not exist."""
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"p": 2, "edges": [[0, 1, 0.4]]}))
+        code, out, err = run_cli(capsys, "witness", "--graph", str(graph), "--population",
+                                 "--lambda", "0.1", "--node", "0",
+                                 "--samples", str(tmp_path / "missing.txt"))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ValueError", "message": "--samples: not read with --population",
+        }
 
     @pytest.mark.parametrize("node", ["-1", "10"])
     def test_node_out_of_range_json_error(self, tmp_path, capsys, node):

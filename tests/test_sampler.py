@@ -57,6 +57,19 @@ class TestSampleMatrix:
         with pytest.raises(ValueError):
             SampleMatrix(np.array([[1, 1.7], [1, -1]]))
 
+    def test_bool_dtype_rejected(self):
+        """All-True entries used to become +1 spins, and a True/False mix
+        was refused as if its values were wrong: a bool is no spin."""
+        for data in ([[True, True]], [[True, False]]):
+            with pytest.raises(ValueError, match="not of dtype bool"):
+                SampleMatrix(np.array(data))
+
+    def test_complex_dtype_rejected(self):
+        """A complex array used to be cast to spins with only a
+        ComplexWarning."""
+        with pytest.raises(ValueError, match="not of dtype complex128"):
+            SampleMatrix(np.array([[1, -1], [-1, 1]], dtype=complex))
+
     def test_zero_columns_rejected(self):
         with pytest.raises(ValueError, match=r"n, p >= 1, got shape \(3, 0\)"):
             SampleMatrix(np.empty((3, 0), dtype=np.int8))

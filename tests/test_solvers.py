@@ -24,11 +24,10 @@ from isinglasso.solvers import (
     SolverConfig,
     _kkt_residual,
     _logistic_grad,
-    _padded_sets,
-    _pattern_groups,
     _soft_threshold,
     _work_residual,
     _working_grad,
+    _working_sets,
     extract_signed_neighborhood,
     lambda_from_kappa,
     lasso_cd_gram,
@@ -569,14 +568,14 @@ MIXED_WIDE = dict(seed=0, p=10, n=9, lam=0.1)
 MIXED_REPEATS = dict(seed=11, p=10, n=9, lam=0.0234375)
 
 
-def dense_shifted(shift, _fn=_pattern_groups):
-    """_pattern_groups with the dense crossover moved down by 2^shift: a
+def dense_shifted(shift, _fn=_working_sets):
+    """_working_sets with the dense crossover moved down by 2^shift: a
     row takes the products over all columns once its set has
     2^|W| >= n >> shift sign patterns (every row once n < 2^shift). The
     solver's results must not depend on where the crossover lies."""
-    def groups(bits, work, widths, n):
-        return _fn(bits, work, widths, max(1, n >> shift))
-    return groups
+    def sets(mask, second, bits, n):
+        return _fn(mask, second, bits, max(1, n >> shift))
+    return sets
 
 
 @settings(max_examples=60, deadline=None)
@@ -705,7 +704,7 @@ def test_logistic_pattern_rows_independent_of_company(seed, p, extra, lam):
 @example(**MIXED_WIDE)
 @pytest.mark.parametrize("shift", [0, 3])
 def test_logistic_batch_independent_of_chunking(shift, seed, p, n, lam):
-    """With every width group of _pattern_groups split into groups of one
+    """With every width group of _working_sets split into groups of one
     row, each with its own codes, every node's coefficients, iterations,
     residual and objective are bit-identical to those with one einsum per
     width. The examples' batches also hold rows with 2^|W| >= n, which
@@ -720,16 +719,17 @@ def test_logistic_batch_independent_of_chunking(shift, seed, p, n, lam):
     cfg = SolverConfig(tol=1e-9)
     shifted = dense_shifted(shift)
 
-    def one_row_groups(bits, work, widths, n_samples):
-        dense, groups = shifted(bits, work, widths, n_samples)
-        return dense, [(a + i, a + i + 1, table, counts[i : i + 1],
-                        codes[i : i + 1] - (i << table.shape[0]))
-                       for a, b, table, counts, codes in groups for i in range(b - a)]
+    def one_row_groups(mask, second, bits, n_samples):
+        work, steps, dense, groups = shifted(mask, second, bits, n_samples)
+        return work, steps, dense, [(a + i, a + i + 1, table, counts[i : i + 1],
+                                     codes[i : i + 1] - (i << table.shape[0]))
+                                    for a, b, table, counts, codes in groups
+                                    for i in range(b - a)]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_pattern_groups", shifted)
+        mp.setattr(solvers, "_working_sets", shifted)
         default, errors_default = solve_logistic_l1_batch(samples, nodes, lam, cfg)
-        mp.setattr(solvers, "_pattern_groups", one_row_groups)
+        mp.setattr(solvers, "_working_sets", one_row_groups)
         one_row, errors_one_row = solve_logistic_l1_batch(samples, nodes, lam, cfg)
     assert not errors_default and not errors_one_row
     for r in nodes:
@@ -770,8 +770,9 @@ def test_pattern_grad_matches_oracle(seed, p, n, scale):
         mask[k, rng.choice(others, size=int(rng.integers(0, top + 1)), replace=False)] = True
     order = np.argsort(-mask.sum(axis=1), kind="stable")
     nodes, mask = nodes[order], mask[order]
-    work, widths = _padded_sets(mask)
-    dense, groups = _pattern_groups((xt > 0).view(np.uint8), work, widths, n)
+    widths = mask.sum(axis=1)
+    work, _, dense, groups = _working_sets(
+        mask, samples.second_moment(), (xt > 0).view(np.uint8), n)
     assert dense == 0
     on_set = np.arange(work.shape[1]) < widths[:, None]
     theta_w = rng.normal(scale=scale, size=work.shape) * on_set
@@ -787,6 +788,52 @@ def test_pattern_grad_matches_oracle(seed, p, n, scale):
         bound = eps * (2 * p * np.abs(theta_w[k]).sum() + 2 * n + 8)
         assert np.abs(got[k, :w] - oracle[work[k, :w], k]).max(initial=0.0) <= bound
         assert not got[k, w:].any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 10),
+    n=st.integers(2, 300),
+    rows=st.integers(0, 12),
+)
+def test_working_sets_match_per_row_reference(seed, p, n, rows):
+    """_working_sets against each row taken alone, on a random mask whose
+    rows are sorted widest first and end in an empty row: each padded set
+    is the row's columns in order followed by p, each step is byte-equal to
+    1 / lambda_max(M[W, W]) from an eigvalsh call on that block alone and
+    is 1 on an empty set, the dense prefix holds exactly the rows with
+    2^|W| >= n, and the groups hold every other nonempty row once, each
+    row's codes its samples' bits on W (bit j for set position j, offset by
+    its place in the group) and its counts their np.bincount."""
+    rng = np.random.default_rng(seed)
+    samples = random_samples(rng, p, n)
+    second = samples.second_moment()
+    bits = (np.ascontiguousarray(samples.data.T) > 0).view(np.uint8)
+    mask = np.zeros((rows + 1, p), dtype=bool)
+    for k in range(rows):
+        mask[k, rng.choice(p, size=int(rng.integers(0, p + 1)), replace=False)] = True
+    mask = mask[np.argsort(-mask.sum(axis=1), kind="stable")]
+    work, steps, dense, groups = _working_sets(mask, second, bits, n)
+    width = max(int(mask.sum(axis=1).max()), 1)
+    grouped = {}
+    for a, b, table, counts, codes in groups:
+        w = table.shape[0]
+        assert np.array_equal(table, np.where(np.arange(1 << w) >> np.arange(w)[:, None] & 1, 1, -1))
+        for i, k in enumerate(range(a, b)):
+            grouped[k] = (w, counts[i], codes[i] - (i << w))
+    for k, row in enumerate(mask):
+        cols = np.flatnonzero(row)
+        assert np.array_equal(work[k], np.concatenate([cols, np.full(width - cols.size, p)]))
+        want = 1.0 / np.linalg.eigvalsh(second[np.ix_(cols, cols)])[-1] if cols.size else 1.0
+        assert np.float64(steps[k]).tobytes() == np.float64(want).tobytes()
+        assert (k < dense) == (2 ** cols.size >= n)
+        assert (k in grouped) == (k >= dense and cols.size > 0)
+        if k in grouped:
+            w, counts, codes = grouped[k]
+            assert w == cols.size
+            assert np.array_equal(codes, (bits[cols].astype(np.int64) << np.arange(w)[:, None]).sum(0))
+            assert np.array_equal(counts, np.bincount(codes, minlength=1 << w))
 
 
 @settings(max_examples=120, deadline=None)
@@ -816,7 +863,7 @@ def test_logistic_objective_matches_oracle(shift, seed, p, n, lam):
     |M_rj| every set is empty, theta is 0 and the objective is log 2 exactly."""
     samples, nodes = random_batch(seed, p, n)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_pattern_groups", dense_shifted(shift))
+        mp.setattr(solvers, "_working_sets", dense_shifted(shift))
         solutions, errors = solve_logistic_l1_batch(samples, nodes, lam, SolverConfig(tol=1e-9))
     assert not errors and solutions.keys() == set(nodes)
     x, second = samples.as_float(), samples.second_moment()
@@ -835,17 +882,18 @@ def test_logistic_objective_matches_oracle(shift, seed, p, n, lam):
 ])
 def test_mixed_examples_hold_both_row_kinds(monkeypatch, build, case):
     """Each example batch named MIXED_* really mixes the two row kinds: some
-    call of _pattern_groups sends rows whose set has 2^|W| >= n sign
+    call of _working_sets sends rows whose set has 2^|W| >= n sign
     patterns to the dense products, beside rows on the pattern tables."""
     mixed = []
 
-    def spy(bits, work, widths, n, _fn=solvers._pattern_groups):
-        dense, groups = _fn(bits, work, widths, n)
+    def spy(mask, second, bits, n, _fn=solvers._working_sets):
+        work, steps, dense, groups = _fn(mask, second, bits, n)
+        widths = (work < mask.shape[1]).sum(axis=1)
         assert np.array_equal(np.exp2(widths) >= n, np.arange(widths.size) < dense)
         mixed.append(dense > 0 and len(groups) > 0)
-        return dense, groups
+        return work, steps, dense, groups
 
-    monkeypatch.setattr(solvers, "_pattern_groups", spy)
+    monkeypatch.setattr(solvers, "_working_sets", spy)
     samples, nodes = build(case["seed"], case["p"], case["n"])[:2]
     solutions, errors = solve_logistic_l1_batch(samples, nodes, case["lam"], SolverConfig(tol=1e-9))
     assert not errors and solutions.keys() == set(nodes)
